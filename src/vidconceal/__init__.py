@@ -54,7 +54,7 @@ from .experiment import (
 )
 from .loss import LossMask, TrialConfig, apply_mask, make_mask
 from .metrics import PSNR_CAP_DB, PsnrSample, psnr
-from .motion import MvField, SearchParams, estimate_field, full_search
+from .motion import MvField, SearchParams, estimate_field
 from .yuv_io import (
     SequenceHeader,
     YuvFrameRecord,

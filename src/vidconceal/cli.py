@@ -43,39 +43,39 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_conceal(args) -> int:
+    """Stream the sequence: frame t is read once, gets its MV field against
+    original t-1, and is concealed against reconstructed t-1; only the
+    previous original, reconstruction and field are kept."""
     header = open_sequence(args.infile, args.width, args.height)
     params = SearchParams(p=args.p)
     cols, rows = args.width // 16, args.height // 16
     cfg = TrialConfig(args.rate, args.seed, args.trial)
 
-    records = [read_frame(header, t) for t in range(header.frame_count)]
-    originals = [r.luma for r in records]
-    fields = {
-        t: estimate_field(originals[t], originals[t - 1], params, frame_index=t)
-        for t in range(1, header.frame_count)
-    }
-
-    ref_frame = originals[0]
+    first = read_frame(header, 0)
+    prev_original, prev_field = first.luma, None
+    ref_frame = first.luma
     ref_status = MbStatusMap.all_correct(cols, rows)
     psnrs = []
     with open(args.out_yuv, "wb") as sink, open(args.audit, "w", newline="") as audit:
         audit.write(audit_csv_header() + "\n")
-        write_yuv_frame(records[0], sink)
+        write_yuv_frame(first, sink)
         for t in range(1, header.frame_count):
+            record = read_frame(header, t)
+            original = record.luma
+            field = estimate_field(original, prev_original, params, frame_index=t)
             status = apply_mask(ref_status, make_mask(t, cols, rows, cfg))
-            damaged = blank_damaged(originals[t], status)
+            damaged = blank_damaged(original, status)
             out = conceal_frame(
-                damaged, ref_frame, ref_status, status, fields[t], fields.get(t - 1), args.mode
+                damaged, ref_frame, ref_status, status, field, prev_field, args.mode
             )
             for rec in out.audit:
                 audit.write(audit_csv_line(t, rec) + "\n")
-            write_yuv_frame(
-                YuvFrameRecord(out.frame, records[t].chroma_u, records[t].chroma_v), sink
-            )
-            value = psnr(out.frame, originals[t])
+            write_yuv_frame(YuvFrameRecord(out.frame, record.chroma_u, record.chroma_v), sink)
+            value = psnr(out.frame, original)
             psnrs.append(value)
             print(f"frame {t}: {len(out.audit)} MBs concealed, psnr {value:.4f} dB")
             ref_frame, ref_status = out.frame, out.status
+            prev_original, prev_field = original, field
     if psnrs:
         print(f"mean psnr over {len(psnrs)} concealed frames: {float(np.mean(psnrs)):.4f} dB")
     return 0

@@ -61,9 +61,16 @@ class ExperimentSpec:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
+        tags: dict[str, float] = {}
         for rate in self.rates:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate {rate} outside [0, 1]")
+            # trial and audit file names carry the rate tag, so equal tags
+            # would overwrite each other's files
+            tag = _rate_tag(rate)
+            if tag in tags:
+                raise ValueError(f"rates {tags[tag]!r} and {rate!r} share the file-name tag r{tag}")
+            tags[tag] = rate
         for seq in self.sequences:
             if seq.frame_budget() < 2:
                 raise ValueError(f"sequence {seq.name}: need at least 2 frames")
@@ -261,8 +268,12 @@ def aggregate(trials: list[TrialResult]) -> ReportRow:
     )
 
 
+def _rate_tag(rate: float) -> str:
+    return f"{rate:g}"
+
+
 def _cell_tag(sequence: str, mode: str, rate: float, trial: int) -> str:
-    return f"{sequence}_{mode}_r{rate:g}_t{trial:03d}"
+    return f"{sequence}_{mode}_r{_rate_tag(rate)}_t{trial:03d}"
 
 
 def _render_report_csv(rows: list[ReportRow]) -> str:
@@ -321,9 +332,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> ExperimentReport:
                             f.write(line + "\n")
                     if k == 0 and dump:
                         for t, frm in tr.damaged_frames.items():
-                            write_pgm(frm, os.path.join(out_dir, "frames", f"{seq.name}_{mode}_r{rate:g}_f{t:03d}_damaged.pgm"))
+                            write_pgm(frm, os.path.join(out_dir, "frames", f"{seq.name}_{mode}_r{_rate_tag(rate)}_f{t:03d}_damaged.pgm"))
                         for t, frm in tr.concealed_frames.items():
-                            write_pgm(frm, os.path.join(out_dir, "frames", f"{seq.name}_{mode}_r{rate:g}_f{t:03d}_concealed.pgm"))
+                            write_pgm(frm, os.path.join(out_dir, "frames", f"{seq.name}_{mode}_r{_rate_tag(rate)}_f{t:03d}_concealed.pgm"))
                     cell.append(tr)
                 rows.append(aggregate(cell))
 

@@ -1,9 +1,14 @@
 """Exhaustive-search block motion estimation against the previous frame.
 
 This models the encoder side: every inter frame gets one motion vector per
-macroblock, found by full search over a square window. Displacements that
-would push the block outside the reference are excluded from the search, so
-every stored vector can be applied for motion compensation without any edge
+macroblock, the displacement of minimum SAD (sum of absolute differences)
+within a square window of radius ``p``. The search runs frame-wide: one
+vectorised pass per displacement scores every macroblock at once, and a
+single argmin over the resulting SAD volume picks each block's vector. Ties
+go to the smallest |vx|+|vy|, then the smallest vy, then the smallest vx,
+which favors the zero vector in flat regions. Displacements that would push
+the block outside the reference are excluded from the search, so every
+stored vector can be applied for motion compensation without any edge
 handling.
 """
 
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import MB, Frame, MbAddress, MotionVector
 
@@ -68,41 +72,53 @@ class MvField:
         self.vy[mb.row, mb.col] = mv.vy
 
 
-def full_search(cur: Frame, ref: Frame, mb: MbAddress, params: SearchParams = SearchParams()) -> MotionVector:
-    """Best in-window displacement for one macroblock, by minimum SAD.
+def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams(), frame_index: int = 1) -> MvField:
+    """Minimum-SAD motion vector of every macroblock, by one frame-wide pass
+    per displacement.
 
-    Ties are broken toward the smallest |vx|+|vy|, then raster order of
-    (vy, vx), which favors the zero vector in flat regions.
+    For each in-window displacement (vx, vy) the int16 absolute difference of
+    ``cur`` and the shifted ``ref`` is taken over the MB rows and columns whose
+    displaced block stays inside the frame, and summed per 16x16 block (the
+    16 pixel rows first, then the 16 columns) into a uint16 SAD volume of
+    shape (displacements, mb_rows, mb_cols). Displacements that leave the
+    frame keep the fill value 65535, above the largest SAD 16*16*255 = 65280.
+    The displacements are laid out in tie-break order (smallest |vx|+|vy|,
+    then vy, then vx), so the first minimum along that axis favors the zero
+    vector in flat regions; (0, 0) is always inside the frame.
     """
     if cur.luma.shape != ref.luma.shape:
         raise ValueError("current and reference frames must have equal dimensions")
-    i, j = mb.origin()
+    rows, cols = cur.mb_rows, cur.mb_cols
     w, h = cur.width, cur.height
-    if i + MB > w or j + MB > h:
-        raise IndexError(f"macroblock {mb} outside {w}x{h}")
-    p = params.p
-    vx_lo, vx_hi = max(-p, -i), min(p, w - MB - i)
-    vy_lo, vy_hi = max(-p, -j), min(p, h - MB - j)
+    # a component beyond the frame size minus one block leaves it for every MB
+    px, py = min(params.p, w - MB), min(params.p, h - MB)
+    order = sorted(
+        ((vx, vy) for vy in range(-py, py + 1) for vx in range(-px, px + 1)),
+        key=lambda v: (abs(v[0]) + abs(v[1]), v[1], v[0]),
+    )
 
-    block = cur.luma[j : j + MB, i : i + MB].astype(np.int32)
-    region = ref.luma[j + vy_lo : j + vy_hi + MB, i + vx_lo : i + vx_hi + MB]
-    windows = sliding_window_view(region, (MB, MB)).astype(np.int32)
-    sads = np.abs(windows - block).sum(axis=(2, 3))
+    a = cur.luma.astype(np.int16)
+    b = ref.luma.astype(np.int16)
+    sads = np.full((len(order), rows, cols), np.iinfo(np.uint16).max, dtype=np.uint16)
+    diff = np.empty(h * w, dtype=np.int16)
+    for k, (vx, vy) in enumerate(order):
+        # MB columns c with 0 <= 16c + vx and 16c + vx + 16 <= w; rows alike
+        c0, c1 = max(0, -(vx // MB)), min(cols, (w - MB - vx) // MB + 1)
+        r0, r1 = max(0, -(vy // MB)), min(rows, (h - MB - vy) // MB + 1)
+        x0, x1, y0, y1 = MB * c0, MB * c1, MB * r0, MB * r1
+        d = diff[: (y1 - y0) * (x1 - x0)].reshape(y1 - y0, x1 - x0)
+        np.subtract(a[y0:y1, x0:x1], b[y0 + vy : y1 + vy, x0 + vx : x1 + vx], out=d)
+        np.abs(d, out=d)
+        # non-negative, so the uint16 view holds the same values; a block
+        # column sums to at most 16*255 and a block to at most 65280
+        col_sums = np.add.reduce(d.view(np.uint16).reshape(r1 - r0, MB, x1 - x0), axis=1, dtype=np.uint16)
+        np.add.reduce(
+            col_sums.reshape(r1 - r0, c1 - c0, MB), axis=2, dtype=np.uint16, out=sads[k, r0:r1, c0:c1]
+        )
 
-    best = int(sads.min())
-    ties = np.argwhere(sads == best)
-    key = lambda t: (abs(vx_lo + t[1]) + abs(vy_lo + t[0]), vy_lo + t[0], vx_lo + t[1])
-    iy, ix = min(ties, key=key)
-    return MotionVector(vx_lo + int(ix), vy_lo + int(iy))
-
-
-def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams(), frame_index: int = 1) -> MvField:
-    """full_search applied to every macroblock of the frame."""
-    field = MvField.zeros(cur.mb_cols, cur.mb_rows, frame_index)
-    for row in range(cur.mb_rows):
-        for col in range(cur.mb_cols):
-            field.set(MbAddress(col, row), full_search(cur, ref, MbAddress(col, row), params))
-    return field
+    best = sads.argmin(axis=0)
+    vx_of, vy_of = np.array(order, dtype=np.int16).T
+    return MvField(frame_index, vx_of[best], vy_of[best])
 
 
 def save_mv_fields(fields: Iterable[MvField], path: str) -> None:
@@ -131,6 +147,10 @@ def load_mv_fields(path: str) -> dict[int, MvField]:
             cells.setdefault(t, []).append((col, row, vx, vy))
     fields: dict[int, MvField] = {}
     for t, entries in cells.items():
+        if any(col < 0 or row < 0 for col, row, _, _ in entries):
+            raise ValueError(f"{path}: frame {t} has a negative MB index")
+        if len({(col, row) for col, row, _, _ in entries}) != len(entries):
+            raise ValueError(f"{path}: frame {t} lists an MB more than once")
         cols = max(e[0] for e in entries) + 1
         rows = max(e[1] for e in entries) + 1
         if len(entries) != cols * rows:

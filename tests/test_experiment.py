@@ -185,3 +185,9 @@ class TestSpecFile:
             ExperimentSpec([small_seq], [1.7], ["tr"])
         with pytest.raises(ValueError):
             ExperimentSpec([small_seq], [0.1], ["tr"], trials=0)
+
+    @pytest.mark.parametrize("rates", [[0.1234561, 0.1234564], [0.25, 0.25]])
+    def test_rates_with_colliding_file_tags_rejected(self, small_seq, rates):
+        # both rates would write small_tr_r0.123456_t000.csv (or r0.25)
+        with pytest.raises(ValueError, match="tag"):
+            ExperimentSpec([small_seq], rates, ["tr"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from vidconceal.core import Frame, MbAddress, MotionVector
@@ -7,7 +9,6 @@ from vidconceal.motion import (
     MvField,
     SearchParams,
     estimate_field,
-    full_search,
     load_mv_fields,
     save_mv_fields,
 )
@@ -26,41 +27,45 @@ def shifted_pair(rng, width=96, height=96, dx=3, dy=2):
 class TestFullSearch:
     def test_static_scene_returns_zero(self, rng):
         f = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
+        field = estimate_field(f, f)
         for row in range(f.mb_rows):
             for col in range(f.mb_cols):
-                assert full_search(f, f, MbAddress(col, row)) == MotionVector(0, 0)
+                assert field.mv_at(MbAddress(col, row)) == MotionVector(0, 0)
 
     def test_global_shift_recovered(self, rng):
         cur, ref = shifted_pair(rng, dx=3, dy=2)
+        field = estimate_field(cur, ref)
         # MBs whose (3,2)-displaced block stays inside the reference
-        assert full_search(cur, ref, MbAddress(0, 0)) == MotionVector(3, 2)
-        assert full_search(cur, ref, MbAddress(2, 2)) == MotionVector(3, 2)
-        assert full_search(cur, ref, MbAddress(4, 3)) == MotionVector(3, 2)
+        assert field.mv_at(MbAddress(0, 0)) == MotionVector(3, 2)
+        assert field.mv_at(MbAddress(2, 2)) == MotionVector(3, 2)
+        assert field.mv_at(MbAddress(4, 3)) == MotionVector(3, 2)
 
     def test_p_zero_always_zero(self, rng):
         cur, ref = shifted_pair(rng)
-        assert full_search(cur, ref, MbAddress(1, 1), SearchParams(p=0)) == MotionVector(0, 0)
+        assert estimate_field(cur, ref, SearchParams(p=0)).mv_at(MbAddress(1, 1)) == MotionVector(0, 0)
 
     def test_flat_region_tie_breaks_to_zero(self):
         f = Frame(np.full((64, 64), 77, dtype=np.uint8))
-        assert full_search(f, f, MbAddress(1, 1)) == MotionVector(0, 0)
+        assert estimate_field(f, f).mv_at(MbAddress(1, 1)) == MotionVector(0, 0)
 
     def test_matches_oracle_on_random_frames(self, rng):
         for _ in range(20):
             cur = Frame(rng.integers(0, 256, size=(48, 48), dtype=np.uint8))
             ref = Frame(rng.integers(0, 256, size=(48, 48), dtype=np.uint8))
-            col = int(rng.integers(0, 3))
-            row = int(rng.integers(0, 3))
-            got = full_search(cur, ref, MbAddress(col, row), SearchParams(p=5))
-            want = oracle.full_search(cur.luma, ref.luma, col, row, p=5)
-            assert (got.vx, got.vy) == want
+            field = estimate_field(cur, ref, SearchParams(p=5))
+            cur_px, ref_px = cur.luma.tolist(), ref.luma.tolist()
+            for row in range(3):
+                for col in range(3):
+                    got = field.mv_at(MbAddress(col, row))
+                    want = oracle.full_search(cur_px, ref_px, col, row, p=5)
+                    assert (got.vx, got.vy) == want
 
     def test_optimality_by_rescan(self, rng):
         cur = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
         ref = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
         mb = MbAddress(1, 2)
         i, j = mb.origin()
-        best = full_search(cur, ref, mb)
+        best = estimate_field(cur, ref).mv_at(mb)
         block = cur.luma[j : j + 16, i : i + 16].astype(int)
         best_sad = np.abs(
             block - ref.luma[j + best.vy : j + best.vy + 16, i + best.vx : i + best.vx + 16].astype(int)
@@ -76,12 +81,74 @@ class TestFullSearch:
 
     def test_out_of_frame_displacements_never_returned(self, rng):
         cur, ref = shifted_pair(rng, width=48, height=48, dx=-5, dy=-4)
+        field = estimate_field(cur, ref)
         for row in range(3):
             for col in range(3):
-                mv = full_search(cur, ref, MbAddress(col, row))
+                mv = field.mv_at(MbAddress(col, row))
                 i, j = MbAddress(col, row).origin()
                 assert 0 <= i + mv.vx and i + mv.vx + 16 <= 48
                 assert 0 <= j + mv.vy and j + mv.vy + 16 <= 48
+
+
+_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda rc: (16 * rc[0], 16 * rc[1]))
+
+
+def _noise(shape):
+    n = shape[0] * shape[1]
+    return st.binary(min_size=n, max_size=n).map(
+        lambda b: np.frombuffer(b, dtype=np.uint8).reshape(shape)
+    )
+
+
+@st.composite
+def _stripes(draw, shape):
+    """A pair of planes with samples 0-2 that are constant along straight
+    stripes (rows, columns or either diagonal), cur being ref moved along
+    the stripe index. Every shift along a stripe leaves the reference
+    unchanged, so many displacements tie exactly, often away from (0, 0),
+    and the tie-break order decides the vector."""
+    h, w = shape
+    a, b = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)]))
+    width = draw(st.integers(1, 8))
+    y, x = np.mgrid[0:h, 0:w]
+    idx = (a * x + b * y) // width
+    idx -= idx.min()
+    shift = draw(st.integers(0, 3))
+    n = int(idx.max()) + shift + 1
+    values = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.uint8)
+    return values[idx + shift], values[idx]
+
+
+def _assert_matches_oracle(cur, ref, p):
+    field = estimate_field(Frame(cur), Frame(ref), SearchParams(p=p))
+    rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
+    cur_px, ref_px = cur.tolist(), ref.tolist()  # nested lists index fast
+    assert (field.mb_rows, field.mb_cols) == (rows, cols)
+    for row in range(rows):
+        for col in range(cols):
+            got = field.mv_at(MbAddress(col, row))
+            assert (got.vx, got.vy) == oracle.full_search(cur_px, ref_px, col, row, p)
+
+
+class TestEstimateFieldProperties:
+    """estimate_field against the brute-force oracle on every MB."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(planes=_SHAPES.flatmap(lambda shape: st.tuples(_noise(shape), _noise(shape))), p=st.integers(0, 8))
+    def test_random_content(self, planes, p):
+        _assert_matches_oracle(*planes, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(planes=_SHAPES.flatmap(_stripes), p=st.integers(0, 60))
+    def test_near_constant_content_ties(self, planes, p):
+        # p reaches past the frame size, where every window is clipped
+        _assert_matches_oracle(*planes, p)
+
+    @settings(max_examples=20, deadline=None)
+    @given(planes=_SHAPES.flatmap(_stripes), p=st.integers(0, 60))
+    def test_cur_is_ref(self, planes, p):
+        cur = planes[0]
+        _assert_matches_oracle(cur, cur, p)
 
 
 class TestEstimateField:
@@ -101,6 +168,32 @@ class TestEstimateField:
         for row in range(field.mb_rows - 1):
             for col in range(field.mb_cols - 1):
                 assert field.mv_at(MbAddress(col, row)) == MotionVector(3, 2)
+
+    @pytest.mark.parametrize(
+        "ref_of, cur_of, want",
+        [
+            # diagonal stripes: (2, 0), (1, 1) and (0, 2) all match exactly;
+            # the smallest vy wins
+            (lambda x, y: 7 * (x + y), lambda x, y: 7 * (x + y + 2), MotionVector(2, 0)),
+            # period-2 columns: (-1, 0) and (1, 0) both match; the smallest vx wins
+            (lambda x, y: 7 * y + 50 * (x % 2), lambda x, y: 7 * y + 50 * ((x + 1) % 2), MotionVector(-1, 0)),
+        ],
+        ids=["diagonal_stripes", "period_2_columns"],
+    )
+    def test_exact_ties_follow_search_order(self, ref_of, cur_of, want):
+        y, x = np.mgrid[0:48, 0:48]
+        ref, cur = Frame(ref_of(x, y) % 256), Frame(cur_of(x, y) % 256)
+        assert estimate_field(cur, ref).mv_at(MbAddress(1, 1)) == want
+        _assert_matches_oracle(cur.luma, ref.luma, 7)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_field(Frame(np.zeros((32, 32), np.uint8)), Frame(np.zeros((32, 48), np.uint8)))
+
+    def test_unaligned_frames_rejected(self):
+        f = Frame(np.zeros((32, 40), np.uint8))
+        with pytest.raises(ValueError):
+            estimate_field(f, f)
 
     def test_determinism(self, rng):
         cur = Frame(rng.integers(0, 256, size=(48, 48), dtype=np.uint8))
@@ -136,6 +229,28 @@ class TestMvFieldCsv:
         assert lines[0] == "frame_index,mb_col,mb_row,vx,vy"
         assert lines[1] == "5,0,0,0,0"
         assert lines[2] == "5,1,0,-3,7"
+
+    def _write(self, tmp_path, rows):
+        path = tmp_path / "mv.csv"
+        path.write_text("frame_index,mb_col,mb_row,vx,vy\n" + "".join(r + "\n" for r in rows))
+        return str(path)
+
+    def test_duplicate_mb_in_place_of_missing_one_rejected(self, tmp_path):
+        # a full-size 2x2 grid in which (1, 1) is missing and (0, 1) repeats
+        path = self._write(tmp_path, ["3,0,0,0,0", "3,1,0,1,1", "3,0,1,2,2", "3,0,1,5,5"])
+        with pytest.raises(ValueError, match="frame 3"):
+            load_mv_fields(path)
+
+    def test_negative_mb_index_rejected(self, tmp_path):
+        # counts as a full 2x1 grid, and col -1 would wrap onto col 1
+        path = self._write(tmp_path, ["4,1,0,3,3", "4,-1,0,1,1"])
+        with pytest.raises(ValueError, match="frame 4"):
+            load_mv_fields(path)
+
+    def test_incomplete_grid_rejected(self, tmp_path):
+        path = self._write(tmp_path, ["2,0,0,0,0", "2,1,1,0,0"])
+        with pytest.raises(ValueError, match="frame 2"):
+            load_mv_fields(path)
 
 
 def test_search_params_validation():
