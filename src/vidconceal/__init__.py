@@ -31,11 +31,8 @@ from .engine import (
     PrioritySchedule,
     SideNeighbor,
     bmc_total,
-    boundary_bmc,
-    boundary_pbmc,
     build_candidates,
     conceal_frame,
-    ebmc_total,
     mean_mv,
     median_mv,
     neighbor_context,

@@ -44,6 +44,11 @@ class BoundarySide(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # is consistent with equality; Enum's own __hash__ runs Python code on
+    # every lookup of the per-side dicts in the concealment loop.
+    __hash__ = object.__hash__
+
 
 SIDES = (BoundarySide.TOP, BoundarySide.BOTTOM, BoundarySide.LEFT, BoundarySide.RIGHT)
 

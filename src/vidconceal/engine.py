@@ -14,14 +14,23 @@ by an estimated motion vector. Candidates are scored by boundary matching:
 * adaptive combination (``ebmc``): per boundary side, the smaller of the two
   criteria that are available, summed over sides.
 
+Scoring is batched per damaged MB. The outer and additional boundaries
+depend only on the MB and its neighbors, so they are read once, as direct
+slices. The inner boundaries of all K in-frame candidates are then gathered
+with one fancy index into a K x 4 x 16 array; the classic and additional
+SADs come out together as K x 2 x 4, the per-side minimum is taken over the
+targets that exist, and the first argmin of the per-candidate sums wins.
+
 Damaged MBs are processed in priority order (most available 4-neighbors
 first), and each concealment immediately raises the priority of its damaged
 neighbors, so blocks with weak context are deferred until their context has
-been rebuilt.
+been rebuilt. The schedule keeps one heap of raster indices per priority
+0-4, so each pop and each bump costs O(log n).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,16 +46,30 @@ from .core import (
     MbStatusMap,
     MotionVector,
     ZERO_MV,
-    extract_col,
-    extract_row,
-    neighbor_of,
-    sad,
 )
 from .motion import MvField
 
 MODES = ("tr", "avg", "median", "bma", "ebmc")
 
 CandidateSet = list[MotionVector]
+
+# (side, MB-grid step to its neighbor) in SIDES order, so the per-MB loops
+# index tuples instead of hashing enum keys.
+_SIDE_STEPS = tuple((side, SIDE_STEPS[side]) for side in SIDES)
+_STEPS = tuple(step for _, step in _SIDE_STEPS)
+
+# Inner boundary of a 16x16 block, one row per side in SIDES order, as
+# (row, column) offsets from the block's top-left pixel.
+_RUN = np.arange(MB)
+_DY = np.array([[0] * MB, [MB - 1] * MB, _RUN, _RUN])
+_DX = np.array([_RUN, _RUN, [0] * MB, [MB - 1] * MB])
+# First and last pixel of each of those boundaries, as (dx0, dy0, dx1, dy1).
+_ENDS = tuple((int(dx[0]), int(dy[0]), int(dx[-1]), int(dy[-1])) for dx, dy in zip(_DX, _DY))
+
+# Cost added to a side's SAD where its boundary is absent; above any SAD.
+_ABSENT = 1 << 30
+# Plain int: comparing a NumPy scalar with the IntEnum member is far slower.
+_CONCEALED = int(MbState.CONCEALED)
 
 
 @dataclass(frozen=True)
@@ -56,6 +79,9 @@ class SideNeighbor:
     available: bool
     mv: MotionVector | None = None
     state: MbState | None = None  # CORRECT or CONCEALED when available
+
+
+_UNAVAILABLE = SideNeighbor(False)
 
 
 @dataclass(frozen=True)
@@ -82,15 +108,14 @@ def neighbor_context(status: MbStatusMap, mv_field: MvField | None, mb: MbAddres
     state = status.state
     rows, cols = state.shape
     sides: dict[BoundarySide, SideNeighbor] = {}
-    for side in SIDES:
-        dc, dr = SIDE_STEPS[side]
+    for side, (dc, dr) in _SIDE_STEPS:
         c, r = mb.col + dc, mb.row + dr
         if not (0 <= c < cols and 0 <= r < rows):
-            sides[side] = SideNeighbor(False)
+            sides[side] = _UNAVAILABLE
             continue
         code = int(state[r, c])
         if code == MbState.DAMAGED:
-            sides[side] = SideNeighbor(False)
+            sides[side] = _UNAVAILABLE
         elif code == MbState.CONCEALED:
             mv = MotionVector(int(status.mv_x[r, c]), int(status.mv_y[r, c]))
             sides[side] = SideNeighbor(True, mv, MbState.CONCEALED)
@@ -100,135 +125,10 @@ def neighbor_context(status: MbStatusMap, mv_field: MvField | None, mb: MbAddres
     return NeighborContext(sides)
 
 
-def block_in_frame(frame: Frame, mb: MbAddress, mv: MotionVector) -> bool:
-    i, j = mb.origin()
-    return (
-        0 <= i + mv.vx
-        and i + mv.vx + MB <= frame.width
-        and 0 <= j + mv.vy
-        and j + mv.vy + MB <= frame.height
-    )
-
-
-def _inner_boundary(ref: Frame, mb: MbAddress, mv: MotionVector, side: BoundarySide) -> np.ndarray:
-    """Inner boundary of the candidate block, read from the reference frame."""
-    i, j = mb.origin()
-    bx, by = i + mv.vx, j + mv.vy
-    if side == BoundarySide.TOP:
-        return extract_row(ref, bx, by, MB)
-    if side == BoundarySide.BOTTOM:
-        return extract_row(ref, bx, by + MB - 1, MB)
-    if side == BoundarySide.LEFT:
-        return extract_col(ref, bx, by, MB)
-    return extract_col(ref, bx + MB - 1, by, MB)
-
-
-def _outer_boundary(cur: Frame, mb: MbAddress, side: BoundarySide) -> np.ndarray | None:
-    """Outer boundary of the damaged MB in the current frame, or None at the
-    frame edge."""
-    i, j = mb.origin()
-    if side == BoundarySide.TOP:
-        return extract_row(cur, i, j - 1, MB) if j > 0 else None
-    if side == BoundarySide.BOTTOM:
-        return extract_row(cur, i, j + MB, MB) if j + MB < cur.height else None
-    if side == BoundarySide.LEFT:
-        return extract_col(cur, i - 1, j, MB) if i > 0 else None
-    return extract_col(cur, i + MB, j, MB) if i + MB < cur.width else None
-
-
-def _additional_span(mb: MbAddress, nmv: MotionVector, side: BoundarySide):
-    """Start pixel and orientation of the additional boundary: the outer
-    boundary of the neighbor MB as placed in the reference by its own vector.
-    That segment is flush against the candidate block's inner boundary when
-    the candidate vector equals the neighbor's."""
-    i, j = mb.origin()
-    if side == BoundarySide.TOP:
-        return i + nmv.vx, j + nmv.vy, "row"
-    if side == BoundarySide.BOTTOM:
-        return i + nmv.vx, j + nmv.vy + MB - 1, "row"
-    if side == BoundarySide.LEFT:
-        return i + nmv.vx, j + nmv.vy, "col"
-    return i + nmv.vx + MB - 1, j + nmv.vy, "col"
-
-
-def _additional_boundary(ref: Frame, mb: MbAddress, nmv: MotionVector, side: BoundarySide) -> np.ndarray | None:
-    """The additional-boundary samples, or None when the segment leaves the
-    reference frame."""
-    x, y, axis = _additional_span(mb, nmv, side)
-    if axis == "row":
-        if not (0 <= y < ref.height and 0 <= x and x + MB <= ref.width):
-            return None
-        return extract_row(ref, x, y, MB)
-    if not (0 <= x < ref.width and 0 <= y and y + MB <= ref.height):
-        return None
-    return extract_col(ref, x, y, MB)
-
-
-def _additional_cells(mb: MbAddress, nmv: MotionVector, side: BoundarySide) -> list[MbAddress]:
-    """Reference-frame MB cells intersected by the additional boundary
-    (one or two; the segment is 16 pixels long in one row or column)."""
-    x, y, axis = _additional_span(mb, nmv, side)
-    if axis == "row":
-        ends = {(x // MB, y // MB), ((x + MB - 1) // MB, y // MB)}
-    else:
-        ends = {(x // MB, y // MB), (x // MB, (y + MB - 1) // MB)}
-    return [MbAddress(c, r) for c, r in sorted(ends)]
-
-
-def boundary_bmc(
-    cur: Frame,
-    ref: Frame,
-    mb: MbAddress,
-    mv: MotionVector,
-    side: BoundarySide,
-    status: MbStatusMap | None = None,
-) -> int | None:
-    """Classic boundary matching distortion for one side.
-
-    Absent (None) when the outer boundary lies outside the frame, or when
-    the status map shows its owning neighbor as Damaged (those pixels were
-    lost and have not been reconstructed yet).
-    """
-    outer = _outer_boundary(cur, mb, side)
-    if outer is None:
-        return None
-    if status is not None:
-        n = neighbor_of(mb, side, status.mb_cols, status.mb_rows)
-        if n is not None and status.state_at(n) == MbState.DAMAGED:
-            return None
-    return sad(outer, _inner_boundary(ref, mb, mv, side))
-
-
 def bmc_total(side_values) -> int:
     """Sum of the per-side distortions that are present (absent sides
     contribute nothing)."""
     return sum(v for v in side_values if v is not None)
-
-
-def boundary_pbmc(
-    ref: Frame,
-    ref_status: MbStatusMap,
-    mb: MbAddress,
-    mv: MotionVector,
-    side: BoundarySide,
-    ctx: NeighborContext,
-) -> int | None:
-    """Additional-boundary matching distortion for one side.
-
-    Absent when (a) that side's neighbor is unavailable, (b) any reference
-    MB under the additional boundary was itself concealed (unreliable
-    pixels), or (c) the segment falls outside the reference frame.
-    """
-    info = ctx.sides[side]
-    if not info.available or info.mv is None:
-        return None
-    addl = _additional_boundary(ref, mb, info.mv, side)
-    if addl is None:
-        return None
-    for cell in _additional_cells(mb, info.mv, side):
-        if ref_status.state_at(cell) == MbState.CONCEALED:
-            return None
-    return sad(_inner_boundary(ref, mb, mv, side), addl)
 
 
 @dataclass
@@ -243,7 +143,7 @@ class BoundaryDistortion:
 
     @property
     def sides_absent(self) -> int:
-        return sum(1 for side in SIDES if self.chosen[side] is None)
+        return sum(1 for v in self.chosen.values() if v is None)
 
     @property
     def classic_total(self) -> int:
@@ -255,155 +155,104 @@ class BoundaryDistortion:
         return cls(dict(absent), dict(absent), dict(absent), 0)
 
 
-def ebmc_total(
-    cur: Frame,
-    ref: Frame,
-    ref_status: MbStatusMap,
-    mb: MbAddress,
-    mv: MotionVector,
-    ctx: NeighborContext,
-) -> BoundaryDistortion:
-    """Adaptive per-side combination: the smaller of the classic and the
-    additional-boundary distortion on each side, summed over sides.
-
-    When the MB collocated with the damaged one was concealed in the
-    reference frame, the additional boundaries are distrusted wholesale and
-    the classic criterion is used on every side.
-    """
-    fallback = ref_status.state_at(mb) == MbState.CONCEALED
-    classic: dict[BoundarySide, int | None] = {}
-    proposed: dict[BoundarySide, int | None] = {}
-    chosen: dict[BoundarySide, int | None] = {}
-    total = 0
-    for side in SIDES:
-        info = ctx.sides[side]
-        outer = _outer_boundary(cur, mb, side) if info.available else None
-        inner = None
-        if outer is not None:
-            inner = _inner_boundary(ref, mb, mv, side)
-            classic[side] = sad(outer, inner)
-        else:
-            classic[side] = None
-        if fallback:
-            proposed[side] = None
-        else:
-            proposed[side] = boundary_pbmc(ref, ref_status, mb, mv, side, ctx)
-        present = [v for v in (classic[side], proposed[side]) if v is not None]
-        chosen[side] = min(present) if present else None
-        if chosen[side] is not None:
-            total += chosen[side]
-    return BoundaryDistortion(classic, proposed, chosen, total, fallback)
+def _segment(luma: np.ndarray, x: int, y: int, k: int, screen: np.ndarray | None = None) -> np.ndarray | None:
+    """Side k's inner boundary of the 16x16 block whose top-left pixel is
+    (x, y): 16 samples, or None where the segment leaves the plane or, given
+    a ``screen`` status grid, where a concealed MB lies under either end."""
+    dx0, dy0, dx1, dy1 = _ENDS[k]
+    x0, y0, x1, y1 = x + dx0, y + dy0, x + dx1, y + dy1
+    h, w = luma.shape
+    if x0 < 0 or y0 < 0 or x1 >= w or y1 >= h:
+        return None
+    if screen is not None and (
+        screen[y0 // MB, x0 // MB] == _CONCEALED
+        or screen[y1 // MB, x1 // MB] == _CONCEALED
+    ):
+        return None
+    return luma[y0 : y1 + 1, x0 : x1 + 1].ravel()
 
 
 class _MbScorer:
-    """Per-MB candidate scoring with the side data hoisted out of the
-    candidate loop.
+    """The candidate-independent part of scoring one damaged MB.
 
-    The outer boundaries, the additional boundaries and their reliability
-    screening depend only on the damaged MB and its neighbors, not on the
-    candidate, so they are gathered once; each candidate then costs one
-    boundary gather plus one (bma) or two (ebmc) batched SAD evaluations.
-    Results are identical to composing boundary_bmc/boundary_pbmc/ebmc_total
-    per side (the randomized oracle tests pin this down).
+    ``targets[0, k]`` is the outer boundary of side k in the current frame
+    (present when that neighbor is available and the segment lies in the
+    frame), ``targets[1, k]`` the additional boundary in the reference (ebmc
+    only: present when the neighbor is available with a vector, the segment
+    stays in the reference and no concealed reference MB lies under it).
+    When the MB collocated with the damaged one was concealed in the
+    reference, the additional boundaries are distrusted wholesale. ``cost``
+    is 0 where a target is present and _ABSENT where it is not.
+
+    Both targets are read as an inner boundary of a shifted block: the outer
+    boundary is that of the damaged MB moved one pixel toward the neighbor,
+    and the additional boundary is that of the block the neighbor's own
+    vector points at, so it coincides with the candidate's inner boundary
+    when the candidate vector equals the neighbor's.
     """
 
     def __init__(self, cur: Frame, ref: Frame, ref_status: MbStatusMap,
                  mb: MbAddress, ctx: NeighborContext, mode: str):
-        self.ref = ref
-        self.mb = mb
-        self.mode = mode
-        self.i, self.j = mb.origin()
-        self.avail = [ctx.sides[side].available for side in SIDES]
-        self.outer = np.zeros((4, MB), dtype=np.int32)
-        for k, side in enumerate(SIDES):
-            if self.avail[k]:
-                self.outer[k] = _outer_boundary(cur, mb, side)
-        self.fallback = False
-        self.addl_mask = [False] * 4
-        self.addl = np.zeros((4, MB), dtype=np.int32)
-        self.have_addl = False
-        if mode == "ebmc":
-            state = ref_status.state
-            concealed = int(MbState.CONCEALED)
-            self.fallback = int(state[mb.row, mb.col]) == concealed
-            if not self.fallback:
-                luma = ref.luma
-                h, w = luma.shape
-                for k, side in enumerate(SIDES):
-                    info = ctx.sides[side]
-                    if not info.available or info.mv is None:
-                        continue
-                    x, y, axis = _additional_span(mb, info.mv, side)
-                    if axis == "row":
-                        if not (0 <= y < h and 0 <= x and x + MB <= w):
-                            continue
-                        if (
-                            state[y // MB, x // MB] == concealed
-                            or state[y // MB, (x + MB - 1) // MB] == concealed
-                        ):
-                            continue
-                        self.addl[k] = luma[y, x : x + MB]
-                    else:
-                        if not (0 <= x < w and 0 <= y and y + MB <= h):
-                            continue
-                        if (
-                            state[y // MB, x // MB] == concealed
-                            or state[(y + MB - 1) // MB, x // MB] == concealed
-                        ):
-                            continue
-                        self.addl[k] = luma[y : y + MB, x]
-                    self.addl_mask[k] = True
-                    self.have_addl = True
-
-    def _side_values(self, mv: MotionVector):
-        """Classic and additional per-side SADs of one candidate, as two
-        length-4 int lists (entries meaningful only where the masks say)."""
-        luma = self.ref.luma
-        bx, by = self.i + mv.vx, self.j + mv.vy
-        inner = np.stack(
-            (
-                luma[by, bx : bx + MB],
-                luma[by + MB - 1, bx : bx + MB],
-                luma[by : by + MB, bx],
-                luma[by : by + MB, bx + MB - 1],
-            )
-        ).astype(np.int32)
-        classic = np.abs(inner - self.outer).sum(axis=1).tolist()
-        proposed = np.abs(inner - self.addl).sum(axis=1).tolist() if self.have_addl else None
-        return classic, proposed
-
-    def total(self, mv: MotionVector) -> int:
-        classic, proposed = self._side_values(mv)
-        total = 0
-        for k in range(4):
-            if not self.avail[k]:
+        i, j = mb.origin()
+        screen = ref_status.state
+        self.fallback = mode == "ebmc" and bool(screen[mb.row, mb.col] == _CONCEALED)
+        addl = mode == "ebmc" and not self.fallback
+        self.targets = np.zeros((2, 4, MB), dtype=np.int16)
+        self.present = [[False] * 4, [False] * 4]
+        for k, (side, (dc, dr)) in enumerate(_SIDE_STEPS):
+            info = ctx.sides[side]
+            if not info.available:
                 continue
-            c = classic[k]
-            if proposed is not None and self.addl_mask[k]:
-                p = proposed[k]
-                total += p if p < c else c
-            else:
-                total += c
-        return total
+            self._put(0, k, _segment(cur.luma, i + dc, j + dr, k))
+            if addl and info.mv is not None:
+                self._put(1, k, _segment(ref.luma, i + info.mv.vx, j + info.mv.vy, k, screen))
+        self.cost = np.where(self.present, 0, _ABSENT)
 
-    def breakdown(self, mv: MotionVector) -> BoundaryDistortion:
-        classic_all, proposed_all = self._side_values(mv)
-        classic: dict[BoundarySide, int | None] = {}
-        proposed: dict[BoundarySide, int | None] = {}
-        chosen: dict[BoundarySide, int | None] = {}
-        total = 0
-        for k, side in enumerate(SIDES):
-            c = classic_all[k] if self.avail[k] else None
-            p = proposed_all[k] if proposed_all is not None and self.addl_mask[k] else None
-            classic[side] = c
-            proposed[side] = p
-            if c is None and p is None:
-                chosen[side] = None
-            else:
-                ch = c if p is None else (p if c is None else min(c, p))
-                chosen[side] = ch
-                total += ch
-        return BoundaryDistortion(classic, proposed, chosen, total, self.fallback)
+    def _put(self, t: int, k: int, seg: np.ndarray | None) -> None:
+        if seg is not None:
+            self.targets[t, k] = seg
+            self.present[t][k] = True
+
+
+def select_mv(
+    cur: Frame,
+    ref: Frame,
+    ref_status: MbStatusMap,
+    mb: MbAddress,
+    candidates: CandidateSet,
+    ctx: NeighborContext,
+    mode: str,
+) -> tuple[MotionVector, BoundaryDistortion]:
+    """Score every feasible candidate and return the first one attaining the
+    minimal total distortion (earlier candidates win ties).
+
+    Candidates whose displaced block leaves the reference frame are skipped;
+    if that removes every candidate, the zero vector is returned unscored.
+    """
+    if mode not in ("bma", "ebmc"):
+        raise ValueError(f"select_mv mode must be bma or ebmc, got {mode!r}")
+    i, j = mb.origin()
+    h, w = ref.luma.shape
+    kept = [mv for mv in candidates if 0 <= i + mv.vx <= w - MB and 0 <= j + mv.vy <= h - MB]
+    if not kept:
+        return ZERO_MV, BoundaryDistortion.empty()
+    scorer = _MbScorer(cur, ref, ref_status, mb, ctx, mode)
+    bx = np.array([i + mv.vx for mv in kept])
+    by = np.array([j + mv.vy for mv in kept])
+    inner = ref.luma[by[:, None, None] + _DY, bx[:, None, None] + _DX]  # K x 4 x 16
+    sads = np.abs(inner[:, None] - scorer.targets).sum(axis=3)  # K x 2 x 4
+    per_side = (sads + scorer.cost).min(axis=1)  # K x 4, >= _ABSENT where unscored
+    totals = np.where(per_side < _ABSENT, per_side, 0).sum(axis=1)
+    best = int(totals.argmin())
+
+    side_sads = sads[best].tolist()
+    classic, proposed = (
+        dict(zip(SIDES, [v if p else None for v, p in zip(row, present)]))
+        for row, present in zip(side_sads, scorer.present)
+    )
+    chosen = dict(zip(SIDES, [v if v < _ABSENT else None for v in per_side[best].tolist()]))
+    dist = BoundaryDistortion(classic, proposed, chosen, int(totals[best]), scorer.fallback)
+    return kept[best], dist
 
 
 def _round_half_away(num: int, den: int) -> int:
@@ -462,49 +311,22 @@ def build_candidates(
     return out
 
 
-def select_mv(
-    cur: Frame,
-    ref: Frame,
-    ref_status: MbStatusMap,
-    mb: MbAddress,
-    candidates: CandidateSet,
-    ctx: NeighborContext,
-    mode: str,
-) -> tuple[MotionVector, BoundaryDistortion]:
-    """Score every feasible candidate and return the first one attaining the
-    minimal total distortion (earlier candidates win ties).
-
-    Candidates whose displaced block leaves the reference frame are skipped;
-    if that removes every candidate, the zero vector is returned unscored.
-    """
-    if mode not in ("bma", "ebmc"):
-        raise ValueError(f"select_mv mode must be bma or ebmc, got {mode!r}")
-    scorer = _MbScorer(cur, ref, ref_status, mb, ctx, mode)
-    best_mv: MotionVector | None = None
-    best_total = 0
-    for mv in candidates:
-        if not block_in_frame(ref, mb, mv):
-            continue
-        total = scorer.total(mv)
-        if best_mv is None or total < best_total:
-            best_mv, best_total = mv, total
-    if best_mv is None:
-        return ZERO_MV, BoundaryDistortion.empty()
-    return best_mv, scorer.breakdown(best_mv)
-
-
 class PrioritySchedule:
     """Dynamic concealment order: damaged MBs keyed by how many of their
     4-neighbors are currently available (Correct or Concealed).
 
     extract() pops the highest count, breaking ties in raster order; each
     concealment bumps the count of every remaining damaged 4-neighbor by
-    exactly one.
+    exactly one. ``counts`` holds the live count of every MB still to be
+    concealed. Next to it sit five buckets, one per count 0-4, each a heap
+    of raster indices ``row * cols + col``. A bump pushes the MB into its
+    new bucket and leaves the old entry behind; extract() drops such stale
+    entries, whose count no longer matches their bucket, as it meets them.
+    Counts only rise, so each MB leaves at most four stale entries.
     """
 
     def __init__(self, status: MbStatusMap):
         self._cols = status.mb_cols
-        self._rows = status.mb_rows
         avail = status.state != MbState.DAMAGED
         neigh = np.zeros(avail.shape, dtype=np.int8)
         neigh[1:, :] += avail[:-1, :]
@@ -514,22 +336,35 @@ class PrioritySchedule:
         self.counts: dict[MbAddress, int] = {
             mb: int(neigh[mb.row, mb.col]) for mb in status.damaged()
         }
+        # damaged() yields raster order, so every bucket starts out sorted,
+        # which is already a heap.
+        self._buckets: list[list[int]] = [[] for _ in range(5)]
+        for mb, count in self.counts.items():
+            self._buckets[count].append(mb.row * self._cols + mb.col)
 
     def __len__(self) -> int:
         return len(self.counts)
 
     def extract(self) -> MbAddress | None:
-        if not self.counts:
-            return None
-        mb = min(self.counts, key=lambda a: (-self.counts[a], a.row, a.col))
-        del self.counts[mb]
-        return mb
+        cols = self._cols
+        for count in range(4, -1, -1):
+            bucket = self._buckets[count]
+            while bucket:
+                index = heapq.heappop(bucket)
+                mb = MbAddress(index % cols, index // cols)
+                if self.counts.get(mb) == count:
+                    del self.counts[mb]
+                    return mb
+        return None
 
     def on_concealed(self, mb: MbAddress) -> None:
-        for side in SIDES:
-            n = neighbor_of(mb, side, self._cols, self._rows)
-            if n is not None and n in self.counts:
-                self.counts[n] += 1
+        # Steps off the grid name no MB in counts, so need no bounds check.
+        for dc, dr in _STEPS:
+            n = MbAddress(mb.col + dc, mb.row + dr)
+            count = self.counts.get(n)
+            if count is not None:
+                self.counts[n] = count + 1
+                heapq.heappush(self._buckets[count + 1], n.row * self._cols + n.col)
 
 
 @dataclass
@@ -607,7 +442,7 @@ def conceal_frame(
         if mb is None:
             break
         ctx = neighbor_context(st, mv_field, mb)
-        n_avail = sum(1 for side in SIDES if ctx.sides[side].available)
+        n_avail = sum(1 for info in ctx.sides.values() if info.available)
         dist: BoundaryDistortion | None = None
         if mode == "tr":
             mv = ZERO_MV

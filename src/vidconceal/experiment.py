@@ -349,7 +349,9 @@ _TRIAL_FILE = re.compile(r"^(?P<seq>.+)_(?P<mode>tr|avg|median|bma|ebmc)_r(?P<ra
 def regenerate_report_csv(out_dir: str, spec: ExperimentSpec) -> str:
     """Rebuild the report.csv text purely from the persisted per-trial CSVs;
     byte-identical to the file written by run_experiment."""
-    cells: dict[tuple[str, str, float], list[TrialResult]] = {}
+    # Keyed by the file-name rate tag: the tag keeps only six significant
+    # digits, so the rate parsed back from it need not equal the spec's.
+    cells: dict[tuple[str, str, str], list[TrialResult]] = {}
     trials_dir = os.path.join(out_dir, "trials")
     for name in sorted(os.listdir(trials_dir)):
         m = _TRIAL_FILE.match(name)
@@ -364,13 +366,13 @@ def regenerate_report_csv(out_dir: str, spec: ExperimentSpec) -> str:
                 samples.append(PsnrSample(int(idx), float(value)))
                 ms.append(float(t_ms))
                 mbs.append(int(n))
-        cells.setdefault((seq, mode, rate), []).append(
+        cells.setdefault((seq, mode, m["rate"]), []).append(
             TrialResult(seq, mode, rate, int(m["trial"]), samples, ms, mbs, [])
         )
     rows = []
     for seq in spec.sequences:
         for mode in spec.modes:
             for rate in spec.rates:
-                cell = sorted(cells[(seq.name, mode, rate)], key=lambda tr: tr.trial_index)
+                cell = sorted(cells[(seq.name, mode, _rate_tag(rate))], key=lambda tr: tr.trial_index)
                 rows.append(aggregate(cell))
     return _render_report_csv(rows)

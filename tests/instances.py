@@ -9,9 +9,11 @@ from vidconceal.core import Frame, MbAddress, MbState, MbStatusMap, MotionVector
 from vidconceal.motion import MvField
 
 
-def random_frame_pair(rng: np.random.Generator, width=64, height=64):
-    cur = Frame(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
-    ref = Frame(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
+def random_frame_pair(rng: np.random.Generator, width=64, height=64, levels=256):
+    """Two noise planes with sample values below ``levels`` (few levels make
+    equal boundary distortions common)."""
+    cur = Frame(rng.integers(0, levels, size=(height, width), dtype=np.uint8))
+    ref = Frame(rng.integers(0, levels, size=(height, width), dtype=np.uint8))
     return cur, ref
 
 

@@ -36,7 +36,6 @@ from vidconceal.engine import (
     PrioritySchedule,
     build_candidates,
     conceal_frame,
-    ebmc_total,
     neighbor_context,
     select_mv,
 )
@@ -78,7 +77,7 @@ def test_criterion_1_per_boundary_dominance(rng):
         cur, ref, status, ref_status, field, mb = _random_instance(rng)
         ctx = neighbor_context(status, field, mb)
         mv = random_inbounds_mv(rng, ref, mb)
-        d = ebmc_total(cur, ref, ref_status, mb, mv, ctx)
+        _, d = select_mv(cur, ref, ref_status, mb, [mv], ctx, "ebmc")
         for side in SIDES:
             c, ch = d.classic[side], d.chosen[side]
             if c is not None and ch is not None and ch > c:

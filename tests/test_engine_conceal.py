@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from instances import (
@@ -51,6 +53,43 @@ def shifted_scene(rng, width=96, height=96, dx=3, dy=2):
     ref = Frame(base[my : my + height, mx : mx + width].copy())
     cur = Frame(base[my + dy : my + dy + height, mx + dx : mx + dx + width].copy())
     return cur, ref
+
+
+_MV = st.tuples(st.integers(-20, 20), st.integers(-20, 20)).map(lambda v: MotionVector(*v))
+
+
+@st.composite
+def _scoring_instance(draw):
+    """A random instance built with tests/instances.py on a 1x1 to 4x4 MB
+    grid. Few-valued content makes equal totals common, and the candidate
+    list (the engine's own, then drawn extras) can hold duplicates and
+    vectors whose block leaves the frame."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    cols, rows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cur, ref = random_frame_pair(rng, MB * cols, MB * rows, levels=draw(st.sampled_from([1, 2, 3, 256])))
+    status = random_status(rng, cols, rows)
+    ref_status = random_status(rng, cols, rows)
+    field = random_field(rng, cols, rows)
+    mb = pick_damaged(rng, status)
+    if mb is None:
+        mb = MbAddress(int(rng.integers(0, cols)), int(rng.integers(0, rows)))
+        status.state[mb.row, mb.col] = MbState.DAMAGED
+    prev = random_field(rng, cols, rows) if draw(st.booleans()) else None
+    cands = build_candidates(prev, neighbor_context(status, field, mb), mb)
+    cands += draw(st.lists(_MV, max_size=6))
+    return cur, ref, status, ref_status, field, mb, cands
+
+
+@st.composite
+def _loss_grid(draw):
+    """(cols, rows, damaged cells) on grids from 1x1 to 12x12, with
+    all-damaged grids and single-row grids drawn on purpose."""
+    kind = draw(st.sampled_from(["random", "all", "row"]))
+    cols = draw(st.integers(1, 12))
+    rows = 1 if kind == "row" else draw(st.integers(1, 12))
+    n = cols * rows
+    lost = [True] * n if kind == "all" else draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return cols, rows, {(c, r) for r in range(rows) for c in range(cols) if lost[r * cols + c]}
 
 
 class TestSelectMv:
@@ -132,6 +171,23 @@ class TestSelectMv:
             agree += 1
         assert agree > 100
 
+    @pytest.mark.parametrize("mode", ["bma", "ebmc"])
+    @settings(max_examples=150, deadline=None)
+    @given(inst=_scoring_instance())
+    def test_matches_oracle_property(self, mode, inst):
+        cur, ref, status, ref_status, field, mb, cands = inst
+        ctx = neighbor_context(status, field, mb)
+        got_mv, got_dist = select_mv(cur, ref, ref_status, mb, cands, ctx, mode)
+        nmvs = oracle.neighbor_mvs(
+            plain_status(status), plain_field(field), plain_concealed_mvs(status), mb.col, mb.row
+        )
+        want_mv, want_total = oracle.select(
+            mode, plain_pixels(cur), plain_pixels(ref), plain_status(status),
+            plain_status(ref_status), mb.col, mb.row, [tuple(c) for c in cands], nmvs,
+        )
+        assert tuple(got_mv) == want_mv
+        assert got_dist.total == want_total
+
 
 class TestPrioritySchedule:
     def test_initial_counts(self):
@@ -192,6 +248,32 @@ class TestPrioritySchedule:
                 order.append((mb.col, mb.row))
                 sched.on_concealed(mb)
             oracle.replay_schedule({(m.col, m.row) for m in lost}, cols, rows, order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid=_loss_grid())
+    def test_matches_oracle_property(self, grid):
+        cols, rows, lost = grid
+        sched = PrioritySchedule(damaged_map(cols, rows, [MbAddress(c, r) for c, r in lost]))
+        remaining = set(lost)
+
+        def live_count(c, r):
+            return sum(
+                1 for side in oracle.SIDE_NAMES
+                if (n := oracle.neighbor_cell(c, r, side, cols, rows)) is not None and n not in remaining
+            )
+
+        order, counts = [], []
+        while True:
+            before = dict(sched.counts)
+            mb = sched.extract()
+            if mb is None:
+                break
+            order.append((mb.col, mb.row))
+            counts.append(before[mb])
+            sched.on_concealed(mb)
+            remaining.discard((mb.col, mb.row))
+            assert sched.counts == {MbAddress(c, r): live_count(c, r) for c, r in remaining}
+        assert oracle.replay_schedule(lost, cols, rows, order) == counts
 
 
 class TestConcealFrame:

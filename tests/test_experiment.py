@@ -131,6 +131,14 @@ class TestRunExperiment:
         regen = regenerate_report_csv(str(out), spec)
         assert regen == (out / "report.csv").read_text()
 
+    def test_regenerated_report_with_rate_beyond_tag_precision(self, small_seq, tmp_path):
+        # the r0.123457 file tag rounds the rate; the cells must still be found
+        out = tmp_path / "out"
+        spec = self._spec(small_seq, rates=[0.1234567], modes=["tr"], trials=1)
+        run_experiment(spec, str(out))
+        regen = regenerate_report_csv(str(out), spec)
+        assert regen == (out / "report.csv").read_text()
+
     def test_two_runs_byte_identical_when_untimed(self, small_seq, tmp_path):
         spec = self._spec(small_seq)
         run_experiment(spec, str(tmp_path / "a"))
