@@ -118,13 +118,6 @@ class Frame:
             raise IndexError(f"pixel ({x}, {y}) outside {self.width}x{self.height}")
         return int(self.luma[y, x])
 
-    def block(self, mb: MbAddress) -> np.ndarray:
-        """16x16 view of the macroblock at the given grid address."""
-        i, j = mb.origin()
-        if not (0 <= i and i + MB <= self.width and 0 <= j and j + MB <= self.height):
-            raise IndexError(f"macroblock {mb} outside {self.width}x{self.height}")
-        return self.luma[j : j + MB, i : i + MB]
-
     def copy(self) -> "Frame":
         return Frame(self.luma.copy())
 

@@ -14,24 +14,33 @@ by an estimated motion vector. Candidates are scored by boundary matching:
 * adaptive combination (``ebmc``): per boundary side, the smaller of the two
   criteria that are available, summed over sides.
 
-Scoring is batched per damaged MB. The outer and additional boundaries
-depend only on the MB and its neighbors, so they are read once, as direct
-slices. The inner boundaries of all K in-frame candidates are then gathered
-with one fancy index into a K x 4 x 16 array; the classic and additional
-SADs come out together as K x 2 x 4, the per-side minimum is taken over the
+Scoring is batched per damaged MB. Every boundary segment is the inner
+boundary of some 16x16 block, so a segment is read as a plane's flat samples
+at the block's raster offset plus one row of a precomputed 4 x 16 offset
+table. The outer and additional (target) boundaries depend only on the MB
+and its neighbors; they and the inner boundaries of all K in-frame
+candidates land in one (K + T) x 4 x 16 buffer, filled by one flat take from
+the reference and one from the current frame. The classic and additional
+SADs come out together as K x T x 4, the per-side minimum is taken over the
 targets that exist, and the first argmin of the per-candidate sums wins.
 
 Damaged MBs are processed in priority order (most available 4-neighbors
 first), and each concealment immediately raises the priority of its damaged
 neighbors, so blocks with weak context are deferred until their context has
 been rebuilt. The schedule keeps one heap of raster indices per priority
-0-4, so each pop and each bump costs O(log n).
+0-4, so each pop and each bump costs O(log n); the count an MB was popped at
+is its number of available sides, which the audit records as its priority.
+Per MB the loop does only what its mode needs: ``tr`` reads no neighbor
+context, and the concealed state and vector go straight into the status
+grids.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +65,6 @@ CandidateSet = list[MotionVector]
 # (side, MB-grid step to its neighbor) in SIDES order, so the per-MB loops
 # index tuples instead of hashing enum keys.
 _SIDE_STEPS = tuple((side, SIDE_STEPS[side]) for side in SIDES)
-_STEPS = tuple(step for _, step in _SIDE_STEPS)
 
 # Inner boundary of a 16x16 block, one row per side in SIDES order, as
 # (row, column) offsets from the block's top-left pixel.
@@ -66,14 +74,41 @@ _DX = np.array([_RUN, _RUN, [0] * MB, [MB - 1] * MB])
 # First and last pixel of each of those boundaries, as (dx0, dy0, dx1, dy1).
 _ENDS = tuple((int(dx[0]), int(dy[0]), int(dx[-1]), int(dy[-1])) for dx, dy in zip(_DX, _DY))
 
-# Cost added to a side's SAD where its boundary is absent; above any SAD.
-_ABSENT = 1 << 30
-# Plain int: comparing a NumPy scalar with the IntEnum member is far slower.
+
+@lru_cache(maxsize=None)
+def _flat_offsets(width: int) -> np.ndarray:
+    """The 4 x 16 inner-boundary offsets as raster offsets into a plane of
+    the given width (read-only: every caller shares it)."""
+    offsets = _DY * width + _DX
+    offsets.flags.writeable = False
+    return offsets
+
+
+# Cost added to a side's SAD where its boundary is absent: above any SAD
+# (16 * 255), and small enough that the int16 sums cannot overflow.
+_ABSENT = 1 << 14
+_ONES = np.ones(MB, dtype=np.int16)
+
+
+def _pattern(bits: int) -> tuple[tuple[tuple[bool, ...], ...], np.ndarray, np.ndarray]:
+    """For one presence pattern of a damaged MB's boundaries (bit k: the
+    outer boundary of side k, bit 4 + k: its additional boundary): the
+    presence flags of the outer and the additional boundaries and of the
+    sides that have either, the 2 x 4 cost of the targets, and the scored
+    sides as 0/1."""
+    outer, addl = (tuple(bool(bits >> (4 * t + k) & 1) for k in range(4)) for t in range(2))
+    scored = tuple(a or b for a, b in zip(outer, addl))
+    cost = np.array([[0 if p else _ABSENT for p in row] for row in (outer, addl)], dtype=np.int16)
+    return (outer, addl, scored), cost, np.array(scored, dtype=np.int16)
+
+
+_PATTERNS = [_pattern(bits) for bits in range(256)]
+# Plain ints: comparing a NumPy scalar with an IntEnum member is far slower.
+_DAMAGED = int(MbState.DAMAGED)
 _CONCEALED = int(MbState.CONCEALED)
 
 
-@dataclass(frozen=True)
-class SideNeighbor:
+class SideNeighbor(NamedTuple):
     """What the damaged MB knows about the neighbor owning one boundary."""
 
     available: bool
@@ -84,8 +119,7 @@ class SideNeighbor:
 _UNAVAILABLE = SideNeighbor(False)
 
 
-@dataclass(frozen=True)
-class NeighborContext:
+class NeighborContext(NamedTuple):
     sides: dict[BoundarySide, SideNeighbor]
 
     def available_mvs(self) -> list[MotionVector]:
@@ -98,7 +132,8 @@ class NeighborContext:
 
 
 def neighbor_context(status: MbStatusMap, mv_field: MvField | None, mb: MbAddress) -> NeighborContext:
-    """Availability and motion vector of each 4-neighbor.
+    """Availability and motion vector of each 4-neighbor, keyed in SIDES
+    order.
 
     A side is available iff the neighbor exists in-frame and is Correct or
     Concealed; a still-Damaged neighbor has lost both pixels and vector.
@@ -107,20 +142,21 @@ def neighbor_context(status: MbStatusMap, mv_field: MvField | None, mb: MbAddres
     """
     state = status.state
     rows, cols = state.shape
+    col, row = mb
     sides: dict[BoundarySide, SideNeighbor] = {}
     for side, (dc, dr) in _SIDE_STEPS:
-        c, r = mb.col + dc, mb.row + dr
+        c, r = col + dc, row + dr
         if not (0 <= c < cols and 0 <= r < rows):
             sides[side] = _UNAVAILABLE
             continue
-        code = int(state[r, c])
-        if code == MbState.DAMAGED:
+        code = state.item(r, c)
+        if code == _DAMAGED:
             sides[side] = _UNAVAILABLE
-        elif code == MbState.CONCEALED:
-            mv = MotionVector(int(status.mv_x[r, c]), int(status.mv_y[r, c]))
+        elif code == _CONCEALED:
+            mv = MotionVector(status.mv_x.item(r, c), status.mv_y.item(r, c))
             sides[side] = SideNeighbor(True, mv, MbState.CONCEALED)
         else:
-            mv = MotionVector(int(mv_field.vx[r, c]), int(mv_field.vy[r, c])) if mv_field is not None else None
+            mv = MotionVector(mv_field.vx.item(r, c), mv_field.vy.item(r, c)) if mv_field is not None else None
             sides[side] = SideNeighbor(True, mv, MbState.CORRECT)
     return NeighborContext(sides)
 
@@ -155,63 +191,70 @@ class BoundaryDistortion:
         return cls(dict(absent), dict(absent), dict(absent), 0)
 
 
-def _segment(luma: np.ndarray, x: int, y: int, k: int, screen: np.ndarray | None = None) -> np.ndarray | None:
-    """Side k's inner boundary of the 16x16 block whose top-left pixel is
-    (x, y): 16 samples, or None where the segment leaves the plane or, given
-    a ``screen`` status grid, where a concealed MB lies under either end."""
+def _start(shape: tuple[int, int], x: int, y: int, k: int, screen: np.ndarray | None = None) -> int | None:
+    """Raster offset of the 16x16 block whose top-left pixel is (x, y), in a
+    plane of the given shape, when that block's side-k inner boundary lies in
+    the plane and, given a ``screen`` status grid, no concealed MB lies under
+    either end of it; None otherwise. The boundary itself is then the plane's
+    flat samples at that offset plus ``_flat_offsets(width)[k]``."""
     dx0, dy0, dx1, dy1 = _ENDS[k]
     x0, y0, x1, y1 = x + dx0, y + dy0, x + dx1, y + dy1
-    h, w = luma.shape
+    h, w = shape
     if x0 < 0 or y0 < 0 or x1 >= w or y1 >= h:
         return None
     if screen is not None and (
-        screen[y0 // MB, x0 // MB] == _CONCEALED
-        or screen[y1 // MB, x1 // MB] == _CONCEALED
+        screen.item(y0 // MB, x0 // MB) == _CONCEALED
+        or screen.item(y1 // MB, x1 // MB) == _CONCEALED
     ):
         return None
-    return luma[y0 : y1 + 1, x0 : x1 + 1].ravel()
+    return y * w + x
 
 
-class _MbScorer:
-    """The candidate-independent part of scoring one damaged MB.
+def _target_starts(ref: Frame, ref_status: MbStatusMap, mb: MbAddress,
+                   ctx: NeighborContext, mode: str) -> tuple[list[list[int]], int, bool]:
+    """The candidate-independent part of scoring one damaged MB: where its
+    target boundaries start, which of them are present, and whether the
+    additional boundaries fell back.
 
-    ``targets[0, k]`` is the outer boundary of side k in the current frame
-    (present when that neighbor is available and the segment lies in the
-    frame), ``targets[1, k]`` the additional boundary in the reference (ebmc
-    only: present when the neighbor is available with a vector, the segment
-    stays in the reference and no concealed reference MB lies under it).
-    When the MB collocated with the damaged one was concealed in the
-    reference, the additional boundaries are distrusted wholesale. ``cost``
-    is 0 where a target is present and _ABSENT where it is not.
+    The outer boundary of side k, read from the current frame, is present
+    when that neighbor is available and the segment lies in the frame. The
+    additional boundary, read from the reference (ebmc only), is present
+    when the neighbor is available with a vector, the segment stays in the
+    reference and no concealed reference MB lies under it. When the MB
+    collocated with the damaged one was concealed in the reference, the
+    additional boundaries are distrusted wholesale.
 
-    Both targets are read as an inner boundary of a shifted block: the outer
+    Both are read as an inner boundary of a shifted block: the outer
     boundary is that of the damaged MB moved one pixel toward the neighbor,
     and the additional boundary is that of the block the neighbor's own
     vector points at, so it coincides with the candidate's inner boundary
-    when the candidate vector equals the neighbor's.
+    when the candidate vector equals the neighbor's. The starts are those
+    blocks' raster offsets, one row of four per target kind: the additional
+    row (ebmc without fallback only), then the outer row; an absent target
+    starts at 0. The presence bits follow _PATTERNS.
     """
-
-    def __init__(self, cur: Frame, ref: Frame, ref_status: MbStatusMap,
-                 mb: MbAddress, ctx: NeighborContext, mode: str):
-        i, j = mb.origin()
-        screen = ref_status.state
-        self.fallback = mode == "ebmc" and bool(screen[mb.row, mb.col] == _CONCEALED)
-        addl = mode == "ebmc" and not self.fallback
-        self.targets = np.zeros((2, 4, MB), dtype=np.int16)
-        self.present = [[False] * 4, [False] * 4]
-        for k, (side, (dc, dr)) in enumerate(_SIDE_STEPS):
-            info = ctx.sides[side]
-            if not info.available:
-                continue
-            self._put(0, k, _segment(cur.luma, i + dc, j + dr, k))
-            if addl and info.mv is not None:
-                self._put(1, k, _segment(ref.luma, i + info.mv.vx, j + info.mv.vy, k, screen))
-        self.cost = np.where(self.present, 0, _ABSENT)
-
-    def _put(self, t: int, k: int, seg: np.ndarray | None) -> None:
-        if seg is not None:
-            self.targets[t, k] = seg
-            self.present[t][k] = True
+    i, j = mb.origin()
+    screen = ref_status.state
+    shape = ref.luma.shape
+    fallback = mode == "ebmc" and screen.item(mb.row, mb.col) == _CONCEALED
+    addl = mode == "ebmc" and not fallback
+    outer, extra = [0] * 4, [0] * 4
+    bits = 0
+    for k, (side, (dc, dr)) in enumerate(_SIDE_STEPS):
+        info = ctx.sides[side]
+        if not info.available:
+            continue
+        start = _start(shape, i + dc, j + dr, k)
+        if start is not None:
+            outer[k] = start
+            bits |= 1 << k
+        if addl and info.mv is not None:
+            vx, vy = info.mv
+            start = _start(shape, i + vx, j + vy, k, screen)
+            if start is not None:
+                extra[k] = start
+                bits |= 16 << k
+    return ([extra, outer] if addl else [outer]), bits, fallback
 
 
 def select_mv(
@@ -231,27 +274,46 @@ def select_mv(
     """
     if mode not in ("bma", "ebmc"):
         raise ValueError(f"select_mv mode must be bma or ebmc, got {mode!r}")
+    if cur.luma.shape != ref.luma.shape:
+        raise ValueError("current and reference frames must have equal dimensions")
     i, j = mb.origin()
     h, w = ref.luma.shape
-    kept = [mv for mv in candidates if 0 <= i + mv.vx <= w - MB and 0 <= j + mv.vy <= h - MB]
+    kept = [mv for mv in candidates if 0 <= i + mv[0] <= w - MB and 0 <= j + mv[1] <= h - MB]
     if not kept:
         return ZERO_MV, BoundaryDistortion.empty()
-    scorer = _MbScorer(cur, ref, ref_status, mb, ctx, mode)
-    bx = np.array([i + mv.vx for mv in kept])
-    by = np.array([j + mv.vy for mv in kept])
-    inner = ref.luma[by[:, None, None] + _DY, bx[:, None, None] + _DX]  # K x 4 x 16
-    sads = np.abs(inner[:, None] - scorer.targets).sum(axis=3)  # K x 2 x 4
-    per_side = (sads + scorer.cost).min(axis=1)  # K x 4, >= _ABSENT where unscored
-    totals = np.where(per_side < _ABSENT, per_side, 0).sum(axis=1)
+    starts, bits, fallback = _target_starts(ref, ref_status, mb, ctx, mode)
+    (outer, addl, scored), cost, scored_01 = _PATTERNS[bits]
+
+    # One gather of every boundary: the K candidates' four inner boundaries
+    # and the additional targets from the reference, the outer targets from
+    # the current frame. Reversed, the target rows are (outer, additional).
+    flat: list[int] = []
+    for vx, vy in kept:
+        flat += [(j + vy) * w + i + vx] * 4
+    for row in starts:
+        flat += row
+    index = np.array(flat).reshape(-1, 4, 1) + _flat_offsets(w)  # (K + T) x 4 x 16
+    samples = np.empty(index.shape, dtype=np.uint8)
+    ref.luma.take(index[:-1], out=samples[:-1])
+    cur.luma.take(index[-1], out=samples[-1])
+    k = len(kept)
+    inner, targets = samples[:k], samples[k:][::-1]
+
+    diff = np.subtract(inner[:, None], targets, dtype=np.int16)
+    sads = np.abs(diff, out=diff) @ _ONES  # K x T x 4; at most 16 * 255
+    # K x 4; only the scored sides count, and only they are reported.
+    per_side = (sads + cost).min(axis=1) if len(starts) == 2 else sads[:, 0]
+    totals = per_side @ scored_01
     best = int(totals.argmin())
 
+    # Without additional boundaries the last row is the outer one, and
+    # addl marks none of it.
     side_sads = sads[best].tolist()
-    classic, proposed = (
-        dict(zip(SIDES, [v if p else None for v, p in zip(row, present)]))
-        for row, present in zip(side_sads, scorer.present)
+    classic, proposed, chosen = (
+        {side: v if p else None for side, v, p in zip(SIDES, row, flags)}
+        for row, flags in zip((side_sads[0], side_sads[-1], per_side[best].tolist()), (outer, addl, scored))
     )
-    chosen = dict(zip(SIDES, [v if v < _ABSENT else None for v in per_side[best].tolist()]))
-    dist = BoundaryDistortion(classic, proposed, chosen, int(totals[best]), scorer.fallback)
+    dist = BoundaryDistortion(classic, proposed, chosen, int(totals[best]), fallback)
     return kept[best], dist
 
 
@@ -263,23 +325,22 @@ def _round_half_away(num: int, den: int) -> int:
 
 
 def mean_mv(mvs: list[MotionVector]) -> MotionVector:
-    n = len(mvs)
-    return MotionVector(
-        _round_half_away(sum(mv.vx for mv in mvs), n),
-        _round_half_away(sum(mv.vy for mv in mvs), n),
-    )
+    xs, ys = zip(*mvs)
+    n = len(xs)
+    return MotionVector(_round_half_away(sum(xs), n), _round_half_away(sum(ys), n))
+
+
+def _median(values: tuple[int, ...]) -> int:
+    s = sorted(values)
+    n = len(s)
+    return _round_half_away(s[(n - 1) // 2] + s[n // 2], 2)
 
 
 def median_mv(mvs: list[MotionVector]) -> MotionVector:
     """Component-wise median; an even count averages the two middle values,
     rounded half away from zero."""
-
-    def med(values: list[int]) -> int:
-        s = sorted(values)
-        n = len(s)
-        return _round_half_away(s[(n - 1) // 2] + s[n // 2], 2)
-
-    return MotionVector(med([mv.vx for mv in mvs]), med([mv.vy for mv in mvs]))
+    xs, ys = zip(*mvs)
+    return MotionVector(_median(xs), _median(ys))
 
 
 def build_candidates(
@@ -292,22 +353,14 @@ def build_candidates(
     median of the available neighbor vectors. Vectors from still-damaged
     neighbors never enter the set.
     """
-    out: CandidateSet = []
-
-    def push(mv: MotionVector) -> None:
+    neighbor_mvs = ctx.available_mvs()
+    ordered = [prev_mv_field.mv_at(mb) if prev_mv_field is not None else ZERO_MV, *neighbor_mvs]
+    if neighbor_mvs:
+        ordered += [mean_mv(neighbor_mvs), median_mv(neighbor_mvs)]
+    out: CandidateSet = [ZERO_MV]
+    for mv in ordered:
         if mv not in out:
             out.append(mv)
-
-    push(ZERO_MV)
-    push(prev_mv_field.mv_at(mb) if prev_mv_field is not None else ZERO_MV)
-    for side in SIDES:
-        info = ctx.sides[side]
-        if info.available and info.mv is not None:
-            push(info.mv)
-    neighbor_mvs = ctx.available_mvs()
-    if neighbor_mvs:
-        push(mean_mv(neighbor_mvs))
-        push(median_mv(neighbor_mvs))
     return out
 
 
@@ -317,54 +370,66 @@ class PrioritySchedule:
 
     extract() pops the highest count, breaking ties in raster order; each
     concealment bumps the count of every remaining damaged 4-neighbor by
-    exactly one. ``counts`` holds the live count of every MB still to be
-    concealed. Next to it sit five buckets, one per count 0-4, each a heap
-    of raster indices ``row * cols + col``. A bump pushes the MB into its
-    new bucket and leaves the old entry behind; extract() drops such stale
-    entries, whose count no longer matches their bucket, as it meets them.
-    Counts only rise, so each MB leaves at most four stale entries.
+    exactly one. The live count of every MB still to be concealed is kept
+    by raster index ``row * cols + col``; ``counts`` shows it keyed by
+    address. Next to it sit five buckets, one per count 0-4, each a heap of
+    raster indices. A bump pushes the MB into its new bucket and leaves the
+    old entry behind; extract() drops such stale entries, whose count no
+    longer matches their bucket, as it meets them. Counts only rise, so each
+    MB leaves at most four stale entries. ``last_count`` is the count the
+    latest extract() popped its MB at, which is that MB's number of
+    available sides.
     """
 
     def __init__(self, status: MbStatusMap):
         self._cols = status.mb_cols
-        avail = status.state != MbState.DAMAGED
+        damaged = status.state == _DAMAGED
+        avail = ~damaged
         neigh = np.zeros(avail.shape, dtype=np.int8)
         neigh[1:, :] += avail[:-1, :]
         neigh[:-1, :] += avail[1:, :]
         neigh[:, 1:] += avail[:, :-1]
         neigh[:, :-1] += avail[:, 1:]
-        self.counts: dict[MbAddress, int] = {
-            mb: int(neigh[mb.row, mb.col]) for mb in status.damaged()
-        }
-        # damaged() yields raster order, so every bucket starts out sorted,
-        # which is already a heap.
-        self._buckets: list[list[int]] = [[] for _ in range(5)]
-        for mb, count in self.counts.items():
-            self._buckets[count].append(mb.row * self._cols + mb.col)
+        index = np.flatnonzero(damaged)  # raster order
+        count = neigh.ravel()[index]
+        self._live: dict[int, int] = dict(zip(index.tolist(), count.tolist()))
+        # Each bucket starts out sorted, which is already a heap.
+        self._buckets: list[list[int]] = [index[count == c].tolist() for c in range(5)]
+        self.last_count = -1
+
+    @property
+    def counts(self) -> dict[MbAddress, int]:
+        cols = self._cols
+        return {MbAddress(k % cols, k // cols): c for k, c in self._live.items()}
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return len(self._live)
 
     def extract(self) -> MbAddress | None:
-        cols = self._cols
+        live = self._live
         for count in range(4, -1, -1):
             bucket = self._buckets[count]
             while bucket:
                 index = heapq.heappop(bucket)
-                mb = MbAddress(index % cols, index // cols)
-                if self.counts.get(mb) == count:
-                    del self.counts[mb]
-                    return mb
+                if live.get(index) == count:
+                    del live[index]
+                    self.last_count = count
+                    return MbAddress(index % self._cols, index // self._cols)
         return None
 
     def on_concealed(self, mb: MbAddress) -> None:
-        # Steps off the grid name no MB in counts, so need no bounds check.
-        for dc, dr in _STEPS:
-            n = MbAddress(mb.col + dc, mb.row + dr)
-            count = self.counts.get(n)
+        col, row = mb
+        cols = self._cols
+        index = row * cols + col
+        live = self._live
+        # Indices above and below the grid name no live MB; a step left or
+        # right would wrap to another row at the grid's edge, so -1 (no MB)
+        # stands in for it there.
+        for n in (index - cols, index + cols, index - 1 if col else -1, index + 1 if col + 1 < cols else -1):
+            count = live.get(n)
             if count is not None:
-                self.counts[n] = count + 1
-                heapq.heappush(self._buckets[count + 1], n.row * self._cols + n.col)
+                live[n] = count + 1
+                heapq.heappush(self._buckets[count + 1], n)
 
 
 @dataclass
@@ -433,33 +498,39 @@ def conceal_frame(
 
     work = cur_damaged.luma.copy()
     out_frame = Frame(work)
+    ref_luma = ref_frame.luma
     st = status.copy()
+    state, mv_x, mv_y = st.state, st.mv_x, st.mv_y
     sched = PrioritySchedule(st)
     audit: list[AuditRecord] = []
+    scored = mode in ("bma", "ebmc")
 
     while True:
         mb = sched.extract()
         if mb is None:
             break
-        ctx = neighbor_context(st, mv_field, mb)
-        n_avail = sum(1 for info in ctx.sides.values() if info.available)
         dist: BoundaryDistortion | None = None
         if mode == "tr":
             mv = ZERO_MV
-        elif mode in ("avg", "median"):
-            mvs = ctx.available_mvs()
-            mv = (mean_mv(mvs) if mode == "avg" else median_mv(mvs)) if mvs else ZERO_MV
-            mv = _clamp_mv(ref_frame, mb, mv)
         else:
-            candidates = build_candidates(prev_mv_field, ctx, mb)
-            mv, dist = select_mv(out_frame, ref_frame, ref_status, mb, candidates, ctx, mode)
-        i, j = mb.origin()
-        work[j : j + MB, i : i + MB] = ref_frame.luma[
-            j + mv.vy : j + mv.vy + MB, i + mv.vx : i + mv.vx + MB
-        ]
-        st.set_concealed(mb, mv)
+            ctx = neighbor_context(st, mv_field, mb)
+            if scored:
+                candidates = build_candidates(prev_mv_field, ctx, mb)
+                mv, dist = select_mv(out_frame, ref_frame, ref_status, mb, candidates, ctx, mode)
+            else:
+                mvs = ctx.available_mvs()
+                mv = (mean_mv(mvs) if mode == "avg" else median_mv(mvs)) if mvs else ZERO_MV
+                mv = _clamp_mv(ref_frame, mb, mv)
+        col, row = mb
+        vx, vy = mv
+        i, j = MB * col, MB * row
+        work[j : j + MB, i : i + MB] = ref_luma[j + vy : j + vy + MB, i + vx : i + vx + MB]
+        # The MB came from the schedule, so it is in the grid and Damaged.
+        state[row, col] = _CONCEALED
+        mv_x[row, col] = vx
+        mv_y[row, col] = vy
         sched.on_concealed(mb)
-        audit.append(AuditRecord(mb, mode, mv, n_avail, dist))
+        audit.append(AuditRecord(mb, mode, mv, sched.last_count, dist))
 
     return ConcealedFrame(out_frame, st, audit)
 

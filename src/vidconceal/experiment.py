@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MB, Frame, MbStatusMap
+from .core import MB, Frame, MbState, MbStatusMap
 from .engine import MODES, audit_csv_header, audit_csv_line, conceal_frame
 from .loss import TrialConfig, apply_mask, make_mask
 from .metrics import PSNR_CAP_DB, PsnrSample, psnr
@@ -137,12 +137,13 @@ def build_context(seq: SequenceSpec, search_p: int = 7) -> SequenceContext:
 
 
 def blank_damaged(frame: Frame, status: MbStatusMap) -> Frame:
-    """Zero out the pixels of damaged MBs; the decoder treats them as lost."""
-    out = frame.luma.copy()
-    for mb in status.damaged():
-        i, j = mb.origin()
-        out[j : j + MB, i : i + MB] = 0
-    return Frame(out)
+    """Zero out the pixels of damaged MBs; the decoder treats them as lost.
+    One multiply scales each MB of the frame, which must cover the status
+    grid exactly, by 0 where it is damaged and by 1 elsewhere."""
+    rows, cols = status.state.shape
+    keep = (status.state != MbState.DAMAGED).view(np.uint8)
+    blocks = frame.luma.reshape(rows, MB, cols, MB) * keep[:, None, :, None]
+    return Frame(blocks.reshape(rows * MB, cols * MB))
 
 
 @dataclass

@@ -58,17 +58,20 @@ def make_mask(frame_index: int, mb_cols: int, mb_rows: int, cfg: TrialConfig) ->
     picks = rng.choice(total, size=count, replace=False)
     return LossMask(
         frame_index,
-        frozenset(MbAddress(int(k) % mb_cols, int(k) // mb_cols) for k in picks),
+        frozenset(MbAddress(k % mb_cols, k // mb_cols) for k in picks.tolist()),
     )
 
 
 def apply_mask(status: MbStatusMap, mask: LossMask) -> MbStatusMap:
     """Fresh status map: masked MBs Damaged, everything else Correct."""
     out = MbStatusMap.all_correct(status.mb_cols, status.mb_rows)
-    for mb in mask.lost:
-        if not out.in_grid(mb):
-            raise ValueError(f"mask entry {mb} outside {out.mb_cols}x{out.mb_rows} grid")
-        out.set_damaged(mb)
+    cols, rows = out.mb_cols, out.mb_rows
+    for col, row in mask.lost:
+        if not (0 <= col < cols and 0 <= row < rows):
+            raise ValueError(f"mask entry {MbAddress(col, row)} outside {cols}x{rows} grid")
+    if mask.lost:
+        lost_cols, lost_rows = zip(*mask.lost)
+        out.state[lost_rows, lost_cols] = MbState.DAMAGED
     return out
 
 

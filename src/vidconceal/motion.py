@@ -65,7 +65,7 @@ class MvField:
         return self.vx.shape[0]
 
     def mv_at(self, mb: MbAddress) -> MotionVector:
-        return MotionVector(int(self.vx[mb.row, mb.col]), int(self.vy[mb.row, mb.col]))
+        return MotionVector(self.vx.item(mb.row, mb.col), self.vy.item(mb.row, mb.col))
 
     def set(self, mb: MbAddress, mv: MotionVector) -> None:
         self.vx[mb.row, mb.col] = mv.vx

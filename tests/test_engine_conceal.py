@@ -24,6 +24,7 @@ from vidconceal.core import (
     MotionVector,
 )
 from vidconceal.engine import (
+    MODES,
     BoundaryDistortion,
     NeighborContext,
     PrioritySchedule,
@@ -403,12 +404,13 @@ class TestConcealFrame:
         for rec in out.audit:
             assert rec.total <= rec.classic_total
 
-    def test_scheduler_order_in_audit_is_valid(self, rng):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scheduler_order_in_audit_is_valid(self, rng, mode):
         cur, ref = random_frame_pair(rng, 96, 96)
         field = random_field(rng, 6, 6)
         lost = {MbAddress(int(rng.integers(0, 6)), int(rng.integers(0, 6))) for _ in range(14)}
         st = damaged_map(6, 6, lost)
-        out = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st, field, None, "bma")
+        out = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st, field, None, mode)
         order = [(r.mb.col, r.mb.row) for r in out.audit]
         counts = oracle.replay_schedule({(m.col, m.row) for m in lost}, 6, 6, order)
         assert [r.priority for r in out.audit] == counts

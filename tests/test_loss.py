@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vidconceal.core import MbAddress, MbState, MbStatusMap
+from vidconceal.core import MB, Frame, MbAddress, MbState, MbStatusMap
+from vidconceal.experiment import blank_damaged
 from vidconceal.loss import LossMask, TrialConfig, apply_mask, load_masks, make_mask, save_masks
 
 
@@ -89,3 +93,65 @@ class TestMaskSerialization:
         path = tmp_path / "m.txt"
         save_masks([LossMask(2, frozenset({MbAddress(3, 1), MbAddress(0, 0)}))], str(path))
         assert path.read_text() == "2 0 0\n2 3 1\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cols=st.integers(1, 30),
+    rows=st.integers(1, 30),
+    rate=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 1000),
+    frame_index=st.integers(1, 1000),
+)
+def test_make_mask_exact_count_of_distinct_in_grid_mbs(cols, rows, rate, seed, trial, frame_index):
+    mask = make_mask(frame_index, cols, rows, TrialConfig(rate, seed, trial))
+    assert mask.frame_index == frame_index
+    assert len(mask.lost) == round(rate * cols * rows)  # a frozenset, so distinct
+    assert all(0 <= mb.col < cols and 0 <= mb.row < rows for mb in mask.lost)
+    assert all(type(mb.col) is int and type(mb.row) is int for mb in mask.lost)
+
+
+def _apply_and_blank_per_mb(luma, cols, rows, lost):
+    """The per-MB loops apply_mask and blank_damaged replaced, kept as
+    their reference: (status grid, blanked plane)."""
+    status = MbStatusMap.all_correct(cols, rows)
+    for mb in lost:
+        if not status.in_grid(mb):
+            raise ValueError(f"mask entry {mb} outside the grid")
+        status.set_damaged(mb)
+    out = luma.copy()
+    for mb in status.damaged():
+        i, j = mb.origin()
+        out[j : j + MB, i : i + MB] = 0
+    return status.state, out
+
+
+@st.composite
+def _loss_instance(draw):
+    cols, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.tuples(st.integers(-2, cols + 1), st.integers(-2, rows + 1))
+    if draw(st.booleans()):  # mostly in-grid entries
+        cells = st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1))
+    lost = frozenset(MbAddress(c, r) for c, r in draw(st.lists(cells, max_size=cols * rows)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    luma = np.random.Generator(np.random.PCG64(seed)).integers(0, 256, size=(MB * rows, MB * cols), dtype=np.uint8)
+    return cols, rows, lost, luma
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_loss_instance())
+def test_apply_mask_and_blank_match_per_mb_loops(inst):
+    cols, rows, lost, luma = inst
+    prior = MbStatusMap.all_correct(cols, rows)
+    prior.state[:] = MbState.CONCEALED  # apply_mask ignores the prior state
+    try:
+        want_state, want_luma = _apply_and_blank_per_mb(luma, cols, rows, lost)
+    except ValueError:
+        with pytest.raises(ValueError, match="outside"):
+            apply_mask(prior, LossMask(1, lost))
+        return
+    status = apply_mask(prior, LossMask(1, lost))
+    assert np.array_equal(status.state, want_state)
+    assert not status.mv_x.any() and not status.mv_y.any()
+    assert np.array_equal(blank_damaged(Frame(luma), status).luma, want_luma)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidconceal.core import Frame
 from vidconceal.metrics import PSNR_CAP_DB, psnr
@@ -55,3 +57,38 @@ def test_minimal_nonzero_mse_stays_below_cap():
     b = Frame(np.zeros((352, 288), dtype=np.uint8))
     b.luma[0, 0] = 1
     assert psnr(a, b) < PSNR_CAP_DB
+
+
+def psnr_float64(a: Frame, b: Frame) -> float:
+    """The float64 form psnr replaced, kept as its reference."""
+    diff = a.luma.astype(np.float64) - b.luma.astype(np.float64)
+    mse = float(np.mean(diff * diff))
+    if mse == 0.0:
+        return PSNR_CAP_DB
+    return min(PSNR_CAP_DB, 10.0 * math.log10(255.0 ** 2 / mse))
+
+
+_SHAPES = st.tuples(st.integers(1, 64), st.integers(1, 64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=_SHAPES, seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([2, 8, 256]))
+def test_matches_float64_on_random_planes(shape, seed, levels):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = Frame(rng.integers(0, levels, size=shape, dtype=np.uint8))
+    b = Frame(rng.integers(0, levels, size=shape, dtype=np.uint8))
+    assert psnr(a, b) == psnr_float64(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=_SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_identical_planes_hit_cap(shape, seed):
+    a = Frame(np.random.Generator(np.random.PCG64(seed)).integers(0, 256, size=shape, dtype=np.uint8))
+    assert psnr(a, a.copy()) == psnr_float64(a, a.copy()) == PSNR_CAP_DB
+
+
+def test_full_scale_cif_error_is_zero_db():
+    # SSE = 255^2 * 101,376 overflows an int32 accumulator
+    a = Frame(np.zeros((288, 352), dtype=np.uint8))
+    b = Frame(np.full((288, 352), 255, dtype=np.uint8))
+    assert psnr(a, b) == psnr_float64(a, b) == 0.0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -218,6 +218,28 @@ class TestMvFieldCsv:
         assert sorted(loaded) == [1, 2]
         for f in fields:
             g = loaded[f.frame_index]
+            assert np.array_equal(f.vx, g.vx) and np.array_equal(f.vy, g.vy)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        cols=st.integers(1, 5), rows=st.integers(1, 5),
+        frame_indices=st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_property(self, tmp_path, cols, rows, frame_indices, seed):
+        # every example rewrites the same file, so sharing tmp_path is safe
+        rng = np.random.Generator(np.random.PCG64(seed))
+        fields = [
+            MvField(t, rng.integers(-(2**15), 2**15, size=(rows, cols)), rng.integers(-(2**15), 2**15, size=(rows, cols)))
+            for t in frame_indices
+        ]
+        path = tmp_path / "mv.csv"
+        save_mv_fields(fields, str(path))
+        loaded = load_mv_fields(str(path))
+        assert sorted(loaded) == sorted(frame_indices)
+        for f in fields:
+            g = loaded[f.frame_index]
+            assert g.frame_index == f.frame_index
             assert np.array_equal(f.vx, g.vx) and np.array_equal(f.vy, g.vy)
 
     def test_csv_format(self, tmp_path):

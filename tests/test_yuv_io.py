@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vidconceal.core import Frame
 from vidconceal.yuv_io import (
@@ -144,3 +146,55 @@ class TestPgm:
 def test_gray_chroma_size():
     assert len(gray_chroma(QW, QH)) == (QW // 2) * (QH // 2)
     assert set(gray_chroma(16, 16)) == {128}
+
+
+# Each example rewrites the same files under tmp_path, so sharing the
+# function-scoped fixture across examples is safe.
+_FILE_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_FILE_SETTINGS
+@given(
+    cols=st.integers(1, 4), rows=st.integers(1, 4), frames=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_i420_round_trip_property(tmp_path, cols, rows, frames, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    w, h = 16 * cols, 16 * rows
+    nc = (w // 2) * (h // 2)
+    records = [
+        YuvFrameRecord(
+            Frame(rng.integers(0, 256, size=(h, w), dtype=np.uint8)),
+            rng.integers(0, 256, size=nc, dtype=np.uint8).tobytes(),
+            rng.integers(0, 256, size=nc, dtype=np.uint8).tobytes(),
+        )
+        for _ in range(frames)
+    ]
+    path = tmp_path / "seq.yuv"
+    with open(path, "wb") as sink:
+        for rec in records:
+            write_yuv_frame(rec, sink)
+    hdr = open_sequence(str(path), w, h)
+    assert hdr.frame_count == frames
+    for t in reversed(range(frames)):  # random access, not just sequential
+        got = read_frame(hdr, t)
+        assert np.array_equal(got.luma.luma, records[t].luma.luma)
+        assert (got.chroma_u, got.chroma_v) == (records[t].chroma_u, records[t].chroma_v)
+
+
+@_FILE_SETTINGS
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.sampled_from([1, 2, 256]),
+)
+def test_pgm_round_trip_property(tmp_path, shape, seed, levels):
+    # levels=256 puts newline and space bytes in the sample data
+    f = Frame(np.random.Generator(np.random.PCG64(seed)).integers(0, levels, size=shape, dtype=np.uint8))
+    path = tmp_path / "f.pgm"
+    write_pgm(f, str(path))
+    got = read_pgm(str(path))
+    assert got.luma.shape == f.luma.shape
+    assert np.array_equal(got.luma, f.luma)
