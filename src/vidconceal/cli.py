@@ -5,6 +5,10 @@ Subcommands:
   conceal     inject seeded MB losses and conceal the whole sequence
   experiment  run a multi-trial evaluation from a JSON/TOML spec
   psnr        per-frame and mean luma PSNR between two raw YUV files
+
+``estimate`` and ``conceal`` run the frame loops of the experiment runner,
+``experiment.encode_frames`` and ``experiment.decode_frames``, so a CLI run
+and a trial with the same arguments produce the same output.
 """
 
 from __future__ import annotations
@@ -14,13 +18,18 @@ import sys
 
 import numpy as np
 
-from .core import Frame, MbStatusMap
-from .engine import MODES, audit_csv_header, audit_csv_line, conceal_frame
-from .experiment import blank_damaged, load_spec_file, run_experiment
-from .loss import TrialConfig, apply_mask, make_mask
+from .engine import MODES, audit_csv_header
+from .experiment import decode_frames, encode_frames, load_spec_file, run_experiment
+from .loss import TrialConfig
 from .metrics import psnr
-from .motion import SearchParams, estimate_field, save_mv_fields
+from .motion import SearchParams, save_mv_fields
 from .yuv_io import YuvFrameRecord, open_sequence, read_frame, write_yuv_frame
+
+# The benchmark tracer wraps these names on this module as well as on experiment.
+from .engine import audit_csv_line, conceal_frame  # noqa: F401
+from .experiment import blank_damaged  # noqa: F401
+from .loss import apply_mask, make_mask  # noqa: F401
+from .motion import estimate_field  # noqa: F401
 
 
 def _add_geometry(p: argparse.ArgumentParser) -> None:
@@ -30,13 +39,7 @@ def _add_geometry(p: argparse.ArgumentParser) -> None:
 
 def cmd_estimate(args) -> int:
     header = open_sequence(args.infile, args.width, args.height)
-    params = SearchParams(p=args.p)
-    prev = read_frame(header, 0).luma
-    fields = []
-    for t in range(1, header.frame_count):
-        cur = read_frame(header, t).luma
-        fields.append(estimate_field(cur, prev, params, frame_index=t))
-        prev = cur
+    fields = [mv_field for _, mv_field in encode_frames(header, SearchParams(p=args.p))][1:]
     save_mv_fields(fields, args.out)
     print(f"estimated {len(fields)} MV fields ({header.frame_count} frames) -> {args.out}")
     return 0
@@ -44,38 +47,30 @@ def cmd_estimate(args) -> int:
 
 def cmd_conceal(args) -> int:
     """Stream the sequence: frame t is read once, gets its MV field against
-    original t-1, and is concealed against reconstructed t-1; only the
-    previous original, reconstruction and field are kept."""
+    original t-1, and is concealed against reconstructed t-1; only frames
+    t-1 and t are held. The chroma planes pass through unchanged."""
     header = open_sequence(args.infile, args.width, args.height)
-    params = SearchParams(p=args.p)
-    cols, rows = args.width // 16, args.height // 16
     cfg = TrialConfig(args.rate, args.seed, args.trial)
+    stream = encode_frames(header, SearchParams(p=args.p))
+    first, _ = next(stream)
+    # decode_frames pulls frame t through inter(), which leaves its record
+    # here for the chroma; an itertools.tee would buffer up to 57 frames.
+    record = first
 
-    first = read_frame(header, 0)
-    prev_original, prev_field = first.luma, None
-    ref_frame = first.luma
-    ref_status = MbStatusMap.all_correct(cols, rows)
+    def inter():
+        nonlocal record
+        for record, mv_field in stream:
+            yield record.luma, mv_field
+
     psnrs = []
     with open(args.out_yuv, "wb") as sink, open(args.audit, "w", newline="") as audit:
         audit.write(audit_csv_header() + "\n")
         write_yuv_frame(first, sink)
-        for t in range(1, header.frame_count):
-            record = read_frame(header, t)
-            original = record.luma
-            field = estimate_field(original, prev_original, params, frame_index=t)
-            status = apply_mask(ref_status, make_mask(t, cols, rows, cfg))
-            damaged = blank_damaged(original, status)
-            out = conceal_frame(
-                damaged, ref_frame, ref_status, status, field, prev_field, args.mode
-            )
-            for rec in out.audit:
-                audit.write(audit_csv_line(t, rec) + "\n")
-            write_yuv_frame(YuvFrameRecord(out.frame, record.chroma_u, record.chroma_v), sink)
-            value = psnr(out.frame, original)
-            psnrs.append(value)
-            print(f"frame {t}: {len(out.audit)} MBs concealed, psnr {value:.4f} dB")
-            ref_frame, ref_status = out.frame, out.status
-            prev_original, prev_field = original, field
+        for d in decode_frames(first.luma, inter(), cfg, args.mode):
+            audit.writelines(line + "\n" for line in d.audit_lines)
+            write_yuv_frame(YuvFrameRecord(d.concealed, record.chroma_u, record.chroma_v), sink)
+            psnrs.append(d.psnr_db)
+            print(f"frame {d.index}: {len(d.audit_lines)} MBs concealed, psnr {d.psnr_db:.4f} dB")
     if psnrs:
         print(f"mean psnr over {len(psnrs)} concealed frames: {float(np.mean(psnrs)):.4f} dB")
     return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,40 +113,8 @@ class Frame:
                 f"{self.width}x{self.height} frame is not a multiple of {MB}x{MB}"
             )
 
-    def sample(self, x: int, y: int) -> int:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise IndexError(f"pixel ({x}, {y}) outside {self.width}x{self.height}")
-        return int(self.luma[y, x])
-
     def copy(self) -> "Frame":
         return Frame(self.luma.copy())
-
-
-def extract_row(frame: Frame, x0: int, y: int, length: int) -> np.ndarray:
-    """Samples f(x0 .. x0+length-1, y), left to right."""
-    if length < 0 or x0 < 0 or x0 + length > frame.width or not 0 <= y < frame.height:
-        raise IndexError(
-            f"row read x0={x0} y={y} len={length} outside {frame.width}x{frame.height}"
-        )
-    return frame.luma[y, x0 : x0 + length].copy()
-
-
-def extract_col(frame: Frame, x: int, y0: int, length: int) -> np.ndarray:
-    """Samples f(x, y0 .. y0+length-1), top to bottom."""
-    if length < 0 or y0 < 0 or y0 + length > frame.height or not 0 <= x < frame.width:
-        raise IndexError(
-            f"col read x={x} y0={y0} len={length} outside {frame.width}x{frame.height}"
-        )
-    return frame.luma[y0 : y0 + length, x].copy()
-
-
-def sad(a: np.ndarray, b: np.ndarray) -> int:
-    """Sum of absolute differences between two equal-length sample vectors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(np.abs(a.astype(np.int32) - b.astype(np.int32)).sum())
 
 
 @dataclass
@@ -182,48 +150,5 @@ class MbStatusMap:
     def mb_rows(self) -> int:
         return self.state.shape[0]
 
-    def in_grid(self, mb: MbAddress) -> bool:
-        return 0 <= mb.col < self.mb_cols and 0 <= mb.row < self.mb_rows
-
-    def state_at(self, mb: MbAddress) -> MbState:
-        if not self.in_grid(mb):
-            raise IndexError(f"{mb} outside {self.mb_cols}x{self.mb_rows} MB grid")
-        return MbState(int(self.state[mb.row, mb.col]))
-
-    def mv_at(self, mb: MbAddress) -> MotionVector | None:
-        """Concealment vector of a Concealed MB, None otherwise."""
-        if self.state_at(mb) != MbState.CONCEALED:
-            return None
-        return MotionVector(int(self.mv_x[mb.row, mb.col]), int(self.mv_y[mb.row, mb.col]))
-
-    def set_damaged(self, mb: MbAddress) -> None:
-        if not self.in_grid(mb):
-            raise IndexError(f"{mb} outside {self.mb_cols}x{self.mb_rows} MB grid")
-        self.state[mb.row, mb.col] = MbState.DAMAGED
-
-    def set_concealed(self, mb: MbAddress, mv: MotionVector) -> None:
-        if self.state_at(mb) != MbState.DAMAGED:
-            raise ValueError(f"{mb} is not Damaged; only Damaged -> Concealed allowed")
-        self.state[mb.row, mb.col] = MbState.CONCEALED
-        self.mv_x[mb.row, mb.col] = mv.vx
-        self.mv_y[mb.row, mb.col] = mv.vy
-
-    def damaged(self) -> Iterator[MbAddress]:
-        """Damaged MBs in raster order (row-major)."""
-        for row, col in zip(*np.nonzero(self.state == MbState.DAMAGED)):
-            yield MbAddress(int(col), int(row))
-
-    def count(self, state: MbState) -> int:
-        return int((self.state == state).sum())
-
     def copy(self) -> "MbStatusMap":
         return MbStatusMap(self.state.copy(), self.mv_x.copy(), self.mv_y.copy())
-
-
-def neighbor_of(mb: MbAddress, side: BoundarySide, mb_cols: int, mb_rows: int) -> MbAddress | None:
-    """4-neighbor owning the given boundary side, or None at the frame edge."""
-    dc, dr = SIDE_STEPS[side]
-    n = MbAddress(mb.col + dc, mb.row + dr)
-    if 0 <= n.col < mb_cols and 0 <= n.row < mb_rows:
-        return n
-    return None

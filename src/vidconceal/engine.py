@@ -161,12 +161,6 @@ def neighbor_context(status: MbStatusMap, mv_field: MvField | None, mb: MbAddres
     return NeighborContext(sides)
 
 
-def bmc_total(side_values) -> int:
-    """Sum of the per-side distortions that are present (absent sides
-    contribute nothing)."""
-    return sum(v for v in side_values if v is not None)
-
-
 @dataclass
 class BoundaryDistortion:
     """Per-side score breakdown for one candidate vector."""
@@ -183,7 +177,8 @@ class BoundaryDistortion:
 
     @property
     def classic_total(self) -> int:
-        return bmc_total(self.classic.values())
+        """Sum of the classic distortions of the sides that are present."""
+        return sum(v for v in self.classic.values() if v is not None)
 
     @classmethod
     def empty(cls) -> "BoundaryDistortion":
@@ -401,9 +396,6 @@ class PrioritySchedule:
     def counts(self) -> dict[MbAddress, int]:
         cols = self._cols
         return {MbAddress(k % cols, k // cols): c for k, c in self._live.items()}
-
-    def __len__(self) -> int:
-        return len(self._live)
 
     def extract(self) -> MbAddress | None:
         live = self._live

@@ -1,33 +1,40 @@
 """End-to-end loss/concealment experiments and report generation.
 
-Per trial, the decode loop mirrors the usual evaluation protocol: frame 0
-passes through pristine; every later frame gets its MV field from the
-original frames (encoder side), loses a seeded random set of MBs, and is
-concealed against the previous *reconstructed* frame. PSNR is measured
-against the original frame; wall time covers the concealment call only.
+The two frame loops live here, and the CLI runs the same ones:
 
-Timing is inherently non-reproducible, so an ExperimentSpec can disable it
+* ``encode_frames`` is the encoder side. It reads each frame once and
+  yields it with its MV field against the previous original frame (None
+  for frame 0). ``build_context``, ``cli.cmd_estimate`` and
+  ``cli.cmd_conceal`` consume it.
+* ``decode_frames`` is the decoder side. Frame 0 passes through pristine;
+  every later frame loses a seeded random set of MBs, is concealed against
+  the previous *reconstructed* frame and is scored by PSNR against its
+  original. ``run_trial`` and ``cli.cmd_conceal`` consume it.
+
+Wall time covers the concealment call only. Timing is inherently
+non-reproducible, so an ExperimentSpec can disable it
 (measure_timing=false); everything else in the emitted files is
 byte-deterministic for a fixed spec.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-import re
 import statistics
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .core import MB, Frame, MbState, MbStatusMap
 from .engine import MODES, audit_csv_header, audit_csv_line, conceal_frame
 from .loss import TrialConfig, apply_mask, make_mask
-from .metrics import PSNR_CAP_DB, PsnrSample, psnr
+from .metrics import PsnrSample, psnr
 from .motion import MvField, SearchParams, estimate_field
-from .yuv_io import open_sequence, read_frame, write_pgm
+from .yuv_io import SequenceHeader, YuvFrameRecord, open_sequence, read_frame, write_pgm
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,17 @@ class ExperimentSpec:
         for seq in self.sequences:
             if seq.frame_budget() < 2:
                 raise ValueError(f"sequence {seq.name}: need at least 2 frames")
+        # the file names carry the sequence name and the mode as well
+        for what, names in (("sequence name", [s.name for s in self.sequences]), ("mode", self.modes)):
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise ValueError(f"repeated {what} {repeated[0]!r}: its trial and audit files would collide")
+
+
+def _reject_unknown_keys(raw: dict, spec_type, where: str) -> None:
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(spec_type)})
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}")
 
 
 def load_spec_file(path: str) -> ExperimentSpec:
@@ -88,6 +106,9 @@ def load_spec_file(path: str) -> ExperimentSpec:
     else:
         with open(path) as f:
             raw = json.load(f)
+    _reject_unknown_keys(raw, ExperimentSpec, "spec")
+    for s in raw["sequences"]:
+        _reject_unknown_keys(s, SequenceSpec, "sequence")
     sequences = [
         SequenceSpec(
             name=s.get("name", os.path.splitext(os.path.basename(s["path"]))[0]),
@@ -112,12 +133,27 @@ def load_spec_file(path: str) -> ExperimentSpec:
 
 @dataclass
 class SequenceContext:
-    """Originals and encoder-side MV fields, computed once per sequence and
-    shared by every trial/mode/rate (they do not depend on the loss draw)."""
+    """Originals and encoder-side MV fields (None at frame 0), computed once
+    per sequence and shared by every trial/mode/rate (they do not depend on
+    the loss draw)."""
 
     spec: SequenceSpec
     originals: list[Frame]
-    fields: dict[int, MvField]
+    fields: list[MvField | None]
+
+
+def encode_frames(
+    header: SequenceHeader, params: SearchParams, count: int | None = None
+) -> Iterator[tuple[YuvFrameRecord, MvField | None]]:
+    """Encoder side: read frames 0 .. count-1 (all by default) once each and
+    yield each with its MV field against the previous original (None for
+    frame 0)."""
+    prev = None
+    for t in range(header.frame_count if count is None else count):
+        record = read_frame(header, t)
+        mv_field = None if prev is None else estimate_field(record.luma, prev, params, frame_index=t)
+        yield record, mv_field
+        prev = record.luma
 
 
 def build_context(seq: SequenceSpec, search_p: int = 7) -> SequenceContext:
@@ -127,12 +163,10 @@ def build_context(seq: SequenceSpec, search_p: int = 7) -> SequenceContext:
         raise ValueError(
             f"{seq.path} has {header.frame_count} frames, needs {budget}"
         )
-    originals = [read_frame(header, t).luma for t in range(budget)]
-    params = SearchParams(p=search_p)
-    fields = {
-        t: estimate_field(originals[t], originals[t - 1], params, frame_index=t)
-        for t in range(1, budget)
-    }
+    originals, fields = [], []
+    for record, mv_field in encode_frames(header, SearchParams(p=search_p), budget):
+        originals.append(record.luma)
+        fields.append(mv_field)
     return SequenceContext(seq, originals, fields)
 
 
@@ -144,6 +178,43 @@ def blank_damaged(frame: Frame, status: MbStatusMap) -> Frame:
     keep = (status.state != MbState.DAMAGED).view(np.uint8)
     blocks = frame.luma.reshape(rows, MB, cols, MB) * keep[:, None, :, None]
     return Frame(blocks.reshape(rows * MB, cols * MB))
+
+
+class DecodedFrame(NamedTuple):
+    index: int
+    damaged: Frame
+    concealed: Frame
+    psnr_db: float
+    conceal_ms: float  # 0.0 untimed
+    audit_lines: list[str]
+
+
+def decode_frames(
+    first: Frame,
+    inter: Iterable[tuple[Frame, MvField]],
+    cfg: TrialConfig,
+    mode: str,
+    measure_timing: bool = False,
+) -> Iterator[DecodedFrame]:
+    """Decoder side: conceal each inter frame, given as (original, MV field),
+    after the seeded loss of ``cfg``, against the previous reconstruction.
+    Timed frames report the median of 3 concealment runs."""
+    cols, rows = first.mb_cols, first.mb_rows
+    ref_frame, ref_status, prev_field = first, MbStatusMap.all_correct(cols, rows), None
+    for t, (original, mv_field) in enumerate(inter, start=1):
+        status = apply_mask(ref_status, make_mask(t, cols, rows, cfg))
+        damaged = blank_damaged(original, status)
+        times = []
+        for _ in range(3 if measure_timing else 1):
+            t0 = time.perf_counter()
+            out = conceal_frame(damaged, ref_frame, ref_status, status, mv_field, prev_field, mode)
+            times.append(time.perf_counter() - t0)
+        ms = statistics.median(times) * 1000.0 if measure_timing else 0.0
+        yield DecodedFrame(
+            t, damaged, out.frame, psnr(out.frame, original), ms,
+            [audit_csv_line(t, rec) for rec in out.audit],
+        )
+        ref_frame, ref_status, prev_field = out.frame, out.status, mv_field
 
 
 @dataclass
@@ -159,14 +230,6 @@ class TrialResult:
     damaged_frames: dict[int, Frame] = field(default_factory=dict)
     concealed_frames: dict[int, Frame] = field(default_factory=dict)
 
-    @property
-    def capped(self) -> int:
-        return sum(1 for s in self.samples if s.value >= PSNR_CAP_DB)
-
-    @property
-    def mean_psnr(self) -> float:
-        return float(np.mean([s.value for s in self.samples]))
-
 
 def run_trial(
     ctx: SequenceContext,
@@ -178,52 +241,18 @@ def run_trial(
     keep_frames: tuple[int, ...] = (),
 ) -> TrialResult:
     """One seeded pass over the sequence with a single mode and loss rate."""
-    originals = ctx.originals
-    cols, rows = originals[0].mb_cols, originals[0].mb_rows
+    tr = TrialResult(ctx.spec.name, mode, rate, trial_index, [], [], [], [])
+    inter = zip(ctx.originals[1:], ctx.fields[1:])
     cfg = TrialConfig(rate, seed, trial_index)
-
-    ref_frame = originals[0]
-    ref_status = MbStatusMap.all_correct(cols, rows)
-    samples: list[PsnrSample] = []
-    frame_ms: list[float] = []
-    frame_mbs: list[int] = []
-    audit_lines: list[str] = []
-    damaged_frames: dict[int, Frame] = {}
-    concealed_frames: dict[int, Frame] = {}
-
-    for t in range(1, len(originals)):
-        mask = make_mask(t, cols, rows, cfg)
-        status = apply_mask(ref_status, mask)
-        cur_damaged = blank_damaged(originals[t], status)
-        mv_field = ctx.fields[t]
-        prev_field = ctx.fields.get(t - 1)
-
-        reps = 3 if measure_timing else 1
-        times = []
-        out = None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            out = conceal_frame(
-                cur_damaged, ref_frame, ref_status, status, mv_field, prev_field, mode
-            )
-            times.append(time.perf_counter() - t0)
-        ms = statistics.median(times) * 1000.0 if measure_timing else 0.0
-
-        samples.append(PsnrSample(t, psnr(out.frame, originals[t])))
-        frame_ms.append(ms)
-        frame_mbs.append(len(out.audit))
-        audit_lines.extend(audit_csv_line(t, rec) for rec in out.audit)
-        if t in keep_frames:
-            damaged_frames[t] = cur_damaged
-            concealed_frames[t] = out.frame
-
-        ref_frame = out.frame
-        ref_status = out.status
-
-    return TrialResult(
-        ctx.spec.name, mode, rate, trial_index, samples, frame_ms, frame_mbs,
-        audit_lines, damaged_frames, concealed_frames,
-    )
+    for d in decode_frames(ctx.originals[0], inter, cfg, mode, measure_timing):
+        tr.samples.append(PsnrSample(d.index, d.psnr_db))
+        tr.frame_ms.append(d.conceal_ms)
+        tr.frame_mbs.append(len(d.audit_lines))
+        tr.audit_lines.extend(d.audit_lines)
+        if d.index in keep_frames:
+            tr.damaged_frames[d.index] = d.damaged
+            tr.concealed_frames[d.index] = d.concealed
+    return tr
 
 
 @dataclass(frozen=True)
@@ -234,7 +263,6 @@ class ReportRow:
     trials: int
     mean_psnr_db: float
     mean_time_per_mb_ms: float
-    capped_frames: int
 
 
 @dataclass
@@ -265,7 +293,6 @@ def aggregate(trials: list[TrialResult]) -> ReportRow:
         trials=len(trials),
         mean_psnr_db=float(per_frame_mean.mean()),
         mean_time_per_mb_ms=(total_ms / total_mbs) if total_mbs else 0.0,
-        capped_frames=sum(tr.capped for tr in trials),
     )
 
 
@@ -342,38 +369,3 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> ExperimentReport:
     with open(os.path.join(out_dir, "report.csv"), "w", newline="") as f:
         f.write(_render_report_csv(rows))
     return ExperimentReport(rows)
-
-
-_TRIAL_FILE = re.compile(r"^(?P<seq>.+)_(?P<mode>tr|avg|median|bma|ebmc)_r(?P<rate>[0-9.eE+-]+)_t(?P<trial>\d+)\.csv$")
-
-
-def regenerate_report_csv(out_dir: str, spec: ExperimentSpec) -> str:
-    """Rebuild the report.csv text purely from the persisted per-trial CSVs;
-    byte-identical to the file written by run_experiment."""
-    # Keyed by the file-name rate tag: the tag keeps only six significant
-    # digits, so the rate parsed back from it need not equal the spec's.
-    cells: dict[tuple[str, str, str], list[TrialResult]] = {}
-    trials_dir = os.path.join(out_dir, "trials")
-    for name in sorted(os.listdir(trials_dir)):
-        m = _TRIAL_FILE.match(name)
-        if not m:
-            continue
-        seq, mode, rate = m["seq"], m["mode"], float(m["rate"])
-        samples, ms, mbs = [], [], []
-        with open(os.path.join(trials_dir, name)) as f:
-            f.readline()
-            for line in f:
-                idx, value, t_ms, n = line.strip().split(",")
-                samples.append(PsnrSample(int(idx), float(value)))
-                ms.append(float(t_ms))
-                mbs.append(int(n))
-        cells.setdefault((seq, mode, m["rate"]), []).append(
-            TrialResult(seq, mode, rate, int(m["trial"]), samples, ms, mbs, [])
-        )
-    rows = []
-    for seq in spec.sequences:
-        for mode in spec.modes:
-            for rate in spec.rates:
-                cell = sorted(cells[(seq.name, mode, _rate_tag(rate))], key=lambda tr: tr.trial_index)
-                rows.append(aggregate(cell))
-    return _render_report_csv(rows)

@@ -13,7 +13,6 @@ runs for a given NumPy version.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -39,9 +38,6 @@ class TrialConfig:
 class LossMask:
     frame_index: int
     lost: frozenset[MbAddress]
-
-    def sorted(self) -> list[MbAddress]:
-        return sorted(self.lost, key=lambda mb: (mb.row, mb.col))
 
 
 def make_mask(frame_index: int, mb_cols: int, mb_rows: int, cfg: TrialConfig) -> LossMask:
@@ -73,23 +69,3 @@ def apply_mask(status: MbStatusMap, mask: LossMask) -> MbStatusMap:
         lost_cols, lost_rows = zip(*mask.lost)
         out.state[lost_rows, lost_cols] = MbState.DAMAGED
     return out
-
-
-def save_masks(masks: Iterable[LossMask], path: str) -> None:
-    """Text serialization: one "frame_index mb_col mb_row" line per lost MB."""
-    with open(path, "w", newline="") as f:
-        for mask in masks:
-            for mb in mask.sorted():
-                f.write(f"{mask.frame_index} {mb.col} {mb.row}\n")
-
-
-def load_masks(path: str) -> dict[int, LossMask]:
-    lost: dict[int, set[MbAddress]] = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            t, col, row = (int(v) for v in line.split())
-            lost.setdefault(t, set()).add(MbAddress(col, row))
-    return {t: LossMask(t, frozenset(s)) for t, s in lost.items()}

@@ -25,13 +25,10 @@ from .core import MB, Frame, MbAddress, MotionVector
 @dataclass(frozen=True)
 class SearchParams:
     p: int = 7  # search radius, pixels per component
-    block: int = MB
 
     def __post_init__(self):
         if self.p < 0:
             raise ValueError("search radius must be >= 0")
-        if self.block != MB:
-            raise ValueError(f"only {MB}x{MB} blocks are supported")
 
 
 @dataclass

@@ -94,21 +94,6 @@ def write_pgm(frame: Frame, path: str) -> None:
         f.write(frame.luma.tobytes())
 
 
-def read_pgm(path: str) -> Frame:
-    """Read back a binary PGM written by write_pgm."""
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"{path}: not a binary PGM")
-        dims = f.readline().split()
-        maxval = int(f.readline())
-        if maxval != 255:
-            raise ValueError(f"{path}: unsupported maxval {maxval}")
-        w, h = int(dims[0]), int(dims[1])
-        data = np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w)
-    return Frame(data.copy())
-
-
 def gray_chroma(width: int, height: int) -> bytes:
     """Neutral (mid-gray) chroma plane for luma-only synthetic sequences."""
     return bytes([128]) * ((width // 2) * (height // 2))

@@ -1,5 +1,6 @@
 """Randomized test instances shared by the engine tests and the acceptance
-suite, with converters to the plain data the oracle consumes."""
+suite, status-grid helpers, and converters to the plain data the oracle
+consumes."""
 
 from __future__ import annotations
 
@@ -7,6 +8,31 @@ import numpy as np
 
 from vidconceal.core import Frame, MbAddress, MbState, MbStatusMap, MotionVector
 from vidconceal.motion import MvField
+
+
+def damage(status: MbStatusMap, *mbs: MbAddress) -> MbStatusMap:
+    """Mark ``mbs`` damaged in place; returns ``status``."""
+    for mb in mbs:
+        status.state[mb.row, mb.col] = MbState.DAMAGED
+    return status
+
+
+def conceal(status: MbStatusMap, mb: MbAddress, mv: MotionVector) -> None:
+    status.state[mb.row, mb.col] = MbState.CONCEALED
+    status.mv_x[mb.row, mb.col], status.mv_y[mb.row, mb.col] = mv
+
+
+def damaged_mbs(status: MbStatusMap) -> list[MbAddress]:
+    """Damaged MBs in raster order (row-major)."""
+    rows, cols = np.nonzero(status.state == MbState.DAMAGED)
+    return [MbAddress(int(c), int(r)) for r, c in zip(rows, cols)]
+
+
+def concealed_mv(status: MbStatusMap, mb: MbAddress) -> MotionVector | None:
+    """Concealment vector of a concealed MB, None otherwise."""
+    if status.state[mb.row, mb.col] != MbState.CONCEALED:
+        return None
+    return MotionVector(int(status.mv_x[mb.row, mb.col]), int(status.mv_y[mb.row, mb.col]))
 
 
 def random_frame_pair(rng: np.random.Generator, width=64, height=64, levels=256):
@@ -50,7 +76,7 @@ def random_inbounds_mv(rng, frame: Frame, mb: MbAddress, span=7) -> MotionVector
 
 
 def pick_damaged(rng, status: MbStatusMap) -> MbAddress | None:
-    dmg = list(status.damaged())
+    dmg = damaged_mbs(status)
     if not dmg:
         return None
     return dmg[int(rng.integers(0, len(dmg)))]
@@ -68,7 +94,7 @@ def plain_concealed_mvs(status: MbStatusMap):
     out = [[None] * status.mb_cols for _ in range(status.mb_rows)]
     for row in range(status.mb_rows):
         for col in range(status.mb_cols):
-            mv = status.mv_at(MbAddress(col, row))
+            mv = concealed_mv(status, MbAddress(col, row))
             if mv is not None:
                 out[row][col] = (mv.vx, mv.vy)
     return out

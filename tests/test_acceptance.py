@@ -15,6 +15,8 @@ import pytest
 
 import oracle
 from instances import (
+    damage,
+    damaged_mbs,
     pick_damaged,
     plain_concealed_mvs,
     plain_field,
@@ -176,7 +178,7 @@ def test_criterion_4_global_translation_exactness():
         status = MbStatusMap.all_correct(cols, rows)
         damaged = originals[t].copy()
         for mb in mask_for(t):
-            status.set_damaged(mb)
+            damage(status, mb)
             i, j = mb.origin()
             damaged.luma[j : j + MB, i : i + MB] = 0
         out = conceal_frame(
@@ -198,7 +200,7 @@ def test_criterion_5_scheduler_correctness(rng):
         cols, rows = 8, 8
         state = (rng.random((rows, cols)) < rng.uniform(0.1, 0.5)).astype(np.uint8)
         st = MbStatusMap(state.copy())
-        damaged = {(mb.col, mb.row) for mb in st.damaged()}
+        damaged = {(mb.col, mb.row) for mb in damaged_mbs(st)}
         if not damaged:
             continue
         masks += 1
@@ -282,7 +284,7 @@ def _interleaved_conceal_s(ctx, rate, trials, seed):
         for t in range(1, len(originals)):
             status = apply_mask(ref_status, make_mask(t, cols, rows, cfg))
             args = (blank_damaged(originals[t], status), ref_frame, ref_status, status,
-                    fields[t], fields.get(t - 1))
+                    fields[t], fields[t - 1])
             if not warm:
                 for _ in range(3):
                     for mode in total:

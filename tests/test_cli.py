@@ -1,12 +1,19 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vidconceal import experiment
 from vidconceal.cli import main
+from vidconceal.engine import MODES
+from vidconceal.metrics import psnr
 from vidconceal.motion import load_mv_fields
 from vidconceal.synth import make_sequence, write_i420
-from vidconceal.yuv_io import open_sequence
+from vidconceal.yuv_io import open_sequence, read_frame
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +33,16 @@ def test_estimate_writes_fields(seq64, tmp_path, capsys):
     assert "3 MV fields" in capsys.readouterr().out
 
 
+def test_estimate_equals_build_context_fields(seq64, tmp_path):
+    out = tmp_path / "mv.csv"
+    main(["estimate", "--in", seq64, "--width", "64", "--height", "64", "--out", str(out), "--p", "3"])
+    ctx = experiment.build_context(experiment.SequenceSpec("s", seq64, 64, 64, 4), search_p=3)
+    fields = load_mv_fields(str(out))
+    assert ctx.fields[0] is None and sorted(fields) == [1, 2, 3]
+    for t in fields:
+        assert np.array_equal(fields[t].vx, ctx.fields[t].vx) and np.array_equal(fields[t].vy, ctx.fields[t].vy)
+
+
 def test_conceal_writes_yuv_and_audit(seq64, tmp_path, capsys):
     out_yuv = tmp_path / "concealed.yuv"
     audit = tmp_path / "audit.csv"
@@ -43,6 +60,23 @@ def test_conceal_writes_yuv_and_audit(seq64, tmp_path, capsys):
     assert lines[0] == "frame,mb_col,mb_row,mode,vx,vy,total,bmc_total,sides_absent"
     assert len(lines) == 1 + 3 * 4  # 4 lost MBs per frame, frames 1..3
     assert "mean psnr" in capsys.readouterr().out
+
+
+def test_conceal_holds_a_fixed_number_of_frames(tmp_path, capsys):
+    def conceal(frames):
+        path = tmp_path / f"{frames}.yuv"
+        write_i420(str(path), make_sequence(64, 64, frames, seed=2))
+        tracemalloc.start()
+        main(["conceal", "--in", str(path), "--width", "64", "--height", "64", "--rate", "0.25", "--seed", "5",
+              "--mode", "ebmc", "--out-yuv", str(tmp_path / "c.yuv"), "--audit", str(tmp_path / "a.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    conceal(4)  # warms up the caches the first run fills
+    short, long = conceal(4), conceal(40)
+    # holding every frame would add at least one I420 frame per extra frame
+    assert long - short < (40 - 4) * (64 * 64 * 3 // 2) // 4
 
 
 def test_conceal_rate_zero_round_trips_input(seq64, tmp_path):
@@ -100,3 +134,49 @@ def test_unknown_mode_rejected(seq64, tmp_path):
                 "--out-yuv", str(tmp_path / "x.yuv"), "--audit", str(tmp_path / "x.csv"),
             ]
         )
+
+
+def _conceal(seq, tmp_path, mode, trial):
+    out_yuv, audit = tmp_path / f"{mode}.yuv", tmp_path / f"{mode}.csv"
+    rc = main([
+        "conceal", "--in", seq, "--width", "64", "--height", "64", "--rate", "0.25", "--seed", "5",
+        "--trial", str(trial), "--mode", mode, "--p", "3", "--out-yuv", str(out_yuv), "--audit", str(audit),
+    ])
+    assert rc == 0
+    return open_sequence(str(out_yuv), 64, 64), audit.read_text().splitlines()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_conceal_equals_run_trial(seq64, tmp_path, mode):
+    ctx = experiment.build_context(experiment.SequenceSpec("s", seq64, 64, 64, 4), search_p=3)
+    tr = experiment.run_trial(ctx, mode, 0.25, 2, 5, measure_timing=False, keep_frames=(1, 2, 3))
+    out, audit = _conceal(seq64, tmp_path, mode, trial=2)
+    assert audit[1:] == tr.audit_lines
+    for s in tr.samples:
+        concealed = read_frame(out, s.frame_index).luma
+        assert np.array_equal(concealed.luma, tr.concealed_frames[s.frame_index].luma)
+        assert psnr(concealed, ctx.originals[s.frame_index]) == s.value
+
+
+def test_traced_names_reach_the_decode_loop(seq64, tmp_path, monkeypatch):
+    """The benchmark's tracer wraps names on vidconceal.experiment and
+    vidconceal.cli; each must exist and the shared loops must call them."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracing.install_targets(tracer)
+    tracer.install()
+    try:
+        ctx = experiment.build_context(experiment.SequenceSpec("s", seq64, 64, 64, 4), search_p=3)
+        audited = len(experiment.run_trial(ctx, "ebmc", 0.25, 0, 5, measure_timing=False).audit_lines)
+        trial_stats, trial_counts, _ = tracer.take()
+        _, audit = _conceal(seq64, tmp_path, "ebmc", trial=0)
+        cli_stats, cli_counts, _ = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert audited == len(audit) - 1 == 12
+    for stats, counts in ((trial_stats, trial_counts), (cli_stats, cli_counts)):
+        assert counts["loss.mbs_lost"] == counts["engine.mbs_concealed.ebmc"] == audited
+        assert stats["yuv_io.read_frame"][0] == 4
+        assert stats["engine.conceal_frame"][0] == stats["motion.estimate_field"][0] == 3

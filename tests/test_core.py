@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from vidconceal.core import (
-    MB,
-    Frame,
-    MbAddress,
-    MbState,
-    MbStatusMap,
-    MotionVector,
-    extract_col,
-    extract_row,
-    sad,
-)
+from instances import damage, damaged_mbs, random_field, random_frame_pair
+from vidconceal.core import MB, Frame, MbAddress, MbState, MbStatusMap
+from vidconceal.engine import conceal_frame
 
 
 class TestFrame:
@@ -30,7 +22,7 @@ class TestFrame:
     def test_converts_int_arrays(self):
         f = Frame(np.arange(16).reshape(4, 4))
         assert f.luma.dtype == np.uint8
-        assert f.sample(3, 3) == 15
+        assert f.luma[3, 3] == 15
 
     def test_mb_grid_requires_multiple_of_16(self):
         with pytest.raises(ValueError):
@@ -49,93 +41,30 @@ class TestFrame:
         assert all(x % MB == 0 and y % MB == 0 for x, y in origins)
 
 
-class TestExtract:
-    def test_row_formula_frame(self, f4x4):
-        assert extract_row(f4x4, 0, 1, 4).tolist() == [4, 5, 6, 7]
-        assert extract_row(f4x4, 2, 0, 2).tolist() == [2, 3]
-
-    def test_row_out_of_bounds(self, f4x4):
-        with pytest.raises(IndexError):
-            extract_row(f4x4, 3, 0, 2)  # x0+len = 5 > 4
-        with pytest.raises(IndexError):
-            extract_row(f4x4, 0, 4, 1)
-        with pytest.raises(IndexError):
-            extract_row(f4x4, -1, 0, 2)
-
-    def test_col_formula_frame(self, f4x4):
-        assert extract_col(f4x4, 1, 0, 4).tolist() == [1, 5, 9, 13]
-        assert extract_col(f4x4, 0, 2, 2).tolist() == [8, 12]
-
-    def test_col_out_of_bounds(self, f4x4):
-        with pytest.raises(IndexError):
-            extract_col(f4x4, 0, 3, 2)
-        with pytest.raises(IndexError):
-            extract_col(f4x4, 4, 0, 1)
-
-    def test_write_then_extract_round_trip(self, rng):
-        arr = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
-        f = Frame(arr.copy())
-        row = rng.integers(0, 256, size=16, dtype=np.uint8)
-        f.luma[5, 3:19] = row
-        assert extract_row(f, 3, 5, 16).tolist() == row.tolist()
-
-    def test_extract_returns_copy(self, f4x4):
-        r = extract_row(f4x4, 0, 0, 4)
-        r[0] = 99
-        assert f4x4.sample(0, 0) == 0
-
-
-class TestSad:
-    def test_examples(self):
-        assert sad([10, 10, 10, 10], [10, 12, 10, 10]) == 2
-        assert sad([0, 255], [255, 0]) == 510
-
-    def test_identity(self, rng):
-        v = rng.integers(0, 256, size=16, dtype=np.uint8)
-        assert sad(v, v) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sad([1, 2, 3], [1, 2])
-
-    def test_symmetry_and_bound(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(1, 33))
-            a = rng.integers(0, 256, size=n, dtype=np.uint8)
-            b = rng.integers(0, 256, size=n, dtype=np.uint8)
-            s = sad(a, b)
-            assert s == sad(b, a)
-            assert 0 <= s <= 255 * n
-
-    def test_no_uint8_overflow(self):
-        assert sad([0] * 16, [255] * 16) == 16 * 255
-
-
 class TestMbStatusMap:
-    def test_transitions(self):
-        st = MbStatusMap.all_correct(3, 2)
-        mb = MbAddress(1, 1)
-        assert st.state_at(mb) == MbState.CORRECT
-        st.set_damaged(mb)
-        assert st.state_at(mb) == MbState.DAMAGED
-        assert st.mv_at(mb) is None
-        st.set_concealed(mb, MotionVector(2, -3))
-        assert st.state_at(mb) == MbState.CONCEALED
-        assert st.mv_at(mb) == MotionVector(2, -3)
+    def test_transitions(self, rng):
+        cur, ref = random_frame_pair(rng, 48, 32)
+        st = damage(MbStatusMap.all_correct(3, 2), MbAddress(1, 1))
+        assert st.state.tolist() == [[0, 0, 0], [0, 1, 0]]
+        out = conceal_frame(cur, ref, MbStatusMap.all_correct(3, 2), st, random_field(rng, 3, 2), None, "bma")
+        assert out.status.state.tolist() == [[0, 0, 0], [0, 2, 0]]
+        mv = out.audit[0].mv
+        assert (out.status.mv_x[1, 1], out.status.mv_y[1, 1]) == (mv.vx, mv.vy)
 
-    def test_correct_cannot_be_concealed(self):
+    def test_correct_cannot_be_concealed(self, rng):
+        # only damaged MBs are concealed; correct ones keep state and pixels
+        cur, ref = random_frame_pair(rng, 32, 32)
         st = MbStatusMap.all_correct(2, 2)
-        with pytest.raises(ValueError):
-            st.set_concealed(MbAddress(0, 0), MotionVector(0, 0))
+        out = conceal_frame(cur, ref, st.copy(), st, random_field(rng, 2, 2), None, "ebmc")
+        assert (out.status.state == MbState.CORRECT).all() and out.audit == []
+        assert np.array_equal(out.frame.luma, cur.luma)
 
     def test_damaged_iterates_raster(self):
-        st = MbStatusMap.all_correct(3, 3)
-        for mb in (MbAddress(2, 0), MbAddress(0, 1), MbAddress(1, 2)):
-            st.set_damaged(mb)
-        assert list(st.damaged()) == [MbAddress(2, 0), MbAddress(0, 1), MbAddress(1, 2)]
+        st = damage(MbStatusMap.all_correct(3, 3), MbAddress(1, 2), MbAddress(0, 1), MbAddress(2, 0))
+        assert damaged_mbs(st) == [MbAddress(2, 0), MbAddress(0, 1), MbAddress(1, 2)]
 
     def test_copy_is_independent(self):
         st = MbStatusMap.all_correct(2, 2)
         cp = st.copy()
-        st.set_damaged(MbAddress(0, 0))
-        assert cp.state_at(MbAddress(0, 0)) == MbState.CORRECT
+        damage(st, MbAddress(0, 0))
+        assert cp.state[0, 0] == MbState.CORRECT

@@ -3,6 +3,8 @@ import pytest
 
 import oracle
 from instances import (
+    conceal,
+    damage,
     pick_damaged,
     plain_concealed_mvs,
     plain_field,
@@ -37,7 +39,7 @@ def ctx_from(top=None, bottom=None, left=None, right=None):
 class TestNeighborContext:
     def test_damaged_neighbors_unavailable(self):
         st = MbStatusMap.all_correct(3, 3)
-        st.set_damaged(MbAddress(1, 0))
+        damage(st, MbAddress(1, 0))
         field = MvField.zeros(3, 3, 1)
         ctx = neighbor_context(st, field, MbAddress(1, 1))
         assert not ctx.sides[TOP].available
@@ -59,8 +61,7 @@ class TestNeighborContext:
 
     def test_concealed_neighbor_mv_from_status(self):
         st = MbStatusMap.all_correct(3, 3)
-        st.set_damaged(MbAddress(0, 1))
-        st.set_concealed(MbAddress(0, 1), MotionVector(-1, 3))
+        conceal(st, MbAddress(0, 1), MotionVector(-1, 3))
         field = MvField.zeros(3, 3, 1)
         field.set(MbAddress(0, 1), MotionVector(7, 7))  # transmitted MV was lost
         ctx = neighbor_context(st, field, MbAddress(1, 1))
@@ -142,11 +143,9 @@ class TestBuildCandidates:
                 continue
             ctx = neighbor_context(status, field, mb)
             cands = build_candidates(None, ctx, mb)
-            from vidconceal.core import neighbor_of
-
             for side in SIDES:
-                n = neighbor_of(mb, side, 4, 4)
-                if n is not None and status.state_at(n) == MbState.DAMAGED:
+                n = oracle.neighbor_cell(mb.col, mb.row, side.value, 4, 4)
+                if n is not None and status.state[n[1], n[0]] == MbState.DAMAGED:
                     # the lost transmitted MV must not appear via this side
                     assert not ctx.sides[side].available
 

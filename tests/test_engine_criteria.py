@@ -3,6 +3,8 @@ import pytest
 
 import oracle
 from instances import (
+    conceal,
+    damage,
     pick_damaged,
     plain_pixels,
     plain_status,
@@ -23,9 +25,9 @@ from vidconceal.core import (
     MotionVector,
 )
 from vidconceal.engine import (
+    BoundaryDistortion,
     NeighborContext,
     SideNeighbor,
-    bmc_total,
     neighbor_context,
     select_mv,
 )
@@ -103,7 +105,7 @@ class TestBoundaryBmc:
     def test_damaged_owner_makes_side_absent(self, rng):
         cur, ref = random_frame_pair(rng, 48, 48)
         st = MbStatusMap.all_correct(3, 3)
-        st.set_damaged(MbAddress(1, 0))  # top neighbor of (1,1)
+        damage(st, MbAddress(1, 0))  # top neighbor of (1,1)
         mb = MbAddress(1, 1)
         assert bmc(cur, ref, mb, MotionVector(0, 0), TOP, st) is None
         assert bmc(cur, ref, mb, MotionVector(0, 0), BOTTOM, st) is not None
@@ -111,8 +113,7 @@ class TestBoundaryBmc:
     def test_concealed_owner_keeps_side_present(self, rng):
         cur, ref = random_frame_pair(rng, 48, 48)
         st = MbStatusMap.all_correct(3, 3)
-        st.set_damaged(MbAddress(1, 0))
-        st.set_concealed(MbAddress(1, 0), MotionVector(1, 1))
+        conceal(st, MbAddress(1, 0), MotionVector(1, 1))
         assert bmc(cur, ref, MbAddress(1, 1), MotionVector(0, 0), TOP, st) is not None
 
     def test_matches_oracle(self, rng):
@@ -127,6 +128,11 @@ class TestBoundaryBmc:
                 else:
                     want = oracle.bmc_side(plain_pixels(cur), plain_pixels(ref), mb.col, mb.row, mv.vx, mv.vy, side.value)
                     assert got == want
+
+
+def bmc_total(side_values) -> int:
+    """classic_total of a breakdown with these classic values, in SIDES order."""
+    return BoundaryDistortion(dict(zip(SIDES, side_values)), {}, {}, 0).classic_total
 
 
 class TestBmcTotal:
@@ -181,8 +187,7 @@ class TestBoundaryPbmc:
         nmv = MotionVector(0, -7)
         ctx = NeighborContext({**ctx_all(MotionVector(0, 0)).sides, TOP: SideNeighbor(True, nmv, MbState.CORRECT)})
         assert pbmc(ref, st, mb, MotionVector(0, 0), TOP, ctx) is not None
-        st.set_damaged(MbAddress(1, 0))
-        st.set_concealed(MbAddress(1, 0), MotionVector(0, 0))
+        conceal(st, MbAddress(1, 0), MotionVector(0, 0))
         assert pbmc(ref, st, mb, MotionVector(0, 0), TOP, ctx) is None
 
     def test_any_of_two_spanned_cells_concealed_is_enough(self, rng):
@@ -193,8 +198,7 @@ class TestBoundaryPbmc:
         ctx = NeighborContext({**ctx_all(MotionVector(0, 0)).sides, TOP: SideNeighbor(True, nmv, MbState.CORRECT)})
         for concealed_col in (1, 2):
             st = MbStatusMap.all_correct(4, 4)
-            st.set_damaged(MbAddress(concealed_col, 0))
-            st.set_concealed(MbAddress(concealed_col, 0), MotionVector(0, 0))
+            conceal(st, MbAddress(concealed_col, 0), MotionVector(0, 0))
             assert pbmc(ref, st, mb, MotionVector(0, 0), TOP, ctx) is None
 
     def test_segment_outside_reference_absent(self, rng):
@@ -244,8 +248,7 @@ class TestEbmcTotal:
         for side in SIDES:
             sides[side] = SideNeighbor(True, nmv[side], MbState.CORRECT)
         for cell in (MbAddress(1, 0), MbAddress(1, 2), MbAddress(0, 1), MbAddress(2, 1)):
-            ref_status.set_damaged(cell)
-            ref_status.set_concealed(cell, MotionVector(0, 0))
+            conceal(ref_status, cell, MotionVector(0, 0))
         ctx = NeighborContext(sides)
         mv = MotionVector(2, 1)
         d = ebmc(cur, ref, ref_status, mb, mv, ctx)
@@ -278,8 +281,7 @@ class TestEbmcTotal:
         assert d_normal.total == 0  # additional boundaries match exactly
 
         tainted = MbStatusMap.all_correct(4, 4)
-        tainted.set_damaged(mb)
-        tainted.set_concealed(mb, MotionVector(0, 0))
+        conceal(tainted, mb, MotionVector(0, 0))
         d = ebmc(cur, ref, tainted, mb, mv, ctx)
         assert d.collocated_fallback
         assert all(d.proposed[s] is None for s in SIDES)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instances import damage, damaged_mbs
 from vidconceal.core import MB, Frame, MbAddress, MbState, MbStatusMap
 from vidconceal.experiment import blank_damaged
-from vidconceal.loss import LossMask, TrialConfig, apply_mask, load_masks, make_mask, save_masks
+from vidconceal.loss import LossMask, TrialConfig, apply_mask, make_mask
 
 
 class TestMakeMask:
@@ -54,45 +55,28 @@ class TestMakeMask:
 class TestApplyMask:
     def test_empty_mask_all_correct(self):
         st = apply_mask(MbStatusMap.all_correct(4, 4), LossMask(1, frozenset()))
-        assert st.count(MbState.CORRECT) == 16
+        assert (st.state == MbState.CORRECT).sum() == 16
 
     def test_full_mask_all_damaged(self):
         full = frozenset(MbAddress(c, r) for c in range(4) for r in range(4))
         st = apply_mask(MbStatusMap.all_correct(4, 4), LossMask(1, full))
-        assert st.count(MbState.DAMAGED) == 16
+        assert (st.state == MbState.DAMAGED).sum() == 16
 
     def test_damaged_count_matches_mask(self):
         mask = make_mask(1, 8, 8, TrialConfig(0.3, seed=11))
         st = apply_mask(MbStatusMap.all_correct(8, 8), mask)
-        assert st.count(MbState.DAMAGED) == len(mask.lost)
-        assert set(st.damaged()) == set(mask.lost)
+        assert (st.state == MbState.DAMAGED).sum() == len(mask.lost)
+        assert set(damaged_mbs(st)) == set(mask.lost)
 
     def test_prior_state_ignored(self):
-        st = MbStatusMap.all_correct(2, 2)
-        st.set_damaged(MbAddress(0, 0))
+        st = damage(MbStatusMap.all_correct(2, 2), MbAddress(0, 0))
         out = apply_mask(st, LossMask(1, frozenset({MbAddress(1, 1)})))
-        assert out.state_at(MbAddress(0, 0)) == MbState.CORRECT
-        assert out.state_at(MbAddress(1, 1)) == MbState.DAMAGED
+        assert out.state[0, 0] == MbState.CORRECT
+        assert out.state[1, 1] == MbState.DAMAGED
 
     def test_out_of_grid_rejected(self):
         with pytest.raises(ValueError):
             apply_mask(MbStatusMap.all_correct(2, 2), LossMask(1, frozenset({MbAddress(5, 0)})))
-
-
-class TestMaskSerialization:
-    def test_round_trip(self, tmp_path):
-        cfg = TrialConfig(0.25, seed=42)
-        masks = [make_mask(t, 6, 5, cfg) for t in range(1, 4)]
-        path = tmp_path / "masks.txt"
-        save_masks(masks, str(path))
-        loaded = load_masks(str(path))
-        for m in masks:
-            assert loaded[m.frame_index].lost == m.lost
-
-    def test_line_format(self, tmp_path):
-        path = tmp_path / "m.txt"
-        save_masks([LossMask(2, frozenset({MbAddress(3, 1), MbAddress(0, 0)}))], str(path))
-        assert path.read_text() == "2 0 0\n2 3 1\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,11 +101,11 @@ def _apply_and_blank_per_mb(luma, cols, rows, lost):
     their reference: (status grid, blanked plane)."""
     status = MbStatusMap.all_correct(cols, rows)
     for mb in lost:
-        if not status.in_grid(mb):
+        if not (0 <= mb.col < cols and 0 <= mb.row < rows):
             raise ValueError(f"mask entry {mb} outside the grid")
-        status.set_damaged(mb)
+        damage(status, mb)
     out = luma.copy()
-    for mb in status.damaged():
+    for mb in lost:
         i, j = mb.origin()
         out[j : j + MB, i : i + MB] = 0
     return status.state, out

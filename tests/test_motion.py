@@ -278,5 +278,3 @@ class TestMvFieldCsv:
 def test_search_params_validation():
     with pytest.raises(ValueError):
         SearchParams(p=-1)
-    with pytest.raises(ValueError):
-        SearchParams(block=8)

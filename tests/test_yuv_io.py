@@ -9,13 +9,21 @@ from vidconceal.yuv_io import (
     gray_chroma,
     open_sequence,
     read_frame,
-    read_pgm,
     write_pgm,
     write_yuv_frame,
 )
 
 QW, QH = 176, 144
 QFRAME = QW * QH * 3 // 2  # 38016
+
+
+def read_pgm(path) -> Frame:
+    """Read back a binary PGM written by write_pgm."""
+    with open(path, "rb") as f:
+        assert f.readline() == b"P5\n"
+        w, h = (int(v) for v in f.readline().split())
+        assert f.readline() == b"255\n"
+        return Frame(np.frombuffer(f.read(), dtype=np.uint8).reshape(h, w))
 
 
 def make_yuv(path, width, height, frames, rng):
@@ -62,9 +70,9 @@ class TestReadFrame:
         data = make_yuv(p, QW, QH, 2, rng)
         hdr = open_sequence(str(p), QW, QH)
         rec = read_frame(hdr, 0)
-        assert rec.luma.sample(0, 0) == data[0]  # first byte is f(0,0)
-        assert rec.luma.sample(1, 0) == data[1]
-        assert rec.luma.sample(0, 1) == data[QW]
+        assert rec.luma.luma[0, 0] == data[0]  # first byte is f(0,0)
+        assert rec.luma.luma[0, 1] == data[1]
+        assert rec.luma.luma[1, 0] == data[QW]
         ny = QW * QH
         nc = (QW // 2) * (QH // 2)
         assert rec.chroma_u == data[ny : ny + nc].tobytes()
@@ -75,7 +83,7 @@ class TestReadFrame:
         data = make_yuv(p, QW, QH, 3, rng)
         hdr = open_sequence(str(p), QW, QH)
         for k in range(3):
-            assert read_frame(hdr, k).luma.sample(0, 0) == data[k * QFRAME]
+            assert read_frame(hdr, k).luma.luma[0, 0] == data[k * QFRAME]
 
     def test_index_out_of_range(self, tmp_path, rng):
         p = tmp_path / "q1.yuv"
