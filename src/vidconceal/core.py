@@ -113,9 +113,6 @@ class Frame:
                 f"{self.width}x{self.height} frame is not a multiple of {MB}x{MB}"
             )
 
-    def copy(self) -> "Frame":
-        return Frame(self.luma.copy())
-
 
 @dataclass
 class MbStatusMap:

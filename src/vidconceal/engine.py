@@ -32,7 +32,9 @@ been rebuilt. The schedule keeps one heap of raster indices per priority
 is its number of available sides, which the audit records as its priority.
 Per MB the loop does only what its mode needs: ``tr`` reads no neighbor
 context, and the concealed state and vector go straight into the status
-grids.
+grids. Each concealed MB leaves one flat audit record: its vector, its
+priority and the total, classic total and absent sides of its score, copied
+once from the scorer's breakdown.
 """
 
 from __future__ import annotations
@@ -169,21 +171,14 @@ class BoundaryDistortion:
     proposed: dict[BoundarySide, int | None]
     chosen: dict[BoundarySide, int | None]
     total: int
+    classic_total: int  # sum of the classic distortions that are present
+    sides_absent: int  # sides with no distortion in ``chosen``
     collocated_fallback: bool = False
-
-    @property
-    def sides_absent(self) -> int:
-        return sum(1 for v in self.chosen.values() if v is None)
-
-    @property
-    def classic_total(self) -> int:
-        """Sum of the classic distortions of the sides that are present."""
-        return sum(v for v in self.classic.values() if v is not None)
 
     @classmethod
     def empty(cls) -> "BoundaryDistortion":
         absent: dict[BoundarySide, int | None] = {side: None for side in SIDES}
-        return cls(dict(absent), dict(absent), dict(absent), 0)
+        return cls(dict(absent), dict(absent), dict(absent), 0, 0, 4)
 
 
 def _start(shape: tuple[int, int], x: int, y: int, k: int, screen: np.ndarray | None = None) -> int | None:
@@ -308,7 +303,10 @@ def select_mv(
         {side: v if p else None for side, v, p in zip(SIDES, row, flags)}
         for row, flags in zip((side_sads[0], side_sads[-1], per_side[best].tolist()), (outer, addl, scored))
     )
-    dist = BoundaryDistortion(classic, proposed, chosen, int(totals[best]), fallback)
+    classic_total = sum(v for v, p in zip(side_sads[0], outer) if p)
+    dist = BoundaryDistortion(
+        classic, proposed, chosen, int(totals[best]), classic_total, scored.count(False), fallback
+    )
     return kept[best], dist
 
 
@@ -426,25 +424,17 @@ class PrioritySchedule:
 
 @dataclass
 class AuditRecord:
-    """One concealment event: which MB, with what vector, at what cost."""
+    """One concealment event: which MB, with what vector, at what cost.
+    Modes that do not score record a total and classic total of -1 and
+    four absent sides."""
 
     mb: MbAddress
     mode: str
     mv: MotionVector
     priority: int
-    distortion: BoundaryDistortion | None  # None for modes that do not score
-
-    @property
-    def total(self) -> int:
-        return self.distortion.total if self.distortion is not None else -1
-
-    @property
-    def classic_total(self) -> int:
-        return self.distortion.classic_total if self.distortion is not None else -1
-
-    @property
-    def sides_absent(self) -> int:
-        return self.distortion.sides_absent if self.distortion is not None else 4
+    total: int
+    classic_total: int
+    sides_absent: int
 
 
 @dataclass
@@ -501,7 +491,7 @@ def conceal_frame(
         mb = sched.extract()
         if mb is None:
             break
-        dist: BoundaryDistortion | None = None
+        total, classic_total, sides_absent = -1, -1, 4
         if mode == "tr":
             mv = ZERO_MV
         else:
@@ -509,6 +499,7 @@ def conceal_frame(
             if scored:
                 candidates = build_candidates(prev_mv_field, ctx, mb)
                 mv, dist = select_mv(out_frame, ref_frame, ref_status, mb, candidates, ctx, mode)
+                total, classic_total, sides_absent = dist.total, dist.classic_total, dist.sides_absent
             else:
                 mvs = ctx.available_mvs()
                 mv = (mean_mv(mvs) if mode == "avg" else median_mv(mvs)) if mvs else ZERO_MV
@@ -522,7 +513,7 @@ def conceal_frame(
         mv_x[row, col] = vx
         mv_y[row, col] = vy
         sched.on_concealed(mb)
-        audit.append(AuditRecord(mb, mode, mv, sched.last_count, dist))
+        audit.append(AuditRecord(mb, mode, mv, sched.last_count, total, classic_total, sides_absent))
 
     return ConcealedFrame(out_frame, st, audit)
 

@@ -79,8 +79,13 @@ class ExperimentSpec:
                 raise ValueError(f"rates {tags[tag]!r} and {rate!r} share the file-name tag r{tag}")
             tags[tag] = rate
         for seq in self.sequences:
-            if seq.frame_budget() < 2:
+            budget = seq.frame_budget()
+            if budget < 2:
                 raise ValueError(f"sequence {seq.name}: need at least 2 frames")
+            # stills are written for these frame indices of every sequence
+            for t in self.dump_frames:
+                if not 0 <= t < budget:
+                    raise ValueError(f"dump_frames index {t} outside sequence {seq.name}'s {budget} frames")
         # the file names carry the sequence name and the mode as well
         for what, names in (("sequence name", [s.name for s in self.sequences]), ("mode", self.modes)):
             repeated = sorted({n for n in names if names.count(n) > 1})
@@ -269,12 +274,6 @@ class ReportRow:
 class ExperimentReport:
     rows: list[ReportRow]
 
-    def row(self, sequence: str, mode: str, rate: float) -> ReportRow:
-        for r in self.rows:
-            if r.sequence == sequence and r.mode == mode and abs(r.rate - rate) < 1e-12:
-                return r
-        raise KeyError((sequence, mode, rate))
-
 
 def aggregate(trials: list[TrialResult]) -> ReportRow:
     """Collapse the trials of one (sequence, mode, rate) cell: mean over
@@ -340,10 +339,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> ExperimentReport:
     rows: list[ReportRow] = []
     for seq in spec.sequences:
         ctx = build_context(seq, spec.search_p)
-        if dump:
-            for t in dump:
-                if 0 <= t < len(ctx.originals):
-                    write_pgm(ctx.originals[t], os.path.join(out_dir, "frames", f"{seq.name}_f{t:03d}_original.pgm"))
+        for t in dump:
+            write_pgm(ctx.originals[t], os.path.join(out_dir, "frames", f"{seq.name}_f{t:03d}_original.pgm"))
         for mode in spec.modes:
             for rate in spec.rates:
                 cell: list[TrialResult] = []

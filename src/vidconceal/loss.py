@@ -5,6 +5,9 @@ replacement) rather than per-MB Bernoulli, which keeps trial variance down.
 A lost MB loses both its pixels and its motion vector. Frame 0 is treated as
 intra/error-free and never receives losses.
 
+A mask lists its lost MBs as sorted raster indices ``row * cols + col``,
+the order in which the status grid is laid out.
+
 The PRNG is NumPy's PCG64 keyed on (seed, trial_index, frame_index), a fixed
 algorithm rather than any platform default, so masks are reproducible across
 runs for a given NumPy version.
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MbAddress, MbState, MbStatusMap
+from .core import MbState, MbStatusMap
 
 _U64 = (1 << 64) - 1
 
@@ -37,7 +40,7 @@ class TrialConfig:
 @dataclass(frozen=True)
 class LossMask:
     frame_index: int
-    lost: frozenset[MbAddress]
+    lost: np.ndarray  # sorted int raster indices row * cols + col
 
 
 def make_mask(frame_index: int, mb_cols: int, mb_rows: int, cfg: TrialConfig) -> LossMask:
@@ -48,24 +51,19 @@ def make_mask(frame_index: int, mb_cols: int, mb_rows: int, cfg: TrialConfig) ->
     total = mb_cols * mb_rows
     count = round(cfg.rate * total)
     if frame_index == 0 or count == 0:
-        return LossMask(frame_index, frozenset())
+        return LossMask(frame_index, np.empty(0, dtype=np.int64))
     key = np.random.SeedSequence([cfg.seed & _U64, cfg.trial_index, frame_index])
     rng = np.random.Generator(np.random.PCG64(key))
     picks = rng.choice(total, size=count, replace=False)
-    return LossMask(
-        frame_index,
-        frozenset(MbAddress(k % mb_cols, k // mb_cols) for k in picks.tolist()),
-    )
+    return LossMask(frame_index, np.sort(picks))
 
 
 def apply_mask(status: MbStatusMap, mask: LossMask) -> MbStatusMap:
     """Fresh status map: masked MBs Damaged, everything else Correct."""
     out = MbStatusMap.all_correct(status.mb_cols, status.mb_rows)
-    cols, rows = out.mb_cols, out.mb_rows
-    for col, row in mask.lost:
-        if not (0 <= col < cols and 0 <= row < rows):
-            raise ValueError(f"mask entry {MbAddress(col, row)} outside {cols}x{rows} grid")
-    if mask.lost:
-        lost_cols, lost_rows = zip(*mask.lost)
-        out.state[lost_rows, lost_cols] = MbState.DAMAGED
+    lost = mask.lost
+    bad = lost[(lost < 0) | (lost >= out.state.size)]
+    if bad.size:
+        raise ValueError(f"mask entry {bad[0]} outside {out.mb_cols}x{out.mb_rows} grid")
+    out.state.put(lost, MbState.DAMAGED)
     return out

@@ -45,14 +45,6 @@ class MvField:
         if self.vx.shape != self.vy.shape or self.vx.ndim != 2:
             raise ValueError("vx/vy must be 2-D grids of equal shape")
 
-    @classmethod
-    def zeros(cls, mb_cols: int, mb_rows: int, frame_index: int) -> "MvField":
-        return cls(
-            frame_index,
-            np.zeros((mb_rows, mb_cols), dtype=np.int16),
-            np.zeros((mb_rows, mb_cols), dtype=np.int16),
-        )
-
     @property
     def mb_cols(self) -> int:
         return self.vx.shape[1]
@@ -63,10 +55,6 @@ class MvField:
 
     def mv_at(self, mb: MbAddress) -> MotionVector:
         return MotionVector(self.vx.item(mb.row, mb.col), self.vy.item(mb.row, mb.col))
-
-    def set(self, mb: MbAddress, mv: MotionVector) -> None:
-        self.vx[mb.row, mb.col] = mv.vx
-        self.vy[mb.row, mb.col] = mv.vy
 
 
 def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams(), frame_index: int = 1) -> MvField:
@@ -119,41 +107,11 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
 
 
 def save_mv_fields(fields: Iterable[MvField], path: str) -> None:
-    """CSV serialization: one line per MB in raster order per frame."""
+    """CSV serialization: one line per MB in raster order per frame. The
+    package writes this file but never reads it back."""
     with open(path, "w", newline="") as f:
         f.write("frame_index,mb_col,mb_row,vx,vy\n")
         for fld in fields:
-            for row in range(fld.mb_rows):
-                for col in range(fld.mb_cols):
-                    mv = fld.mv_at(MbAddress(col, row))
-                    f.write(f"{fld.frame_index},{col},{row},{mv.vx},{mv.vy}\n")
-
-
-def load_mv_fields(path: str) -> dict[int, MvField]:
-    """Inverse of save_mv_fields, keyed by frame index."""
-    cells: dict[int, list[tuple[int, int, int, int]]] = {}
-    with open(path) as f:
-        header = f.readline()
-        if not header.startswith("frame_index"):
-            raise ValueError(f"{path}: missing header line")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            t, col, row, vx, vy = (int(v) for v in line.split(","))
-            cells.setdefault(t, []).append((col, row, vx, vy))
-    fields: dict[int, MvField] = {}
-    for t, entries in cells.items():
-        if any(col < 0 or row < 0 for col, row, _, _ in entries):
-            raise ValueError(f"{path}: frame {t} has a negative MB index")
-        if len({(col, row) for col, row, _, _ in entries}) != len(entries):
-            raise ValueError(f"{path}: frame {t} lists an MB more than once")
-        cols = max(e[0] for e in entries) + 1
-        rows = max(e[1] for e in entries) + 1
-        if len(entries) != cols * rows:
-            raise ValueError(f"{path}: frame {t} has an incomplete MB grid")
-        fld = MvField.zeros(cols, rows, t)
-        for col, row, vx, vy in entries:
-            fld.set(MbAddress(col, row), MotionVector(vx, vy))
-        fields[t] = fld
-    return fields
+            for row, (xs, ys) in enumerate(zip(fld.vx.tolist(), fld.vy.tolist())):
+                for col, (vx, vy) in enumerate(zip(xs, ys)):
+                    f.write(f"{fld.frame_index},{col},{row},{vx},{vy}\n")

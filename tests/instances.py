@@ -67,6 +67,30 @@ def random_field(rng, mb_cols, mb_rows, span=7, frame_index=1) -> MvField:
     )
 
 
+def zero_field(mb_cols, mb_rows, frame_index=1, mvs=None) -> MvField:
+    """Field of zero vectors except the MbAddress -> MotionVector entries
+    of ``mvs``."""
+    field = MvField(frame_index, np.zeros((mb_rows, mb_cols)), np.zeros((mb_rows, mb_cols)))
+    for mb, mv in (mvs or {}).items():
+        field.vx[mb.row, mb.col], field.vy[mb.row, mb.col] = mv
+    return field
+
+
+def read_mv_csv(path) -> dict[int, MvField]:
+    """The fields of a motion.save_mv_fields CSV, keyed by frame index."""
+    with open(path) as f:
+        assert f.readline() == "frame_index,mb_col,mb_row,vx,vy\n"
+        lines = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2)
+    fields = {}
+    for t in dict.fromkeys(lines[:, 0].tolist()):
+        _, col, row, vx, vy = lines[lines[:, 0] == t].T
+        field = zero_field(col.max() + 1, row.max() + 1, t)
+        assert len(col) == field.vx.size
+        field.vx[row, col], field.vy[row, col] = vx, vy
+        fields[t] = field
+    return fields
+
+
 def random_inbounds_mv(rng, frame: Frame, mb: MbAddress, span=7) -> MotionVector:
     """Candidate vector whose displaced block stays inside the frame."""
     i, j = mb.origin()

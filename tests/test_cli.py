@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from instances import read_mv_csv
 from vidconceal import experiment
 from vidconceal.cli import main
 from vidconceal.engine import MODES
 from vidconceal.metrics import psnr
-from vidconceal.motion import load_mv_fields
 from vidconceal.synth import make_sequence, write_i420
 from vidconceal.yuv_io import open_sequence, read_frame
 
@@ -27,7 +27,7 @@ def test_estimate_writes_fields(seq64, tmp_path, capsys):
     out = tmp_path / "mv.csv"
     rc = main(["estimate", "--in", seq64, "--width", "64", "--height", "64", "--out", str(out)])
     assert rc == 0
-    fields = load_mv_fields(str(out))
+    fields = read_mv_csv(str(out))
     assert sorted(fields) == [1, 2, 3]
     assert fields[1].mb_cols == 4 and fields[1].mb_rows == 4
     assert "3 MV fields" in capsys.readouterr().out
@@ -37,7 +37,7 @@ def test_estimate_equals_build_context_fields(seq64, tmp_path):
     out = tmp_path / "mv.csv"
     main(["estimate", "--in", seq64, "--width", "64", "--height", "64", "--out", str(out), "--p", "3"])
     ctx = experiment.build_context(experiment.SequenceSpec("s", seq64, 64, 64, 4), search_p=3)
-    fields = load_mv_fields(str(out))
+    fields = read_mv_csv(str(out))
     assert ctx.fields[0] is None and sorted(fields) == [1, 2, 3]
     for t in fields:
         assert np.array_equal(fields[t].vx, ctx.fields[t].vx) and np.array_equal(fields[t].vy, ctx.fields[t].vy)

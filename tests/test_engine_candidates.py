@@ -11,6 +11,7 @@ from instances import (
     plain_status,
     random_field,
     random_status,
+    zero_field,
 )
 from vidconceal.core import SIDES, BoundarySide, MbAddress, MbState, MbStatusMap, MotionVector
 from vidconceal.engine import (
@@ -21,7 +22,6 @@ from vidconceal.engine import (
     median_mv,
     neighbor_context,
 )
-from vidconceal.motion import MvField
 
 TOP, BOTTOM, LEFT, RIGHT = SIDES
 
@@ -40,30 +40,28 @@ class TestNeighborContext:
     def test_damaged_neighbors_unavailable(self):
         st = MbStatusMap.all_correct(3, 3)
         damage(st, MbAddress(1, 0))
-        field = MvField.zeros(3, 3, 1)
+        field = zero_field(3, 3)
         ctx = neighbor_context(st, field, MbAddress(1, 1))
         assert not ctx.sides[TOP].available
         assert ctx.sides[BOTTOM].available
 
     def test_frame_edge_unavailable(self):
         st = MbStatusMap.all_correct(3, 3)
-        ctx = neighbor_context(st, MvField.zeros(3, 3, 1), MbAddress(0, 0))
+        ctx = neighbor_context(st, zero_field(3, 3), MbAddress(0, 0))
         assert not ctx.sides[TOP].available
         assert not ctx.sides[LEFT].available
         assert ctx.sides[BOTTOM].available and ctx.sides[RIGHT].available
 
     def test_correct_neighbor_mv_from_field(self):
         st = MbStatusMap.all_correct(3, 3)
-        field = MvField.zeros(3, 3, 1)
-        field.set(MbAddress(1, 0), MotionVector(4, -2))
+        field = zero_field(3, 3, mvs={MbAddress(1, 0): MotionVector(4, -2)})
         ctx = neighbor_context(st, field, MbAddress(1, 1))
         assert ctx.sides[TOP] == SideNeighbor(True, MotionVector(4, -2), MbState.CORRECT)
 
     def test_concealed_neighbor_mv_from_status(self):
         st = MbStatusMap.all_correct(3, 3)
         conceal(st, MbAddress(0, 1), MotionVector(-1, 3))
-        field = MvField.zeros(3, 3, 1)
-        field.set(MbAddress(0, 1), MotionVector(7, 7))  # transmitted MV was lost
+        field = zero_field(3, 3, mvs={MbAddress(0, 1): MotionVector(7, 7)})  # transmitted MV was lost
         ctx = neighbor_context(st, field, MbAddress(1, 1))
         assert ctx.sides[LEFT] == SideNeighbor(True, MotionVector(-1, 3), MbState.CONCEALED)
 
@@ -106,8 +104,7 @@ class TestBuildCandidates:
         # top and left known as (1,0); bottom/right damaged; collocated (2,1);
         # mean and median both collapse into (1,0)
         ctx = ctx_from(top=(1, 0), left=(1, 0))
-        prev = MvField.zeros(3, 3, 1)
-        prev.set(MbAddress(1, 1), MotionVector(2, 1))
+        prev = zero_field(3, 3, mvs={MbAddress(1, 1): MotionVector(2, 1)})
         got = build_candidates(prev, ctx, MbAddress(1, 1))
         assert got == [MotionVector(0, 0), MotionVector(2, 1), MotionVector(1, 0)]
 
@@ -121,8 +118,7 @@ class TestBuildCandidates:
 
     def test_full_order(self):
         ctx = ctx_from(top=(1, 1), bottom=(2, 2), left=(3, 3), right=(4, 4))
-        prev = MvField.zeros(3, 3, 1)
-        prev.set(MbAddress(1, 1), MotionVector(-5, -5))
+        prev = zero_field(3, 3, mvs={MbAddress(1, 1): MotionVector(-5, -5)})
         got = build_candidates(prev, ctx, MbAddress(1, 1))
         # mean of the four: (2.5, 2.5) -> (3, 3) dedups into left; median same
         assert got == [

@@ -15,6 +15,7 @@ from instances import (
     random_field,
     random_frame_pair,
     random_status,
+    zero_field,
 )
 from vidconceal.core import (
     MB,
@@ -27,7 +28,6 @@ from vidconceal.core import (
 )
 from vidconceal.engine import (
     MODES,
-    BoundaryDistortion,
     NeighborContext,
     PrioritySchedule,
     SideNeighbor,
@@ -38,7 +38,7 @@ from vidconceal.engine import (
     neighbor_context,
     select_mv,
 )
-from vidconceal.motion import MvField, estimate_field
+from vidconceal.motion import estimate_field
 
 TOP, BOTTOM, LEFT, RIGHT = SIDES
 
@@ -97,7 +97,7 @@ class TestSelectMv:
         f = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
         st = MbStatusMap.all_correct(4, 4)
         mb = MbAddress(1, 1)
-        ctx = neighbor_context(st, MvField.zeros(4, 4, 1), mb)
+        ctx = neighbor_context(st, zero_field(4, 4), mb)
         mv, dist = select_mv(f, f, st, mb, [MotionVector(0, 0), MotionVector(2, 1)], ctx, "ebmc")
         assert mv == MotionVector(0, 0)
         assert dist.total == 0  # additional boundaries coincide exactly
@@ -106,7 +106,7 @@ class TestSelectMv:
         f = Frame(np.full((64, 64), 200, dtype=np.uint8))
         st = MbStatusMap.all_correct(4, 4)
         mb = MbAddress(1, 1)
-        ctx = neighbor_context(st, MvField.zeros(4, 4, 1), mb)
+        ctx = neighbor_context(st, zero_field(4, 4), mb)
         mv, dist = select_mv(f, f, st, mb, [MotionVector(0, 0), MotionVector(2, 1)], ctx, "bma")
         assert mv == MotionVector(0, 0)
         assert dist.total == 0
@@ -115,7 +115,7 @@ class TestSelectMv:
         f = Frame(np.full((64, 64), 80, dtype=np.uint8))
         st = MbStatusMap.all_correct(4, 4)
         mb = MbAddress(1, 1)
-        ctx = neighbor_context(st, MvField.zeros(4, 4, 1), mb)
+        ctx = neighbor_context(st, zero_field(4, 4), mb)
         # flat content: every candidate scores 0, so list order decides
         mv, _ = select_mv(f, f, st, mb, [MotionVector(1, 0), MotionVector(0, 0)], ctx, "bma")
         assert mv == MotionVector(1, 0)
@@ -124,7 +124,7 @@ class TestSelectMv:
         cur, ref = random_frame_pair(rng, 64, 64)
         st = MbStatusMap.all_correct(4, 4)
         mb = MbAddress(0, 0)
-        ctx = neighbor_context(st, MvField.zeros(4, 4, 1), mb)
+        ctx = neighbor_context(st, zero_field(4, 4), mb)
         mv, _ = select_mv(cur, ref, st, mb, [MotionVector(-3, -3), MotionVector(1, 1)], ctx, "bma")
         assert mv == MotionVector(1, 1)
 
@@ -132,7 +132,7 @@ class TestSelectMv:
         cur, ref = random_frame_pair(rng, 64, 64)
         st = MbStatusMap.all_correct(4, 4)
         mb = MbAddress(0, 0)
-        ctx = neighbor_context(st, MvField.zeros(4, 4, 1), mb)
+        ctx = neighbor_context(st, zero_field(4, 4), mb)
         mv, dist = select_mv(cur, ref, st, mb, [MotionVector(-3, -3)], ctx, "ebmc")
         assert mv == MotionVector(0, 0)
         assert dist.sides_absent == 4 and dist.total == 0
@@ -140,7 +140,7 @@ class TestSelectMv:
     def test_mode_validation(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
         st = MbStatusMap.all_correct(4, 4)
-        ctx = neighbor_context(st, MvField.zeros(4, 4, 1), MbAddress(0, 0))
+        ctx = neighbor_context(st, zero_field(4, 4), MbAddress(0, 0))
         with pytest.raises(ValueError):
             select_mv(cur, ref, st, MbAddress(0, 0), [MotionVector(0, 0)], ctx, "tr")
 
@@ -280,7 +280,7 @@ class TestConcealFrame:
     def test_no_damage_is_identity(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
         st = MbStatusMap.all_correct(4, 4)
-        out = conceal_frame(cur, ref, st.copy(), st, MvField.zeros(4, 4, 1), None, "ebmc")
+        out = conceal_frame(cur, ref, st.copy(), st, zero_field(4, 4), None, "ebmc")
         assert np.array_equal(out.frame.luma, cur.luma)
         assert out.audit == []
 
@@ -289,12 +289,12 @@ class TestConcealFrame:
         f = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
         lost = [MbAddress(0, 0), MbAddress(1, 1), MbAddress(2, 1), MbAddress(3, 3)]
         st = damaged_map(4, 4, lost)
-        damaged = f.copy()
+        damaged = Frame(f.luma.copy())
         for mb in lost:
             i, j = mb.origin()
             damaged.luma[j : j + MB, i : i + MB] = 0
         out = conceal_frame(
-            damaged, f, MbStatusMap.all_correct(4, 4), st, MvField.zeros(4, 4, 1), MvField.zeros(4, 4, 1), mode
+            damaged, f, MbStatusMap.all_correct(4, 4), st, zero_field(4, 4), zero_field(4, 4), mode
         )
         assert np.array_equal(out.frame.luma, f.luma)
 
@@ -304,7 +304,7 @@ class TestConcealFrame:
         mb = MbAddress(2, 2)
         assert field.mv_at(mb) == MotionVector(3, 2)
         st = damaged_map(6, 6, [mb])
-        damaged = cur.copy()
+        damaged = Frame(cur.luma.copy())
         i, j = mb.origin()
         damaged.luma[j : j + MB, i : i + MB] = 0
         out = conceal_frame(damaged, ref, MbStatusMap.all_correct(6, 6), st, field, None, "ebmc")
@@ -360,12 +360,13 @@ class TestConcealFrame:
 
     def test_avg_and_median_use_neighbor_mvs_directly(self, rng):
         cur, ref = random_frame_pair(rng, 96, 96)
-        field = MvField.zeros(6, 6, 1)
+        field = zero_field(6, 6, mvs={
+            MbAddress(2, 1): MotionVector(2, 0),  # top
+            MbAddress(2, 3): MotionVector(4, 0),  # bottom
+            MbAddress(1, 2): MotionVector(6, 2),  # left
+            MbAddress(3, 2): MotionVector(1, 1),  # right
+        })
         mb = MbAddress(2, 2)
-        field.set(MbAddress(2, 1), MotionVector(2, 0))  # top
-        field.set(MbAddress(2, 3), MotionVector(4, 0))  # bottom
-        field.set(MbAddress(1, 2), MotionVector(6, 2))  # left
-        field.set(MbAddress(3, 2), MotionVector(1, 1))  # right
         st = damaged_map(6, 6, [mb])
         out_avg = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st.copy(), field, None, "avg")
         # mean: ((2+4+6+1)/4, (0+0+2+1)/4) = (3.25, 0.75) -> (3, 1)
@@ -376,9 +377,10 @@ class TestConcealFrame:
 
     def test_avg_clamps_out_of_frame_vector(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
-        field = MvField.zeros(4, 4, 1)
-        field.set(MbAddress(1, 0), MotionVector(-7, -7))  # right neighbor of (0,0)
-        field.set(MbAddress(0, 1), MotionVector(-7, -7))  # bottom neighbor
+        field = zero_field(4, 4, mvs={
+            MbAddress(1, 0): MotionVector(-7, -7),  # right neighbor of (0,0)
+            MbAddress(0, 1): MotionVector(-7, -7),  # bottom neighbor
+        })
         mb = MbAddress(0, 0)
         st = damaged_map(4, 4, [mb])
         out = conceal_frame(cur, ref, MbStatusMap.all_correct(4, 4), st, field, None, "avg")
@@ -387,7 +389,7 @@ class TestConcealFrame:
     def test_audit_csv_shape(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
         st = damaged_map(4, 4, [MbAddress(1, 2)])
-        out = conceal_frame(cur, ref, MbStatusMap.all_correct(4, 4), st, MvField.zeros(4, 4, 1), None, "ebmc")
+        out = conceal_frame(cur, ref, MbStatusMap.all_correct(4, 4), st, zero_field(4, 4), None, "ebmc")
         assert audit_csv_header() == "frame,mb_col,mb_row,mode,vx,vy,total,bmc_total,sides_absent"
         line = audit_csv_line(7, out.audit[0])
         parts = line.split(",")

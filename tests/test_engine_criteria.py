@@ -25,7 +25,6 @@ from vidconceal.core import (
     MotionVector,
 )
 from vidconceal.engine import (
-    BoundaryDistortion,
     NeighborContext,
     SideNeighbor,
     neighbor_context,
@@ -131,8 +130,23 @@ class TestBoundaryBmc:
 
 
 def bmc_total(side_values) -> int:
-    """classic_total of a breakdown with these classic values, in SIDES order."""
-    return BoundaryDistortion(dict(zip(SIDES, side_values)), {}, {}, 0).classic_total
+    """classic_total select_mv reports for the zero vector on flat frames
+    where each side's outer boundary carries its value, in SIDES order, in
+    one pixel; a None side's neighbor is damaged."""
+    cur = Frame(np.full((48, 48), 50, dtype=np.uint8))
+    ref = Frame(np.full((48, 48), 50, dtype=np.uint8))
+    status = MbStatusMap.all_correct(3, 3)
+    mb = MbAddress(1, 1)  # origin (16, 16)
+    outer = {TOP: (15, 20), BOTTOM: (32, 20), LEFT: (20, 15), RIGHT: (20, 32)}  # (y, x)
+    for side, v in zip(SIDES, side_values):
+        y, x = outer[side]
+        if v is None:
+            damage(status, MbAddress(x // 16, y // 16))
+        else:
+            cur.luma[y, x] = 50 + v
+    _, d = select_mv(cur, ref, status, mb, [MotionVector(0, 0)], neighbor_context(status, None, mb), "bma")
+    assert list(d.classic.values()) == list(side_values)
+    return d.classic_total
 
 
 class TestBmcTotal:

@@ -243,6 +243,12 @@ class TestSpecFile:
         with pytest.raises(ValueError, match=f"unknown {where} key '{key}'"):
             load_spec_file(str(path))
 
+    @pytest.mark.parametrize("index", [100, -1])
+    def test_dump_frame_outside_sequence_rejected(self, small_seq, index):
+        # a 5-frame sequence has no still at either index to write
+        with pytest.raises(ValueError, match=f"dump_frames index {index} outside sequence small"):
+            ExperimentSpec([small_seq], [0.1], ["tr"], dump_frames=[index])
+
     @pytest.mark.parametrize("rates", [[0.1234561, 0.1234564], [0.25, 0.25]])
     def test_rates_with_colliding_file_tags_rejected(self, small_seq, rates):
         # both rates would write small_tr_r0.123456_t000.csv (or r0.25)
