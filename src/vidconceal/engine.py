@@ -42,7 +42,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,20 +165,39 @@ def neighbor_context(status: MbStatusMap, mv_field: MvField | None, mb: MbAddres
 
 @dataclass
 class BoundaryDistortion:
-    """Per-side score breakdown for one candidate vector."""
+    """Score of the winning candidate vector: its total, the sum of its
+    classic distortions that are present, and the sides with no distortion
+    in ``chosen``. Per side in SIDES order it keeps the classic, additional
+    and chosen distortions as plain rows with their presence flags, and
+    ``classic``, ``proposed`` and ``chosen`` build the per-side dicts (None
+    where absent) only when read."""
 
-    classic: dict[BoundarySide, int | None]
-    proposed: dict[BoundarySide, int | None]
-    chosen: dict[BoundarySide, int | None]
     total: int
-    classic_total: int  # sum of the classic distortions that are present
-    sides_absent: int  # sides with no distortion in ``chosen``
+    classic_total: int
+    sides_absent: int
     collocated_fallback: bool = False
+    # rows of 4 in SIDES order: classic, additional, chosen
+    side_sads: tuple[Sequence[int], ...] = ((0,) * 4,) * 3
+    present: tuple[tuple[bool, ...], ...] = ((False,) * 4,) * 3
 
     @classmethod
     def empty(cls) -> "BoundaryDistortion":
-        absent: dict[BoundarySide, int | None] = {side: None for side in SIDES}
-        return cls(dict(absent), dict(absent), dict(absent), 0, 0, 4)
+        return cls(0, 0, 4)
+
+    def _sides(self, t: int) -> dict[BoundarySide, int | None]:
+        return {side: v if p else None for side, v, p in zip(SIDES, self.side_sads[t], self.present[t])}
+
+    @property
+    def classic(self) -> dict[BoundarySide, int | None]:
+        return self._sides(0)
+
+    @property
+    def proposed(self) -> dict[BoundarySide, int | None]:
+        return self._sides(1)
+
+    @property
+    def chosen(self) -> dict[BoundarySide, int | None]:
+        return self._sides(2)
 
 
 def _start(shape: tuple[int, int], x: int, y: int, k: int, screen: np.ndarray | None = None) -> int | None:
@@ -299,13 +318,10 @@ def select_mv(
     # Without additional boundaries the last row is the outer one, and
     # addl marks none of it.
     side_sads = sads[best].tolist()
-    classic, proposed, chosen = (
-        {side: v if p else None for side, v, p in zip(SIDES, row, flags)}
-        for row, flags in zip((side_sads[0], side_sads[-1], per_side[best].tolist()), (outer, addl, scored))
-    )
     classic_total = sum(v for v, p in zip(side_sads[0], outer) if p)
     dist = BoundaryDistortion(
-        classic, proposed, chosen, int(totals[best]), classic_total, scored.count(False), fallback
+        int(totals[best]), classic_total, scored.count(False), fallback,
+        (side_sads[0], side_sads[-1], per_side[best].tolist()), (outer, addl, scored),
     )
     return kept[best], dist
 

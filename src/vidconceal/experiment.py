@@ -63,8 +63,17 @@ class ExperimentSpec:
     dump_frames: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for key in ("sequences", "rates", "modes"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty: the report would have no rows")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        # the search would only fail on this once the output tree exists
+        if type(self.search_p) is not int or self.search_p < 0:
+            raise ValueError(f"search_p must be an integer >= 0, got {self.search_p!r}")
+        # a string such as "false" is truthy and would switch timing on
+        if not isinstance(self.measure_timing, bool):
+            raise ValueError(f"measure_timing must be true or false, got {self.measure_timing!r}")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")

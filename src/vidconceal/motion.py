@@ -61,15 +61,23 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
     """Minimum-SAD motion vector of every macroblock, by one frame-wide pass
     per displacement.
 
-    For each in-window displacement (vx, vy) the int16 absolute difference of
-    ``cur`` and the shifted ``ref`` is taken over the MB rows and columns whose
-    displaced block stays inside the frame, and summed per 16x16 block (the
-    16 pixel rows first, then the 16 columns) into a uint16 SAD volume of
-    shape (displacements, mb_rows, mb_cols). Displacements that leave the
-    frame keep the fill value 65535, above the largest SAD 16*16*255 = 65280.
-    The displacements are laid out in tie-break order (smallest |vx|+|vy|,
-    then vy, then vx), so the first minimum along that axis favors the zero
-    vector in flat regions; (0, 0) is always inside the frame.
+    ``cur`` is held as a flat int16 plane and ``ref`` as a flat int16 plane
+    with ``px`` zero guard samples at each end, so the samples of ``ref``
+    displaced by (vx, vy) under a run of whole ``cur`` rows are one contiguous
+    run too. For each in-window displacement, the MB rows whose displaced
+    block stays inside the frame vertically are taken as one such run: one
+    subtract, one abs and one sum over each block's 16 pixel rows, into a
+    strip of column sums kept per vy for every vx. Once per vy, the strip's
+    16-column groups are summed pairwise into the blocks' SADs for all vx at
+    once. Where the displaced block leaves the frame sideways, its run
+    wrapped across a row end (or into a guard); a precomputed (vx, MB column)
+    mask sets those blocks to 65535, above the largest SAD 16*16*255 = 65280,
+    as are the MB rows a displacement pushes out of the frame.
+
+    The SADs go straight into a uint16 volume of shape (displacements,
+    mb_rows, mb_cols) whose first axis is in tie-break order (smallest
+    |vx|+|vy|, then vy, then vx), so the first minimum along it favors the
+    zero vector in flat regions; (0, 0) is always inside the frame.
     """
     if cur.luma.shape != ref.luma.shape:
         raise ValueError("current and reference frames must have equal dimensions")
@@ -81,28 +89,41 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
         ((vx, vy) for vy in range(-py, py + 1) for vx in range(-px, px + 1)),
         key=lambda v: (abs(v[0]) + abs(v[1]), v[1], v[0]),
     )
+    vx_of, vy_of = np.array(order, dtype=np.int16).T
+    # rank[vy + py, vx + px]: where (vx, vy) lies along the volume's first axis
+    rank = np.empty((2 * py + 1, 2 * px + 1), dtype=np.intp)
+    rank[vy_of + py, vx_of + px] = np.arange(len(order))
+    # 65535 where the block at MB column c displaced by vx leaves the frame
+    x = MB * np.arange(cols) + np.arange(-px, px + 1)[:, None]
+    wraps = np.where((x < 0) | (x > w - MB), 0xFFFF, 0).astype(np.uint16)
 
-    a = cur.luma.astype(np.int16)
-    b = ref.luma.astype(np.int16)
-    sads = np.full((len(order), rows, cols), np.iinfo(np.uint16).max, dtype=np.uint16)
+    a = cur.luma.astype(np.int16).ravel()
+    b = np.zeros(px + h * w + px, dtype=np.int16)
+    b[px : px + h * w] = ref.luma.ravel()
+    sads = np.full((len(order), rows, cols), 0xFFFF, dtype=np.uint16)
     diff = np.empty(h * w, dtype=np.int16)
-    for k, (vx, vy) in enumerate(order):
-        # MB columns c with 0 <= 16c + vx and 16c + vx + 16 <= w; rows alike
-        c0, c1 = max(0, -(vx // MB)), min(cols, (w - MB - vx) // MB + 1)
+    strip = np.empty((rows, 2 * px + 1, w), dtype=np.uint16)
+    for vy in range(-py, py + 1):
+        # MB rows r with 0 <= 16r + vy and 16r + vy + 16 <= h
         r0, r1 = max(0, -(vy // MB)), min(rows, (h - MB - vy) // MB + 1)
-        x0, x1, y0, y1 = MB * c0, MB * c1, MB * r0, MB * r1
-        d = diff[: (y1 - y0) * (x1 - x0)].reshape(y1 - y0, x1 - x0)
-        np.subtract(a[y0:y1, x0:x1], b[y0 + vy : y1 + vy, x0 + vx : x1 + vx], out=d)
-        np.abs(d, out=d)
-        # non-negative, so the uint16 view holds the same values; a block
-        # column sums to at most 16*255 and a block to at most 65280
-        col_sums = np.add.reduce(d.view(np.uint16).reshape(r1 - r0, MB, x1 - x0), axis=1, dtype=np.uint16)
-        np.add.reduce(
-            col_sums.reshape(r1 - r0, c1 - c0, MB), axis=2, dtype=np.uint16, out=sads[k, r0:r1, c0:c1]
-        )
+        s0, n = MB * r0 * w, MB * (r1 - r0) * w
+        run, d = a[s0 : s0 + n], diff[:n]
+        for vx in range(-px, px + 1):
+            start = px + s0 + vy * w + vx
+            np.subtract(run, b[start : start + n], out=d)
+            np.abs(d, out=d)
+            # non-negative, so the uint16 view holds the same values; a block
+            # column sums to at most 16*255 and a block to at most 65280
+            np.add.reduce(
+                d.view(np.uint16).reshape(r1 - r0, MB, w), axis=1, dtype=np.uint16, out=strip[r0:r1, vx + px]
+            )
+        blocks = strip[r0:r1]
+        while blocks.shape[-1] > cols:
+            blocks = blocks[..., 0::2] + blocks[..., 1::2]
+        np.bitwise_or(blocks, wraps, out=blocks)
+        sads[rank[vy + py], r0:r1] = blocks.transpose(1, 0, 2)
 
     best = sads.argmin(axis=0)
-    vx_of, vy_of = np.array(order, dtype=np.int16).T
     return MvField(frame_index, vx_of[best], vy_of[best])
 
 

@@ -216,6 +216,8 @@ class TestSpecFile:
             ExperimentSpec([small_seq], [1.7], ["tr"])
         with pytest.raises(ValueError):
             ExperimentSpec([small_seq], [0.1], ["tr"], trials=0)
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentSpec([small_seq], [0.1], ["tr"], trials=1.5)
 
     @pytest.mark.parametrize("copies, modes, what", [(2, ["tr"], "sequence name 'small'"), (1, ["tr", "ebmc", "tr"], "mode 'tr'")])
     def test_repeated_sequence_or_mode_rejected(self, small_seq, copies, modes, what):
@@ -248,6 +250,30 @@ class TestSpecFile:
         # a 5-frame sequence has no still at either index to write
         with pytest.raises(ValueError, match=f"dump_frames index {index} outside sequence small"):
             ExperimentSpec([small_seq], [0.1], ["tr"], dump_frames=[index])
+
+    def test_measure_timing_string_rejected(self, small_seq, tmp_path):
+        # "false" is a non-empty string, so it would switch timing on
+        raw = {
+            "sequences": [{"path": small_seq.path, "width": 64, "height": 64, "frames": 5}],
+            "rates": [0.1], "modes": ["tr"], "measure_timing": "false",
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="measure_timing"):
+            load_spec_file(str(path))
+
+    @pytest.mark.parametrize("p", [-1, 2.5])
+    def test_bad_search_p_rejected_before_any_output(self, small_seq, tmp_path, p):
+        with pytest.raises(ValueError, match="search_p"):
+            run_experiment(ExperimentSpec([small_seq], [0.1], ["tr"], search_p=p), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["sequences", "rates", "modes"])
+    def test_empty_list_rejected(self, small_seq, key):
+        lists = {"sequences": [small_seq], "rates": [0.1], "modes": ["tr"]}
+        lists[key] = []
+        with pytest.raises(ValueError, match=key):
+            ExperimentSpec(**lists)
 
     @pytest.mark.parametrize("rates", [[0.1234561, 0.1234564], [0.25, 0.25]])
     def test_rates_with_colliding_file_tags_rejected(self, small_seq, rates):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -144,6 +146,43 @@ class TestEstimateFieldProperties:
     def test_cur_is_ref(self, planes, p):
         cur = planes[0]
         _assert_matches_oracle(cur, cur, p)
+
+
+class TestRowRunWrap:
+    """Each displacement is scored over runs of whole rows, so a block that
+    the displacement moves out of the frame sideways reads across a row end.
+    With ``ref`` the flat raster of ``cur`` rolled by k samples, that wrapped
+    read matches exactly (SAD 0) at vx = k, which the search must still
+    exclude at the frame's left or right MB column."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.integers(1, 2), cols=st.integers(2, 3), k=st.integers(1, 7),
+        sign=st.sampled_from([1, -1]), p=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ref_is_cur_rolled_along_raster(self, rows, cols, k, sign, p, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        cur = rng.integers(0, 256, size=(16 * rows, 16 * cols), dtype=np.uint8)
+        ref = np.roll(cur.ravel(), sign * k).reshape(cur.shape)
+        _assert_matches_oracle(cur, ref, p)
+
+
+@pytest.mark.parametrize("p", [7, 40])
+def test_cif_search_peak_memory(rng, p):
+    """One CIF search holds the SAD volume, its argmin and buffers of about a
+    frame each: no second full-size volume and no per-vx copy of the frame
+    difference."""
+    h, w = 288, 352
+    cur = Frame(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+    ref = Frame(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+    volume_bytes = (2 * p + 1) ** 2 * (h // 16) * (w // 16) * 2  # uint16, p below both sizes
+    tracemalloc.start()
+    try:
+        estimate_field(cur, ref, SearchParams(p=p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * volume_bytes + 16 * w * h
 
 
 class TestEstimateField:
