@@ -2,14 +2,30 @@
 
 This models the encoder side: every inter frame gets one motion vector per
 macroblock, the displacement of minimum SAD (sum of absolute differences)
-within a square window of radius ``p``. The search runs frame-wide: one
-vectorised pass per displacement scores every macroblock at once, and a
-single argmin over the resulting SAD volume picks each block's vector. Ties
-go to the smallest |vx|+|vy|, then the smallest vy, then the smallest vx,
-which favors the zero vector in flat regions. Displacements that would push
-the block outside the reference are excluded from the search, so every
-stored vector can be applied for motion compensation without any edge
-handling.
+within a square window of radius ``p``. Ties go to the smallest |vx|+|vy|,
+then the smallest vy, then the smallest vx, which favors the zero vector in
+flat regions. Displacements that would push the block outside the reference
+are excluded from the search, so every stored vector can be applied for
+motion compensation without any edge handling.
+
+The search is exact but does not compute every SAD. It is the successive
+elimination algorithm (Li & Salari, IEEE TIP 4(1), 1995): a cheap lower bound
+on the SAD of every (displacement, macroblock) pair rules most pairs out, and
+the exact SAD is computed only for the pairs the bound cannot rule out. The
+bound is the row-sum bound: with R(y, x) the sum of the 16 samples of row y
+starting at column x,
+
+    LB = sum over the block's 16 rows of |R_cur - R_ref|  <=  SAD
+
+by the triangle inequality. Each MB's first guess ``best0`` is the exact SAD
+at its displacement of lowest bound. A pair with LB > best0 has SAD > best0
+>= the minimum, so it can never win; every pair with LB <= best0 is
+verified, ties with ``best0`` included, so every displacement of minimum SAD
+is scored exactly and the tie-break picks the same vector a full search
+would. On the benchmark's synthetic clips 3-5 % of the pairs in the window
+are verified. On white noise the bound rules out little (about 91 % of the
+pairs survive), and the search costs about four times what scoring every
+pair densely did.
 """
 
 from __future__ import annotations
@@ -18,8 +34,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import MB, Frame, MbAddress, MotionVector
+
+# Verified pairs are scored this many at a time, so the buffers of the verify
+# step stay bounded however few pairs the bound rules out.
+GATHER = 256
 
 
 @dataclass(frozen=True)
@@ -27,8 +48,9 @@ class SearchParams:
     p: int = 7  # search radius, pixels per component
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("search radius must be >= 0")
+        # bool is an int subclass, and True would search radius 1
+        if type(self.p) is not int or self.p < 0:
+            raise ValueError(f"search radius p must be an integer >= 0, got {self.p!r}")
 
 
 @dataclass
@@ -57,27 +79,80 @@ class MvField:
         return MotionVector(self.vx.item(mb.row, mb.col), self.vy.item(mb.row, mb.col))
 
 
+def _run_sums(flat: np.ndarray) -> np.ndarray:
+    """Sum of the 16 samples from each position of a flat uint16 array on,
+    by pairwise doubling; 15 shorter than ``flat``."""
+    for k in (1, 2, 4, 8):
+        flat = flat[:-k] + flat[k:]
+    return flat
+
+
+def _block_sads(ref_blocks, cur_blocks, ys, xs, rs, cs) -> np.ndarray:
+    """Exact uint16 SADs of the current blocks at MB (cs, rs) against the
+    reference blocks whose top-left pixels are (xs, ys)."""
+    d = np.subtract(ref_blocks[ys, xs], cur_blocks[rs, cs], dtype=np.int16)
+    np.abs(d, out=d)
+    # non-negative, so the uint16 view holds the same values; a block sums to
+    # at most 16*16*255 = 65280
+    return d.view(np.uint16).sum(axis=(-2, -1), dtype=np.uint16)
+
+
+def _fill_bounds(vol: np.ndarray, cur: Frame, ref: Frame, px: int, py: int, rank: np.ndarray) -> None:
+    """Write the row-sum bound of every pair whose displaced block stays
+    inside the frame into ``vol``; ``rank[vy + py, vx + px]`` is the index of
+    (vx, vy) along its last axis.
+
+    The row sums of ``ref`` at every column, taken over its flat raster
+    with ``px`` zero guards at each end, are laid out as (row, MB column,
+    vx), and those of ``cur`` at the block origins are repeated along vx.
+    So per vy, the MB rows whose displaced block stays inside the frame
+    vertically take one contiguous subtract, one abs and one sum over each
+    block's 16 rows, for every vx and MB at once, on 16 times less data than
+    the SADs. Where the block leaves the frame sideways its row sums read
+    across a row end or into a guard; a precomputed (MB column, vx) mask
+    sets those pairs to 65535.
+    """
+    rows, cols, w, h = cur.mb_rows, cur.mb_cols, cur.width, cur.height
+    nx = 2 * px + 1
+    # 65535 where the block at MB column c displaced by vx leaves the frame
+    x = MB * np.arange(cols)[:, None] + np.arange(-px, px + 1)
+    wraps = np.where((x < 0) | (x > w - MB), 0xFFFF, 0).astype(np.uint16)
+    # row sums are at most 16*255 = 4080, so int16 views of them hold the
+    # same values
+    guarded = np.zeros(px + h * w + px + MB - 1, dtype=np.uint16)
+    guarded[px : px + h * w] = ref.luma.ravel()
+    runs = _run_sums(guarded)
+    ref_runs = np.ascontiguousarray(sliding_window_view(runs, nx)[::MB]).reshape(h, cols, nx).view(np.int16)
+    del guarded, runs
+    cur_runs = cur.luma.reshape(h, cols, MB).sum(axis=2, dtype=np.uint16)
+    cur_runs = np.repeat(cur_runs[:, :, None], nx, axis=2).view(np.int16)
+    diff = np.empty_like(ref_runs)
+    for vy in range(-py, py + 1):
+        # MB rows r with 0 <= 16r + vy and 16r + vy + 16 <= h
+        r0, r1 = max(0, -(vy // MB)), min(rows, (h - MB - vy) // MB + 1)
+        d = diff[: MB * (r1 - r0)]
+        np.subtract(cur_runs[MB * r0 : MB * r1], ref_runs[MB * r0 + vy : MB * r1 + vy], out=d)
+        np.abs(d, out=d)
+        bound = np.add.reduce(d.view(np.uint16).reshape(r1 - r0, MB, cols, nx), axis=1, dtype=np.uint16)
+        np.bitwise_or(bound, wraps, out=bound)
+        vol[r0:r1, :, rank[vy + py]] = bound
+
+
 def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams(), frame_index: int = 1) -> MvField:
-    """Minimum-SAD motion vector of every macroblock, by one frame-wide pass
-    per displacement.
+    """Minimum-SAD motion vector of every macroblock, by bound-then-verify.
 
-    ``cur`` is held as a flat int16 plane and ``ref`` as a flat int16 plane
-    with ``px`` zero guard samples at each end, so the samples of ``ref``
-    displaced by (vx, vy) under a run of whole ``cur`` rows are one contiguous
-    run too. For each in-window displacement, the MB rows whose displaced
-    block stays inside the frame vertically are taken as one such run: one
-    subtract, one abs and one sum over each block's 16 pixel rows, into a
-    strip of column sums kept per vy for every vx. Once per vy, the strip's
-    16-column groups are summed pairwise into the blocks' SADs for all vx at
-    once. Where the displaced block leaves the frame sideways, its run
-    wrapped across a row end (or into a guard); a precomputed (vx, MB column)
-    mask sets those blocks to 65535, above the largest SAD 16*16*255 = 65280,
-    as are the MB rows a displacement pushes out of the frame.
+    All scores go into one uint16 volume of shape (mb_rows, mb_cols,
+    displacements) whose last axis is in tie-break order (smallest |vx|+|vy|,
+    then vy, then vx), so the first minimum along it is the vector, and the
+    argmin reads the volume in place; (0, 0) is always inside the frame.
+    Pairs whose displaced block leaves the frame hold 65535, above the
+    largest SAD 65280.
 
-    The SADs go straight into a uint16 volume of shape (displacements,
-    mb_rows, mb_cols) whose first axis is in tie-break order (smallest
-    |vx|+|vy|, then vy, then vx), so the first minimum along it favors the
-    zero vector in flat regions; (0, 0) is always inside the frame.
+    The volume first holds the row-sum bounds. ``best0`` is the exact SAD at
+    each MB's first displacement of lowest bound. Then, per MB row, whose
+    pairs are one contiguous slice, the pairs with bound <= best0 are scored
+    exactly, ``GATHER`` blocks at a time, and every other pair of the row is
+    set to 65535.
     """
     if cur.luma.shape != ref.luma.shape:
         raise ValueError("current and reference frames must have equal dimensions")
@@ -85,45 +160,34 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
     w, h = cur.width, cur.height
     # a component beyond the frame size minus one block leaves it for every MB
     px, py = min(params.p, w - MB), min(params.p, h - MB)
-    order = sorted(
-        ((vx, vy) for vy in range(-py, py + 1) for vx in range(-px, px + 1)),
-        key=lambda v: (abs(v[0]) + abs(v[1]), v[1], v[0]),
-    )
-    vx_of, vy_of = np.array(order, dtype=np.int16).T
-    # rank[vy + py, vx + px]: where (vx, vy) lies along the volume's first axis
-    rank = np.empty((2 * py + 1, 2 * px + 1), dtype=np.intp)
-    rank[vy_of + py, vx_of + px] = np.arange(len(order))
-    # 65535 where the block at MB column c displaced by vx leaves the frame
-    x = MB * np.arange(cols) + np.arange(-px, px + 1)[:, None]
-    wraps = np.where((x < 0) | (x > w - MB), 0xFFFF, 0).astype(np.uint16)
+    nx = 2 * px + 1
+    vy_grid, vx_grid = np.mgrid[-py : py + 1, -px : px + 1].reshape(2, -1)
+    order = np.lexsort((vx_grid, vy_grid, np.abs(vx_grid) + np.abs(vy_grid)))
+    n = order.size
+    vx_of, vy_of = vx_grid[order].astype(np.int16), vy_grid[order].astype(np.int16)
+    # rank[vy + py, vx + px]: where (vx, vy) lies along the volume's last axis
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rank = rank.reshape(2 * py + 1, nx)
+    vol = np.full((rows, cols, n), 0xFFFF, dtype=np.uint16)
+    _fill_bounds(vol, cur, ref, px, py, rank)
 
-    a = cur.luma.astype(np.int16).ravel()
-    b = np.zeros(px + h * w + px, dtype=np.int16)
-    b[px : px + h * w] = ref.luma.ravel()
-    sads = np.full((len(order), rows, cols), 0xFFFF, dtype=np.uint16)
-    diff = np.empty(h * w, dtype=np.int16)
-    strip = np.empty((rows, 2 * px + 1, w), dtype=np.uint16)
-    for vy in range(-py, py + 1):
-        # MB rows r with 0 <= 16r + vy and 16r + vy + 16 <= h
-        r0, r1 = max(0, -(vy // MB)), min(rows, (h - MB - vy) // MB + 1)
-        s0, n = MB * r0 * w, MB * (r1 - r0) * w
-        run, d = a[s0 : s0 + n], diff[:n]
-        for vx in range(-px, px + 1):
-            start = px + s0 + vy * w + vx
-            np.subtract(run, b[start : start + n], out=d)
-            np.abs(d, out=d)
-            # non-negative, so the uint16 view holds the same values; a block
-            # column sums to at most 16*255 and a block to at most 65280
-            np.add.reduce(
-                d.view(np.uint16).reshape(r1 - r0, MB, w), axis=1, dtype=np.uint16, out=strip[r0:r1, vx + px]
-            )
-        blocks = strip[r0:r1]
-        while blocks.shape[-1] > cols:
-            blocks = blocks[..., 0::2] + blocks[..., 1::2]
-        np.bitwise_or(blocks, wraps, out=blocks)
-        sads[rank[vy + py], r0:r1] = blocks.transpose(1, 0, 2)
+    cur_blocks = np.ascontiguousarray(cur.luma.reshape(rows, MB, cols, MB).transpose(0, 2, 1, 3))
+    ref_blocks = sliding_window_view(ref.luma, (MB, MB))
+    first = vol.argmin(axis=-1)
+    r_, c_ = np.indices((rows, cols))
+    best0 = _block_sads(ref_blocks, cur_blocks, MB * r_ + vy_of[first], MB * c_ + vx_of[first], r_, c_)
+    for r in range(rows):
+        row = vol[r]
+        keep = np.flatnonzero(row <= best0[r, :, None])
+        row.fill(0xFFFF)
+        flat = row.reshape(-1)
+        for s in range(0, keep.size, GATHER):
+            k = keep[s : s + GATHER]
+            c, i = np.divmod(k, n)
+            flat[k] = _block_sads(ref_blocks, cur_blocks, MB * r + vy_of[i], MB * c + vx_of[i], r, c)
 
-    best = sads.argmin(axis=0)
+    best = vol.argmin(axis=-1)
     return MvField(frame_index, vx_of[best], vy_of[best])
 
 

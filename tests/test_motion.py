@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracle
 from instances import read_mv_csv, zero_field
 from vidconceal.core import Frame, MbAddress, MotionVector
+from vidconceal import motion
 from vidconceal.motion import MvField, SearchParams, estimate_field, save_mv_fields
 
 
@@ -167,11 +168,60 @@ class TestRowRunWrap:
         _assert_matches_oracle(cur, ref, p)
 
 
+class TestBoundThenVerify:
+    """The search scores exactly only the pairs whose row-sum bound is at
+    most best0, the exact SAD at each MB's displacement of lowest bound."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=_SHAPES, p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([3, 256]),
+    )
+    def test_tight_bound(self, shape, p, seed, levels):
+        # ref is constant along each whole row and cur along each row of each
+        # block, so the 16 differences of a block row share a sign and the
+        # bound equals the SAD for every pair: the winner's bound is best0
+        # exactly, and only the <= rule keeps it
+        h, w = shape
+        rng = np.random.Generator(np.random.PCG64(seed))
+        g = rng.integers(0, levels, size=h, dtype=np.uint8)
+        shifts = rng.integers(-p, p + 1, size=w // 16)
+        src = np.clip(np.arange(h)[:, None] + shifts, 0, h - 1)
+        ref = np.repeat(g[:, None], w, axis=1)
+        cur = np.repeat(g[src], 16, axis=1)
+        _assert_matches_oracle(cur, ref, p)
+
+    @pytest.mark.parametrize("shift", [-5, 3])
+    def test_tight_bound_winner_away_from_zero(self, rng, shift):
+        g = rng.permutation(256)[:64].astype(np.uint8)  # distinct rows
+        ref = np.repeat(g[:, None], 64, axis=1)
+        cur = np.repeat(g[np.clip(np.arange(64) + shift, 0, 63), None], 64, axis=1)
+        field = estimate_field(Frame(cur), Frame(ref))
+        # every vx ties, so the tie-break takes vx = 0
+        assert field.mv_at(MbAddress(1, 1)) == MotionVector(0, shift)
+        _assert_matches_oracle(cur, ref, 7)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.integers(1, 2), cols=st.integers(1, 3), p=st.integers(1, 10),
+        gather=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_survivors_span_many_chunks(self, rows, cols, p, gather, seed):
+        # on noise most pairs survive the bound: an MB row holds up to
+        # 3 * 21**2 of them, many chunks of at most 64 and a partial last one
+        rng = np.random.Generator(np.random.PCG64(seed))
+        cur, ref = rng.integers(0, 256, size=(2, 16 * rows, 16 * cols), dtype=np.uint8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(motion, "GATHER", gather)
+            _assert_matches_oracle(cur, ref, p)
+
+
 @pytest.mark.parametrize("p", [7, 40])
 def test_cif_search_peak_memory(rng, p):
-    """One CIF search holds the SAD volume, its argmin and buffers of about a
-    frame each: no second full-size volume and no per-vx copy of the frame
-    difference."""
+    """One CIF search holds the score volume and buffers of about a frame
+    each: no second full-size volume, no per-vx copy of the frame difference,
+    and an argmin that reads the volume in place. On noise most pairs survive
+    the bound, so this is also the verify step's chunked worst case."""
     h, w = 288, 352
     cur = Frame(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
     ref = Frame(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
@@ -182,7 +232,7 @@ def test_cif_search_peak_memory(rng, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * volume_bytes + 16 * w * h
+    assert peak <= 2 * volume_bytes + 16 * w * h
 
 
 class TestEstimateField:
@@ -283,3 +333,11 @@ class TestMvFieldCsv:
 def test_search_params_validation():
     with pytest.raises(ValueError):
         SearchParams(p=-1)
+
+
+@pytest.mark.parametrize("p", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_search_params_rejects_non_int(p):
+    # 2.5 used to fail later inside range(), True to search radius 1, and
+    # "3" to raise a TypeError from the comparison
+    with pytest.raises(ValueError, match="search radius p"):
+        SearchParams(p=p)

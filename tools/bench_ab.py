@@ -11,7 +11,11 @@ temporary directory is removed afterwards, also when a run fails.
 
 Writes BENCH_<label>.json at the repository root with, per workload:
 - per end-to-end metric of BENCHMARK.json, each side's median, quartiles
-  and values, and the pairs the change wins (ties count for neither);
+  and values, the pairs the change wins (ties count for neither), and two
+  verdicts: `gain_met` when the change wins at least 9 in 10 of the pairs
+  and its median beats the base median by more than the base quartile
+  spread, and `regressed` when its median is worse than the base median by
+  more than the metric's relative `bound`;
 - each side's total `failed` count, and the pairs that errored or lack a
   side;
 - each run's manifest, `attempted` and `failed` counts, and metrics;
@@ -95,9 +99,9 @@ def summarize(values: list[float]) -> dict:
 
 
 def compare(runs: list[dict], declared: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' spread and the change's wins over
-    the pairs where both sides completed; each side's failed operations;
-    and the pairs left out because a run errored."""
+    """Per end-to-end metric: both sides' spread, the change's wins and the
+    two verdicts over the pairs where both sides completed; each side's
+    failed operations; and the pairs left out because a run errored."""
     pairs: dict[int, dict] = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run
@@ -111,14 +115,20 @@ def compare(runs: list[dict], declared: list[dict]) -> dict:
             continue
         sign = 1 if metric["better"] == "lower" else -1
         base, change = summarize([b for b, _ in both]), summarize([c for _, c in both])
+        wins = sum(1 for b, c in both if sign * (c - b) < 0)
+        # how far the change's median is better than the base's, in the unit
+        gain = sign * (base["median"] - change["median"])
         metrics[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
+            "bound": metric["bound"],
             "base": base,
             "change": change,
-            "change_wins": sum(1 for b, c in both if sign * (c - b) < 0),
+            "change_wins": wins,
             "pairs": len(both),
             "median_change_pct": 100.0 * (change["median"] - base["median"]) / base["median"] if base["median"] else None,
+            "gain_met": 10 * wins >= 9 * len(both) and gain > base["q3"] - base["q1"],
+            "regressed": -gain > metric["bound"] * abs(base["median"]),
         }
     return {
         "metrics": metrics,
