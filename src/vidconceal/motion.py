@@ -22,10 +22,19 @@ at its displacement of lowest bound. A pair with LB > best0 has SAD > best0
 >= the minimum, so it can never win; every pair with LB <= best0 is
 verified, ties with ``best0`` included, so every displacement of minimum SAD
 is scored exactly and the tie-break picks the same vector a full search
-would. On the benchmark's synthetic clips 3-5 % of the pairs in the window
-are verified. On white noise the bound rules out little (about 91 % of the
-pairs survive), and the search costs about four times what scoring every
-pair densely did.
+would.
+
+How many pairs the bound rules out depends on the content: it prunes well
+when the residual at the true vector is small next to the row-sum
+differences the texture makes at every other displacement, that is, on
+textured content with little noise. The benchmark's synthetic clips are
+integer-shifted and noise-free, so the residual at the true vector is zero:
+3-10 % of the in-frame pairs are verified, and 5-12 % with +-1-3 levels of
+added noise. A verified pair costs about four times what a dense SAD pass
+spent on it, so past about 20 % survivors the search is slower than scoring
+every pair densely: low-contrast noisy content (a quarter of the clips'
+contrast with +-2 noise: 28 %) and white noise (about 91 %, four times as
+slow). README.md lists the measurements.
 """
 
 from __future__ import annotations
@@ -124,6 +133,8 @@ def _fill_bounds(vol: np.ndarray, cur: Frame, ref: Frame, px: int, py: int, rank
     runs = _run_sums(guarded)
     ref_runs = np.ascontiguousarray(sliding_window_view(runs, nx)[::MB]).reshape(h, cols, nx).view(np.int16)
     del guarded, runs
+    # repeated along vx rather than broadcast: a broadcast subtract runs one
+    # short inner loop per (row, MB column), six times slower at p = 7
     cur_runs = cur.luma.reshape(h, cols, MB).sum(axis=2, dtype=np.uint16)
     cur_runs = np.repeat(cur_runs[:, :, None], nx, axis=2).view(np.int16)
     diff = np.empty_like(ref_runs)

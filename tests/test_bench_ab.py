@@ -57,10 +57,35 @@ def test_higher_is_better(change, gain_met, regressed):
     assert (m["gain_met"], m["regressed"]) == (gain_met, regressed)
 
 
-def test_errored_pair_left_out():
-    runs = runs_of("wall_s", BASE, [0.70] * 10)
-    runs[3] = {"pair": 1, "side": "change", "error": "boom"}
-    out = bench_ab.compare(runs, [WALL])
+def errored(runs, *pairs):
+    """The runs with the change's run of each given pair errored."""
+    return [{"pair": r["pair"], "side": "change", "error": "boom"} if r["side"] == "change" and r["pair"] in pairs
+            else r for r in runs]
+
+
+def test_errored_pair_counts_as_lost():
+    # 9 wins of the 10 pairs run is still a gain
+    out = bench_ab.compare(errored(runs_of("wall_s", BASE, [0.70] * 10), 1), [WALL])
     assert out["incomplete_pairs"] == [1]
     m = out["metrics"]["wall_s"]
-    assert (m["pairs"], m["change_wins"], m["gain_met"]) == (9, 9, True)
+    assert (m["pairs"], m["pairs_run"], m["change_wins"], m["gain_met"]) == (9, 10, 9, True)
+
+
+def test_two_errored_pairs_no_gain():
+    # every complete pair wins, but 8 wins of the 10 pairs run is not a gain
+    out = bench_ab.compare(errored(runs_of("wall_s", BASE, [0.70] * 10), 1, 6), [WALL])
+    assert out["incomplete_pairs"] == [1, 6]
+    m = out["metrics"]["wall_s"]
+    assert (m["pairs"], m["pairs_run"], m["change_wins"], m["gain_met"]) == (8, 10, 8, False)
+
+
+def test_more_change_failures_no_gain():
+    runs = runs_of("wall_s", BASE, [0.70] * 10)
+    runs[5]["failed"] = 1
+    out = bench_ab.compare(runs, [WALL])
+    assert out["failed"] == {"base": 0, "change": 1}
+    m = out["metrics"]["wall_s"]
+    assert (m["change_wins"], m["gain_met"]) == (10, False)
+    # as many failures on both sides leaves the gain standing
+    runs[4]["failed"] = 1
+    assert bench_ab.compare(runs, [WALL])["metrics"]["wall_s"]["gain_met"]

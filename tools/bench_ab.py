@@ -12,10 +12,11 @@ temporary directory is removed afterwards, also when a run fails.
 Writes BENCH_<label>.json at the repository root with, per workload:
 - per end-to-end metric of BENCHMARK.json, each side's median, quartiles
   and values, the pairs the change wins (ties count for neither), and two
-  verdicts: `gain_met` when the change wins at least 9 in 10 of the pairs
-  and its median beats the base median by more than the base quartile
-  spread, and `regressed` when its median is worse than the base median by
-  more than the metric's relative `bound`;
+  verdicts: `gain_met` when the change wins at least 9 in 10 of all pairs
+  run, a pair where a run errored counting as lost, its median beats the
+  base median by more than the base quartile spread, and it failed no more
+  operations than the base; and `regressed` when its median is worse than
+  the base median by more than the metric's relative `bound`;
 - each side's total `failed` count, and the pairs that errored or lack a
   side;
 - each run's manifest, `attempted` and `failed` counts, and metrics;
@@ -99,13 +100,16 @@ def summarize(values: list[float]) -> dict:
 
 
 def compare(runs: list[dict], declared: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' spread, the change's wins and the
-    two verdicts over the pairs where both sides completed; each side's
-    failed operations; and the pairs left out because a run errored."""
+    """Per end-to-end metric: both sides' spread and the change's wins over
+    the pairs where both sides completed, and the two verdicts; each side's
+    failed operations; and the pairs left out because a run errored. A gain
+    is judged against every pair run, so a pair left out counts as a loss,
+    and it does not count when the change failed more operations."""
     pairs: dict[int, dict] = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run
     complete = {i: p for i, p in pairs.items() if all("metrics" in p.get(side, {}) for side in ("base", "change"))}
+    failed = {side: sum(r.get("failed", 0) for r in runs if r["side"] == side) for side in ("base", "change")}
     metrics = {}
     for metric in declared:
         name = metric["name"]
@@ -126,13 +130,16 @@ def compare(runs: list[dict], declared: list[dict]) -> dict:
             "change": change,
             "change_wins": wins,
             "pairs": len(both),
+            "pairs_run": len(pairs),
             "median_change_pct": 100.0 * (change["median"] - base["median"]) / base["median"] if base["median"] else None,
-            "gain_met": 10 * wins >= 9 * len(both) and gain > base["q3"] - base["q1"],
+            "gain_met": 10 * wins >= 9 * len(pairs)
+            and gain > base["q3"] - base["q1"]
+            and failed["change"] <= failed["base"],
             "regressed": -gain > metric["bound"] * abs(base["median"]),
         }
     return {
         "metrics": metrics,
-        "failed": {side: sum(r.get("failed", 0) for r in runs if r["side"] == side) for side in ("base", "change")},
+        "failed": failed,
         "incomplete_pairs": sorted(set(pairs) - set(complete)),
     }
 
