@@ -8,7 +8,6 @@ estimation, loss simulation and PSNR harness needed to evaluate it.
 
 from .engine import MODES
 from .experiment import (
-    ExperimentReport,
     ExperimentSpec,
     SequenceSpec,
     TrialResult,

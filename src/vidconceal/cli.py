@@ -78,8 +78,7 @@ def cmd_conceal(args) -> int:
 
 def cmd_experiment(args) -> int:
     spec = load_spec_file(args.spec)
-    report = run_experiment(spec, args.out_dir)
-    for row in report.rows:
+    for row in run_experiment(spec, args.out_dir):
         print(
             f"{row.sequence} {row.mode} rate={row.rate:g}: "
             f"{row.mean_psnr_db:.4f} dB, {row.mean_time_per_mb_ms:.4f} ms/MB "

@@ -7,7 +7,6 @@ is the sample at column x of row y.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,30 +37,16 @@ class MbAddress(NamedTuple):
         return MB * self.col, MB * self.row
 
 
-class BoundarySide(enum.Enum):
-    TOP = "top"
-    BOTTOM = "bottom"
-    LEFT = "left"
-    RIGHT = "right"
+# Boundary sides of an MB, in the order every per-side row and tuple uses.
+SIDES = ("top", "bottom", "left", "right")
 
-    # Members are singletons that compare by identity, so the identity hash
-    # is consistent with equality; Enum's own __hash__ runs Python code on
-    # every lookup of the per-side dicts in the concealment loop.
-    __hash__ = object.__hash__
+# MB-grid step (dcol, drow) to the neighbor owning each side, in SIDES order.
+SIDE_STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0))
 
 
-SIDES = (BoundarySide.TOP, BoundarySide.BOTTOM, BoundarySide.LEFT, BoundarySide.RIGHT)
+class MbState:
+    """Codes of an MB's decode state, as stored in ``MbStatusMap.state``."""
 
-# MB-grid step to the neighbor owning each boundary side.
-SIDE_STEPS = {
-    BoundarySide.TOP: (0, -1),
-    BoundarySide.BOTTOM: (0, 1),
-    BoundarySide.LEFT: (-1, 0),
-    BoundarySide.RIGHT: (1, 0),
-}
-
-
-class MbState(enum.IntEnum):
     CORRECT = 0
     DAMAGED = 1
     CONCEALED = 2

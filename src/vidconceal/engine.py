@@ -14,6 +14,12 @@ by an estimated motion vector. Candidates are scored by boundary matching:
 * adaptive combination (``ebmc``): per boundary side, the smaller of the two
   criteria that are available, summed over sides.
 
+Every per-side value is kept in SIDES order (top, bottom, left, right). A
+damaged MB's neighbor context is four optional vectors in that order: each
+4-neighbor's motion vector, or None where the neighbor is off-frame or still
+damaged. The candidate builder, the ``avg``/``median`` modes and the scorer
+all read that one tuple.
+
 Scoring is batched per damaged MB. Every boundary segment is the inner
 boundary of some 16x16 block, so a segment is read as a plane's flat samples
 at the block's raster offset plus one row of a precomputed 4 x 16 offset
@@ -42,7 +48,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +56,6 @@ from .core import (
     MB,
     SIDES,
     SIDE_STEPS,
-    BoundarySide,
     Frame,
     MbAddress,
     MbState,
@@ -63,10 +68,9 @@ from .motion import MvField
 MODES = ("tr", "avg", "median", "bma", "ebmc")
 
 CandidateSet = list[MotionVector]
-
-# (side, MB-grid step to its neighbor) in SIDES order, so the per-MB loops
-# index tuples instead of hashing enum keys.
-_SIDE_STEPS = tuple((side, SIDE_STEPS[side]) for side in SIDES)
+# A damaged MB's 4-neighbors in SIDES order: each one's motion vector, None
+# where the neighbor is off-frame or still damaged.
+NeighborContext = tuple[Optional[MotionVector], ...]
 
 # Inner boundary of a 16x16 block, one row per side in SIDES order, as
 # (row, column) offsets from the block's top-left pixel.
@@ -105,62 +109,31 @@ def _pattern(bits: int) -> tuple[tuple[tuple[bool, ...], ...], np.ndarray, np.nd
 
 
 _PATTERNS = [_pattern(bits) for bits in range(256)]
-# Plain ints: comparing a NumPy scalar with an IntEnum member is far slower.
-_DAMAGED = int(MbState.DAMAGED)
-_CONCEALED = int(MbState.CONCEALED)
 
 
-class SideNeighbor(NamedTuple):
-    """What the damaged MB knows about the neighbor owning one boundary."""
-
-    available: bool
-    mv: MotionVector | None = None
-    state: MbState | None = None  # CORRECT or CONCEALED when available
-
-
-_UNAVAILABLE = SideNeighbor(False)
-
-
-class NeighborContext(NamedTuple):
-    sides: dict[BoundarySide, SideNeighbor]
-
-    def available_mvs(self) -> list[MotionVector]:
-        """Neighbor MVs in fixed side order (top, bottom, left, right)."""
-        return [
-            info.mv
-            for side in SIDES
-            if (info := self.sides[side]).available and info.mv is not None
-        ]
-
-
-def neighbor_context(status: MbStatusMap, mv_field: MvField | None, mb: MbAddress) -> NeighborContext:
-    """Availability and motion vector of each 4-neighbor, keyed in SIDES
-    order.
+def neighbor_context(status: MbStatusMap, mv_field: MvField, mb: MbAddress) -> NeighborContext:
+    """Motion vector of each 4-neighbor in SIDES order, None where that side
+    is unavailable.
 
     A side is available iff the neighbor exists in-frame and is Correct or
     Concealed; a still-Damaged neighbor has lost both pixels and vector.
-    Correct neighbors contribute their transmitted vector, concealed ones the
-    vector estimated when they were recovered.
+    Correct neighbors contribute their transmitted vector from ``mv_field``,
+    concealed ones the vector estimated when they were recovered.
     """
     state = status.state
     rows, cols = state.shape
     col, row = mb
-    sides: dict[BoundarySide, SideNeighbor] = {}
-    for side, (dc, dr) in _SIDE_STEPS:
+    ctx = []
+    for dc, dr in SIDE_STEPS:
         c, r = col + dc, row + dr
-        if not (0 <= c < cols and 0 <= r < rows):
-            sides[side] = _UNAVAILABLE
-            continue
-        code = state.item(r, c)
-        if code == _DAMAGED:
-            sides[side] = _UNAVAILABLE
-        elif code == _CONCEALED:
+        if not (0 <= c < cols and 0 <= r < rows) or (code := state.item(r, c)) == MbState.DAMAGED:
+            mv = None
+        elif code == MbState.CONCEALED:
             mv = MotionVector(status.mv_x.item(r, c), status.mv_y.item(r, c))
-            sides[side] = SideNeighbor(True, mv, MbState.CONCEALED)
         else:
-            mv = MotionVector(mv_field.vx.item(r, c), mv_field.vy.item(r, c)) if mv_field is not None else None
-            sides[side] = SideNeighbor(True, mv, MbState.CORRECT)
-    return NeighborContext(sides)
+            mv = MotionVector(mv_field.vx.item(r, c), mv_field.vy.item(r, c))
+        ctx.append(mv)
+    return tuple(ctx)
 
 
 @dataclass
@@ -184,19 +157,19 @@ class BoundaryDistortion:
     def empty(cls) -> "BoundaryDistortion":
         return cls(0, 0, 4)
 
-    def _sides(self, t: int) -> dict[BoundarySide, int | None]:
+    def _sides(self, t: int) -> dict[str, int | None]:
         return {side: v if p else None for side, v, p in zip(SIDES, self.side_sads[t], self.present[t])}
 
     @property
-    def classic(self) -> dict[BoundarySide, int | None]:
+    def classic(self) -> dict[str, int | None]:
         return self._sides(0)
 
     @property
-    def proposed(self) -> dict[BoundarySide, int | None]:
+    def proposed(self) -> dict[str, int | None]:
         return self._sides(1)
 
     @property
-    def chosen(self) -> dict[BoundarySide, int | None]:
+    def chosen(self) -> dict[str, int | None]:
         return self._sides(2)
 
 
@@ -212,8 +185,8 @@ def _start(shape: tuple[int, int], x: int, y: int, k: int, screen: np.ndarray | 
     if x0 < 0 or y0 < 0 or x1 >= w or y1 >= h:
         return None
     if screen is not None and (
-        screen.item(y0 // MB, x0 // MB) == _CONCEALED
-        or screen.item(y1 // MB, x1 // MB) == _CONCEALED
+        screen.item(y0 // MB, x0 // MB) == MbState.CONCEALED
+        or screen.item(y1 // MB, x1 // MB) == MbState.CONCEALED
     ):
         return None
     return y * w + x
@@ -228,8 +201,8 @@ def _target_starts(ref: Frame, ref_status: MbStatusMap, mb: MbAddress,
     The outer boundary of side k, read from the current frame, is present
     when that neighbor is available and the segment lies in the frame. The
     additional boundary, read from the reference (ebmc only), is present
-    when the neighbor is available with a vector, the segment stays in the
-    reference and no concealed reference MB lies under it. When the MB
+    when the neighbor is available, the segment its vector points at stays
+    in the reference and no concealed reference MB lies under it. When the MB
     collocated with the damaged one was concealed in the reference, the
     additional boundaries are distrusted wholesale.
 
@@ -245,20 +218,19 @@ def _target_starts(ref: Frame, ref_status: MbStatusMap, mb: MbAddress,
     i, j = mb.origin()
     screen = ref_status.state
     shape = ref.luma.shape
-    fallback = mode == "ebmc" and screen.item(mb.row, mb.col) == _CONCEALED
+    fallback = mode == "ebmc" and screen.item(mb.row, mb.col) == MbState.CONCEALED
     addl = mode == "ebmc" and not fallback
     outer, extra = [0] * 4, [0] * 4
     bits = 0
-    for k, (side, (dc, dr)) in enumerate(_SIDE_STEPS):
-        info = ctx.sides[side]
-        if not info.available:
+    for k, ((dc, dr), mv) in enumerate(zip(SIDE_STEPS, ctx)):
+        if mv is None:
             continue
         start = _start(shape, i + dc, j + dr, k)
         if start is not None:
             outer[k] = start
             bits |= 1 << k
-        if addl and info.mv is not None:
-            vx, vy = info.mv
+        if addl:
+            vx, vy = mv
             start = _start(shape, i + vx, j + vy, k, screen)
             if start is not None:
                 extra[k] = start
@@ -362,7 +334,7 @@ def build_candidates(
     median of the available neighbor vectors. Vectors from still-damaged
     neighbors never enter the set.
     """
-    neighbor_mvs = ctx.available_mvs()
+    neighbor_mvs = [mv for mv in ctx if mv is not None]
     ordered = [prev_mv_field.mv_at(mb) if prev_mv_field is not None else ZERO_MV, *neighbor_mvs]
     if neighbor_mvs:
         ordered += [mean_mv(neighbor_mvs), median_mv(neighbor_mvs)]
@@ -392,7 +364,7 @@ class PrioritySchedule:
 
     def __init__(self, status: MbStatusMap):
         self._cols = status.mb_cols
-        damaged = status.state == _DAMAGED
+        damaged = status.state == MbState.DAMAGED
         avail = ~damaged
         neigh = np.zeros(avail.shape, dtype=np.int8)
         neigh[1:, :] += avail[:-1, :]
@@ -517,7 +489,7 @@ def conceal_frame(
                 mv, dist = select_mv(out_frame, ref_frame, ref_status, mb, candidates, ctx, mode)
                 total, classic_total, sides_absent = dist.total, dist.classic_total, dist.sides_absent
             else:
-                mvs = ctx.available_mvs()
+                mvs = [mv for mv in ctx if mv is not None]
                 mv = (mean_mv(mvs) if mode == "avg" else median_mv(mvs)) if mvs else ZERO_MV
                 mv = _clamp_mv(ref_frame, mb, mv)
         col, row = mb
@@ -525,7 +497,7 @@ def conceal_frame(
         i, j = MB * col, MB * row
         work[j : j + MB, i : i + MB] = ref_luma[j + vy : j + vy + MB, i + vx : i + vx + MB]
         # The MB came from the schedule, so it is in the grid and Damaged.
-        state[row, col] = _CONCEALED
+        state[row, col] = MbState.CONCEALED
         mv_x[row, col] = vx
         mv_y[row, col] = vy
         sched.on_concealed(mb)

@@ -102,10 +102,17 @@ class ExperimentSpec:
                 raise ValueError(f"repeated {what} {repeated[0]!r}: its trial and audit files would collide")
 
 
-def _reject_unknown_keys(raw: dict, spec_type, where: str) -> None:
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(spec_type)})
+def _check_keys(raw: dict, spec_type, where: str, derived: tuple[str, ...] = ()) -> None:
+    """Reject a key that names no field of ``spec_type``, and a missing one
+    for a field without a default that the loader does not derive."""
+    fields = dataclasses.fields(spec_type)
+    unknown = sorted(set(raw) - {f.name for f in fields})
     if unknown:
         raise ValueError(f"unknown {where} key {unknown[0]!r}")
+    for f in fields:
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and f.name not in raw and f.name not in derived:
+            raise ValueError(f"missing {where} key {f.name!r}")
 
 
 def load_spec_file(path: str) -> ExperimentSpec:
@@ -120,29 +127,14 @@ def load_spec_file(path: str) -> ExperimentSpec:
     else:
         with open(path) as f:
             raw = json.load(f)
-    _reject_unknown_keys(raw, ExperimentSpec, "spec")
+    _check_keys(raw, ExperimentSpec, "spec")
+    sequences = []
     for s in raw["sequences"]:
-        _reject_unknown_keys(s, SequenceSpec, "sequence")
-    sequences = [
-        SequenceSpec(
-            name=s.get("name", os.path.splitext(os.path.basename(s["path"]))[0]),
-            path=s["path"],
-            width=s["width"],
-            height=s["height"],
-            frames=s.get("frames"),
-        )
-        for s in raw["sequences"]
-    ]
-    return ExperimentSpec(
-        sequences=sequences,
-        rates=list(raw["rates"]),
-        modes=list(raw["modes"]),
-        trials=raw.get("trials", 20),
-        seed=raw.get("seed", 1),
-        search_p=raw.get("search_p", 7),
-        measure_timing=raw.get("measure_timing", True),
-        dump_frames=list(raw.get("dump_frames", [])),
-    )
+        # a sequence is named after its file unless the spec names it
+        _check_keys(s, SequenceSpec, "sequence", derived=("name",))
+        stem = os.path.splitext(os.path.basename(s["path"]))[0]
+        sequences.append(SequenceSpec(**{"name": stem, **s}))
+    return ExperimentSpec(**{**raw, "sequences": sequences})
 
 
 @dataclass
@@ -279,11 +271,6 @@ class ReportRow:
     mean_time_per_mb_ms: float
 
 
-@dataclass
-class ExperimentReport:
-    rows: list[ReportRow]
-
-
 def aggregate(trials: list[TrialResult]) -> ReportRow:
     """Collapse the trials of one (sequence, mode, rate) cell: mean over
     trials framewise, then over frames; time per concealed MB overall."""
@@ -329,8 +316,9 @@ def write_trial_csv(tr: TrialResult, path: str) -> None:
             f.write(f"{s.frame_index},{s.value!r},{ms!r},{n}\n")
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str) -> ExperimentReport:
-    """Run every (sequence, mode, rate, trial) cell and persist the results.
+def run_experiment(spec: ExperimentSpec, out_dir: str) -> list[ReportRow]:
+    """Run every (sequence, mode, rate, trial) cell, persist the results and
+    return the report's rows.
 
     Layout: report.csv at the top; per-trial PSNR curves under trials/;
     per-trial concealment audits under audits/; optional PGM stills under
@@ -374,4 +362,4 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> ExperimentReport:
 
     with open(os.path.join(out_dir, "report.csv"), "w", newline="") as f:
         f.write(_render_report_csv(rows))
-    return ExperimentReport(rows)
+    return rows

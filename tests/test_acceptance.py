@@ -245,15 +245,15 @@ def directional_runs(tmp_path_factory):
         seed=20260810,
         measure_timing=False,  # criterion 7 times conceal_frame itself
     )
-    report = run_experiment(spec, str(root / "out"))
-    return spec, report
+    rows = run_experiment(spec, str(root / "out"))
+    return spec, rows
 
 
 def test_criterion_6_directional_psnr_gain(directional_runs):
-    spec, report = directional_runs
+    spec, rows = directional_runs
     gains = {}
     ok = True
-    psnr_of = {(r.sequence, r.mode): r.mean_psnr_db for r in report.rows}
+    psnr_of = {(r.sequence, r.mode): r.mean_psnr_db for r in rows}
     for seq in spec.sequences:
         bma, ebmc = psnr_of[seq.name, "bma"], psnr_of[seq.name, "ebmc"]
         gains[seq.name] = ebmc - bma

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from instances import (
@@ -13,27 +15,17 @@ from instances import (
     random_status,
     zero_field,
 )
-from vidconceal.core import SIDES, BoundarySide, MbAddress, MbState, MbStatusMap, MotionVector
+from vidconceal.core import SIDES, MbAddress, MbState, MbStatusMap, MotionVector
 from vidconceal.engine import (
-    NeighborContext,
-    SideNeighbor,
     build_candidates,
     mean_mv,
     median_mv,
     neighbor_context,
 )
 
-TOP, BOTTOM, LEFT, RIGHT = SIDES
-
 
 def ctx_from(top=None, bottom=None, left=None, right=None):
-    vals = {TOP: top, BOTTOM: bottom, LEFT: left, RIGHT: right}
-    return NeighborContext(
-        {
-            side: SideNeighbor(True, MotionVector(*mv), MbState.CORRECT) if mv is not None else SideNeighbor(False)
-            for side, mv in vals.items()
-        }
-    )
+    return tuple(MotionVector(*mv) if mv is not None else None for mv in (top, bottom, left, right))
 
 
 class TestNeighborContext:
@@ -41,33 +33,56 @@ class TestNeighborContext:
         st = MbStatusMap.all_correct(3, 3)
         damage(st, MbAddress(1, 0))
         field = zero_field(3, 3)
-        ctx = neighbor_context(st, field, MbAddress(1, 1))
-        assert not ctx.sides[TOP].available
-        assert ctx.sides[BOTTOM].available
+        top, bottom, _, _ = neighbor_context(st, field, MbAddress(1, 1))
+        assert top is None
+        assert bottom is not None
 
     def test_frame_edge_unavailable(self):
         st = MbStatusMap.all_correct(3, 3)
-        ctx = neighbor_context(st, zero_field(3, 3), MbAddress(0, 0))
-        assert not ctx.sides[TOP].available
-        assert not ctx.sides[LEFT].available
-        assert ctx.sides[BOTTOM].available and ctx.sides[RIGHT].available
+        top, bottom, left, right = neighbor_context(st, zero_field(3, 3), MbAddress(0, 0))
+        assert top is None
+        assert left is None
+        assert bottom is not None and right is not None
 
     def test_correct_neighbor_mv_from_field(self):
         st = MbStatusMap.all_correct(3, 3)
         field = zero_field(3, 3, mvs={MbAddress(1, 0): MotionVector(4, -2)})
-        ctx = neighbor_context(st, field, MbAddress(1, 1))
-        assert ctx.sides[TOP] == SideNeighbor(True, MotionVector(4, -2), MbState.CORRECT)
+        top, _, _, _ = neighbor_context(st, field, MbAddress(1, 1))
+        assert top == MotionVector(4, -2)
 
     def test_concealed_neighbor_mv_from_status(self):
         st = MbStatusMap.all_correct(3, 3)
         conceal(st, MbAddress(0, 1), MotionVector(-1, 3))
         field = zero_field(3, 3, mvs={MbAddress(0, 1): MotionVector(7, 7)})  # transmitted MV was lost
-        ctx = neighbor_context(st, field, MbAddress(1, 1))
-        assert ctx.sides[LEFT] == SideNeighbor(True, MotionVector(-1, 3), MbState.CONCEALED)
+        _, _, left, _ = neighbor_context(st, field, MbAddress(1, 1))
+        assert left == MotionVector(-1, 3)
 
     def test_available_mvs_in_side_order(self):
-        ctx = ctx_from(top=(1, 0), bottom=(2, 0), left=(3, 0), right=(4, 0))
-        assert ctx.available_mvs() == [MotionVector(1, 0), MotionVector(2, 0), MotionVector(3, 0), MotionVector(4, 0)]
+        around = {MbAddress(1, 0): (1, 0), MbAddress(1, 2): (2, 0), MbAddress(0, 1): (3, 0), MbAddress(2, 1): (4, 0)}
+        field = zero_field(3, 3, mvs={mb: MotionVector(*mv) for mb, mv in around.items()})
+        ctx = neighbor_context(MbStatusMap.all_correct(3, 3), field, MbAddress(1, 1))
+        assert ctx == (MotionVector(1, 0), MotionVector(2, 0), MotionVector(3, 0), MotionVector(4, 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cols=st.integers(1, 6),
+        rows=st.integers(1, 6),
+        p_damaged=st.floats(0.0, 1.0),
+        p_concealed=st.floats(0.0, 1.0),
+    )
+    def test_matches_oracle_property(self, seed, cols, rows, p_damaged, p_concealed):
+        # every MB of a random grid of correct, damaged and concealed MBs,
+        # the damaged ones and those at the grid's edges among them
+        rng = np.random.Generator(np.random.PCG64(seed))
+        status = random_status(rng, cols, rows, p_damaged, p_concealed * (1.0 - p_damaged))
+        field = random_field(rng, cols, rows)
+        plain = plain_status(status), plain_field(field), plain_concealed_mvs(status)
+        for row in range(rows):
+            for col in range(cols):
+                want = oracle.neighbor_mvs(*plain, col, row)
+                got = neighbor_context(status, field, MbAddress(col, row))
+                assert got == tuple(want[s] for s in oracle.SIDE_NAMES)
 
 
 class TestMeanMedian:
@@ -139,11 +154,11 @@ class TestBuildCandidates:
                 continue
             ctx = neighbor_context(status, field, mb)
             cands = build_candidates(None, ctx, mb)
-            for side in SIDES:
-                n = oracle.neighbor_cell(mb.col, mb.row, side.value, 4, 4)
+            for side, mv in zip(SIDES, ctx):
+                n = oracle.neighbor_cell(mb.col, mb.row, side, 4, 4)
                 if n is not None and status.state[n[1], n[0]] == MbState.DAMAGED:
                     # the lost transmitted MV must not appear via this side
-                    assert not ctx.sides[side].available
+                    assert mv is None
 
     def test_matches_oracle(self, rng):
         for _ in range(200):

@@ -28,9 +28,7 @@ from vidconceal.core import (
 )
 from vidconceal.engine import (
     MODES,
-    NeighborContext,
     PrioritySchedule,
-    SideNeighbor,
     audit_csv_header,
     audit_csv_line,
     build_candidates,

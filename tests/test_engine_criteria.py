@@ -14,19 +14,16 @@ from instances import (
     random_frame_pair,
     random_inbounds_mv,
     random_status,
+    zero_field,
 )
 from vidconceal.core import (
     SIDES,
-    BoundarySide,
     Frame,
     MbAddress,
-    MbState,
     MbStatusMap,
     MotionVector,
 )
 from vidconceal.engine import (
-    NeighborContext,
-    SideNeighbor,
     neighbor_context,
     select_mv,
 )
@@ -34,12 +31,17 @@ from vidconceal.engine import (
 TOP, BOTTOM, LEFT, RIGHT = SIDES
 
 
-def ctx_all(mv, state=MbState.CORRECT):
-    return NeighborContext({side: SideNeighbor(True, mv, state) for side in SIDES})
+def ctx_all(mv):
+    return (mv,) * 4
 
 
 def ctx_none():
-    return NeighborContext({side: SideNeighbor(False) for side in SIDES})
+    return (None,) * 4
+
+
+def ctx_top(nmv):
+    """Every neighbor at the zero vector except the top one, at ``nmv``."""
+    return (nmv,) + ctx_all(MotionVector(0, 0))[1:]
 
 
 # The criteria are read from the per-side breakdown select_mv returns when
@@ -54,9 +56,10 @@ def ebmc(cur, ref, ref_status, mb, mv, ctx):
 def bmc(cur, ref, mb, mv, side, status=None):
     """Classic distortion of one side; ``status`` decides which neighbors
     are available (all Correct when None)."""
+    cols, rows = cur.width // 16, cur.height // 16
     if status is None:
-        status = MbStatusMap.all_correct(cur.width // 16, cur.height // 16)
-    got, d = select_mv(cur, ref, status, mb, [mv], neighbor_context(status, None, mb), "bma")
+        status = MbStatusMap.all_correct(cols, rows)
+    got, d = select_mv(cur, ref, status, mb, [mv], neighbor_context(status, zero_field(cols, rows), mb), "bma")
     assert got == mv
     return d.classic[side]
 
@@ -122,10 +125,10 @@ class TestBoundaryBmc:
             mv = random_inbounds_mv(rng, ref, mb)
             for side in SIDES:
                 got = bmc(cur, ref, mb, mv, side)
-                if oracle.neighbor_cell(mb.col, mb.row, side.value, 4, 4) is None:
+                if oracle.neighbor_cell(mb.col, mb.row, side, 4, 4) is None:
                     assert got is None
                 else:
-                    want = oracle.bmc_side(plain_pixels(cur), plain_pixels(ref), mb.col, mb.row, mv.vx, mv.vy, side.value)
+                    want = oracle.bmc_side(plain_pixels(cur), plain_pixels(ref), mb.col, mb.row, mv.vx, mv.vy, side)
                     assert got == want
 
 
@@ -144,7 +147,7 @@ def bmc_total(side_values) -> int:
             damage(status, MbAddress(x // 16, y // 16))
         else:
             cur.luma[y, x] = 50 + v
-    _, d = select_mv(cur, ref, status, mb, [MotionVector(0, 0)], neighbor_context(status, None, mb), "bma")
+    _, d = select_mv(cur, ref, status, mb, [MotionVector(0, 0)], neighbor_context(status, zero_field(3, 3), mb), "bma")
     assert list(d.classic.values()) == list(side_values)
     return d.classic_total
 
@@ -199,7 +202,7 @@ class TestBoundaryPbmc:
         mb = MbAddress(1, 1)
         # top neighbor moved up by 7: its outer row lands in the row-0 MB band
         nmv = MotionVector(0, -7)
-        ctx = NeighborContext({**ctx_all(MotionVector(0, 0)).sides, TOP: SideNeighbor(True, nmv, MbState.CORRECT)})
+        ctx = ctx_top(nmv)
         assert pbmc(ref, st, mb, MotionVector(0, 0), TOP, ctx) is not None
         conceal(st, MbAddress(1, 0), MotionVector(0, 0))
         assert pbmc(ref, st, mb, MotionVector(0, 0), TOP, ctx) is None
@@ -209,7 +212,7 @@ class TestBoundaryPbmc:
         mb = MbAddress(1, 1)
         # nmv shifts the segment right by 5: spans ref MB columns 1 and 2
         nmv = MotionVector(5, -7)
-        ctx = NeighborContext({**ctx_all(MotionVector(0, 0)).sides, TOP: SideNeighbor(True, nmv, MbState.CORRECT)})
+        ctx = ctx_top(nmv)
         for concealed_col in (1, 2):
             st = MbStatusMap.all_correct(4, 4)
             conceal(st, MbAddress(concealed_col, 0), MotionVector(0, 0))
@@ -220,7 +223,7 @@ class TestBoundaryPbmc:
         st = MbStatusMap.all_correct(4, 4)
         # top neighbor of the top-row MB (1,0) does not exist, but craft the
         # context anyway: segment y = 0 + (-7) < 0 leaves the frame
-        ctx = NeighborContext({**ctx_all(MotionVector(0, 0)).sides, TOP: SideNeighbor(True, MotionVector(0, -7), MbState.CORRECT)})
+        ctx = ctx_top(MotionVector(0, -7))
         assert pbmc(ref, st, MbAddress(1, 0), MotionVector(0, 0), TOP, ctx) is None
 
     def test_matches_oracle(self, rng):
@@ -244,7 +247,7 @@ class TestBoundaryPbmc:
                 got = pbmc(ref, ref_status, mb, mv, side, ctx)
                 want = None if fallback else oracle.pbmc_side(
                     plain_pixels(ref), plain_status(ref_status), mb.col, mb.row,
-                    mv.vx, mv.vy, side.value, nmvs[side.value],
+                    mv.vx, mv.vy, side, nmvs[side],
                 )
                 assert got == want
 
@@ -257,13 +260,9 @@ class TestEbmcTotal:
         mb = MbAddress(1, 1)
         # neighbors available but each side's additional boundary lands in a
         # concealed reference band
-        sides = {}
-        nmv = {TOP: MotionVector(0, -7), BOTTOM: MotionVector(0, 7), LEFT: MotionVector(-7, 0), RIGHT: MotionVector(7, 0)}
-        for side in SIDES:
-            sides[side] = SideNeighbor(True, nmv[side], MbState.CORRECT)
+        ctx = (MotionVector(0, -7), MotionVector(0, 7), MotionVector(-7, 0), MotionVector(7, 0))
         for cell in (MbAddress(1, 0), MbAddress(1, 2), MbAddress(0, 1), MbAddress(2, 1)):
             conceal(ref_status, cell, MotionVector(0, 0))
-        ctx = NeighborContext(sides)
         mv = MotionVector(2, 1)
         d = ebmc(cur, ref, ref_status, mb, mv, ctx)
         assert all(d.proposed[s] is None for s in SIDES)
@@ -276,7 +275,7 @@ class TestEbmcTotal:
         mb = MbAddress(1, 1)  # origin (16, 16)
         cur.luma[15, 20] = 57  # outer top row: one pixel +7 -> BMC_top = 7
         ref.luma[15, 24] = 53  # additional row (nmv (0,-1)): one pixel +3 -> PBMC_top = 3
-        ctx = NeighborContext({**ctx_all(MotionVector(0, 0)).sides, TOP: SideNeighbor(True, MotionVector(0, -1), MbState.CORRECT)})
+        ctx = ctx_top(MotionVector(0, -1))
         d = ebmc(cur, ref, MbStatusMap.all_correct(3, 3), mb, MotionVector(0, 0), ctx)
         assert d.classic[TOP] == 7
         assert d.proposed[TOP] == 3

@@ -129,8 +129,8 @@ class TestRunExperiment:
 
     def test_report_shape_and_fields(self, small_seq, tmp_path):
         spec = self._spec(small_seq)
-        report = run_experiment(spec, str(tmp_path / "out"))
-        assert len(report.rows) == 4  # 2 modes x 2 rates
+        rows = run_experiment(spec, str(tmp_path / "out"))
+        assert len(rows) == 4  # 2 modes x 2 rates
         text = (tmp_path / "out" / "report.csv").read_text()
         lines = text.splitlines()
         assert lines[0] == "sequence,mode,rate,trials,mean_psnr_db,mean_time_per_mb_ms"
@@ -234,6 +234,26 @@ class TestSpecFile:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="repeated sequence name 'clip'"):
+            load_spec_file(str(path))
+
+    def test_defaults_come_from_the_specs(self, small_seq, tmp_path):
+        raw = {"sequences": [{"path": small_seq.path, "width": 64, "height": 64}], "rates": [0.1], "modes": ["tr"]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        seq = SequenceSpec("small", small_seq.path, 64, 64)
+        assert load_spec_file(str(path)) == ExperimentSpec([seq], [0.1], ["tr"])
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [("spec", "sequences"), ("spec", "rates"), ("spec", "modes"),
+         ("sequence", "path"), ("sequence", "width"), ("sequence", "height")],
+    )
+    def test_missing_required_key_rejected(self, small_seq, tmp_path, where, key):
+        raw = {"sequences": [{"path": small_seq.path, "width": 64, "height": 64}], "rates": [0.1], "modes": ["tr"]}
+        del (raw if where == "spec" else raw["sequences"][0])[key]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"missing {where} key '{key}'"):
             load_spec_file(str(path))
 
     @pytest.mark.parametrize("where, key", [("spec", "trial"), ("spec", "measure_timings"), ("sequence", "frame")])
