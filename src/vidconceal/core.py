@@ -7,7 +7,7 @@ is the sample at column x of row y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +45,8 @@ SIDE_STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0))
 
 
 class MbState:
-    """Codes of an MB's decode state, as stored in ``MbStatusMap.state``."""
+    """Codes of an MB's decode state. A frame's status is a plain uint8
+    (mb_rows, mb_cols) grid of these codes, indexed [row, col]."""
 
     CORRECT = 0
     DAMAGED = 1
@@ -98,39 +99,3 @@ class Frame:
                 f"{self.width}x{self.height} frame is not a multiple of {MB}x{MB}"
             )
 
-
-@dataclass
-class MbStatusMap:
-    """Per-macroblock decode state for one frame.
-
-    Concealed entries carry the motion vector that reconstructed them; that
-    vector is what neighbor-based recovery of adjacent blocks reads back.
-    """
-
-    state: np.ndarray  # uint8 grid of MbState values, shape (mb_rows, mb_cols)
-    mv_x: np.ndarray = field(default=None)  # type: ignore[assignment]
-    mv_y: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.state = np.asarray(self.state, dtype=np.uint8)
-        if self.state.ndim != 2 or self.state.size == 0:
-            raise ValueError("state must be a non-empty 2-D grid")
-        if self.mv_x is None:
-            self.mv_x = np.zeros(self.state.shape, dtype=np.int16)
-        if self.mv_y is None:
-            self.mv_y = np.zeros(self.state.shape, dtype=np.int16)
-
-    @classmethod
-    def all_correct(cls, mb_cols: int, mb_rows: int) -> "MbStatusMap":
-        return cls(np.zeros((mb_rows, mb_cols), dtype=np.uint8))
-
-    @property
-    def mb_cols(self) -> int:
-        return self.state.shape[1]
-
-    @property
-    def mb_rows(self) -> int:
-        return self.state.shape[0]
-
-    def copy(self) -> "MbStatusMap":
-        return MbStatusMap(self.state.copy(), self.mv_x.copy(), self.mv_y.copy())

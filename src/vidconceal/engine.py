@@ -37,10 +37,11 @@ been rebuilt. The schedule keeps one heap of raster indices per priority
 0-4, so each pop and each bump costs O(log n); the count an MB was popped at
 is its number of available sides, which the audit records as its priority.
 Per MB the loop does only what its mode needs: ``tr`` reads no neighbor
-context, and the concealed state and vector go straight into the status
-grids. Each concealed MB leaves one flat audit record: its vector, its
-priority and the total, classic total and absent sides of its score, copied
-once from the scorer's breakdown.
+context, and the other modes write each concealed vector into one working
+copy of the frame's MV field, where later neighbors read it as they read a
+transmitted one. Each concealed MB leaves one flat audit record: its
+vector, its priority and the total, classic total and absent sides of its
+score, copied once from the scorer's breakdown.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .core import (
     Frame,
     MbAddress,
     MbState,
-    MbStatusMap,
     MotionVector,
     ZERO_MV,
 )
@@ -111,28 +111,26 @@ def _pattern(bits: int) -> tuple[tuple[tuple[bool, ...], ...], np.ndarray, np.nd
 _PATTERNS = [_pattern(bits) for bits in range(256)]
 
 
-def neighbor_context(status: MbStatusMap, mv_field: MvField, mb: MbAddress) -> NeighborContext:
+def neighbor_context(status: np.ndarray, mv_field: MvField, mb: MbAddress) -> NeighborContext:
     """Motion vector of each 4-neighbor in SIDES order, None where that side
     is unavailable.
 
     A side is available iff the neighbor exists in-frame and is Correct or
-    Concealed; a still-Damaged neighbor has lost both pixels and vector.
-    Correct neighbors contribute their transmitted vector from ``mv_field``,
-    concealed ones the vector estimated when they were recovered.
+    Concealed in the ``status`` grid; a still-Damaged neighbor has lost both
+    pixels and vector. An available neighbor's vector is read from
+    ``mv_field``, which holds the transmitted vector of a Correct MB and the
+    recovered vector of a Concealed one.
     """
-    state = status.state
-    rows, cols = state.shape
+    rows, cols = status.shape
     col, row = mb
+    vx, vy = mv_field.vx, mv_field.vy
     ctx = []
     for dc, dr in SIDE_STEPS:
         c, r = col + dc, row + dr
-        if not (0 <= c < cols and 0 <= r < rows) or (code := state.item(r, c)) == MbState.DAMAGED:
-            mv = None
-        elif code == MbState.CONCEALED:
-            mv = MotionVector(status.mv_x.item(r, c), status.mv_y.item(r, c))
+        if 0 <= c < cols and 0 <= r < rows and status.item(r, c) != MbState.DAMAGED:
+            ctx.append(MotionVector(vx.item(r, c), vy.item(r, c)))
         else:
-            mv = MotionVector(mv_field.vx.item(r, c), mv_field.vy.item(r, c))
-        ctx.append(mv)
+            ctx.append(None)
     return tuple(ctx)
 
 
@@ -192,7 +190,7 @@ def _start(shape: tuple[int, int], x: int, y: int, k: int, screen: np.ndarray | 
     return y * w + x
 
 
-def _target_starts(ref: Frame, ref_status: MbStatusMap, mb: MbAddress,
+def _target_starts(ref: Frame, ref_status: np.ndarray, mb: MbAddress,
                    ctx: NeighborContext, mode: str) -> tuple[list[list[int]], int, bool]:
     """The candidate-independent part of scoring one damaged MB: where its
     target boundaries start, which of them are present, and whether the
@@ -216,9 +214,8 @@ def _target_starts(ref: Frame, ref_status: MbStatusMap, mb: MbAddress,
     starts at 0. The presence bits follow _PATTERNS.
     """
     i, j = mb.origin()
-    screen = ref_status.state
     shape = ref.luma.shape
-    fallback = mode == "ebmc" and screen.item(mb.row, mb.col) == MbState.CONCEALED
+    fallback = mode == "ebmc" and ref_status.item(mb.row, mb.col) == MbState.CONCEALED
     addl = mode == "ebmc" and not fallback
     outer, extra = [0] * 4, [0] * 4
     bits = 0
@@ -231,7 +228,7 @@ def _target_starts(ref: Frame, ref_status: MbStatusMap, mb: MbAddress,
             bits |= 1 << k
         if addl:
             vx, vy = mv
-            start = _start(shape, i + vx, j + vy, k, screen)
+            start = _start(shape, i + vx, j + vy, k, ref_status)
             if start is not None:
                 extra[k] = start
                 bits |= 16 << k
@@ -241,7 +238,7 @@ def _target_starts(ref: Frame, ref_status: MbStatusMap, mb: MbAddress,
 def select_mv(
     cur: Frame,
     ref: Frame,
-    ref_status: MbStatusMap,
+    ref_status: np.ndarray,
     mb: MbAddress,
     candidates: CandidateSet,
     ctx: NeighborContext,
@@ -362,9 +359,9 @@ class PrioritySchedule:
     available sides.
     """
 
-    def __init__(self, status: MbStatusMap):
-        self._cols = status.mb_cols
-        damaged = status.state == MbState.DAMAGED
+    def __init__(self, status: np.ndarray):
+        self._cols = status.shape[1]
+        damaged = status == MbState.DAMAGED
         avail = ~damaged
         neigh = np.zeros(avail.shape, dtype=np.int8)
         neigh[1:, :] += avail[:-1, :]
@@ -428,7 +425,7 @@ class AuditRecord:
 @dataclass
 class ConcealedFrame:
     frame: Frame
-    status: MbStatusMap
+    status: np.ndarray  # uint8 MbState grid, shape (mb_rows, mb_cols)
     audit: list[AuditRecord] = field(default_factory=list)
 
 
@@ -444,20 +441,20 @@ def _clamp_mv(frame: Frame, mb: MbAddress, mv: MotionVector) -> MotionVector:
 def conceal_frame(
     cur_damaged: Frame,
     ref_frame: Frame,
-    ref_status: MbStatusMap,
-    status: MbStatusMap,
+    ref_status: np.ndarray,
+    status: np.ndarray,
     mv_field: MvField | None,
     prev_mv_field: MvField | None,
     mode: str,
 ) -> ConcealedFrame:
     """Reconstruct every damaged MB of a frame, in priority order.
 
-    ``mv_field`` holds the current frame's transmitted vectors (read for
-    correctly received neighbors), ``prev_mv_field`` the previous frame's
-    (read for the collocated candidate). The reference is the previous
-    *reconstructed* frame together with its final status map, which is how
-    concealment errors propagate into later frames and how the additional
-    boundaries get their reliability screening.
+    ``mv_field`` holds the current frame's transmitted vectors,
+    ``prev_mv_field`` the previous frame's (read for the collocated
+    candidate); neither they nor the ``status`` grid are changed. The
+    reference is the previous *reconstructed* frame together with its final
+    status grid, which is how concealment errors propagate into later frames
+    and how the additional boundaries get their reliability screening.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -469,9 +466,10 @@ def conceal_frame(
     work = cur_damaged.luma.copy()
     out_frame = Frame(work)
     ref_luma = ref_frame.luma
-    st = status.copy()
-    state, mv_x, mv_y = st.state, st.mv_x, st.mv_y
-    sched = PrioritySchedule(st)
+    state = status.copy()
+    # every trial of a sequence shares the caller's field
+    vectors = None if mode == "tr" else MvField(mv_field.frame_index, mv_field.vx.copy(), mv_field.vy.copy())
+    sched = PrioritySchedule(state)
     audit: list[AuditRecord] = []
     scored = mode in ("bma", "ebmc")
 
@@ -479,11 +477,12 @@ def conceal_frame(
         mb = sched.extract()
         if mb is None:
             break
+        col, row = mb
         total, classic_total, sides_absent = -1, -1, 4
         if mode == "tr":
             mv = ZERO_MV
         else:
-            ctx = neighbor_context(st, mv_field, mb)
+            ctx = neighbor_context(state, vectors, mb)
             if scored:
                 candidates = build_candidates(prev_mv_field, ctx, mb)
                 mv, dist = select_mv(out_frame, ref_frame, ref_status, mb, candidates, ctx, mode)
@@ -492,18 +491,16 @@ def conceal_frame(
                 mvs = [mv for mv in ctx if mv is not None]
                 mv = (mean_mv(mvs) if mode == "avg" else median_mv(mvs)) if mvs else ZERO_MV
                 mv = _clamp_mv(ref_frame, mb, mv)
-        col, row = mb
+            vectors.vx[row, col], vectors.vy[row, col] = mv
         vx, vy = mv
         i, j = MB * col, MB * row
         work[j : j + MB, i : i + MB] = ref_luma[j + vy : j + vy + MB, i + vx : i + vx + MB]
         # The MB came from the schedule, so it is in the grid and Damaged.
         state[row, col] = MbState.CONCEALED
-        mv_x[row, col] = vx
-        mv_y[row, col] = vy
         sched.on_concealed(mb)
         audit.append(AuditRecord(mb, mode, mv, sched.last_count, total, classic_total, sides_absent))
 
-    return ConcealedFrame(out_frame, st, audit)
+    return ConcealedFrame(out_frame, state, audit)
 
 
 def audit_csv_header() -> str:

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import MB, Frame, MbState, MbStatusMap
+from .core import MB, Frame, MbState
 from .engine import MODES, audit_csv_header, audit_csv_line, conceal_frame
 from .loss import TrialConfig, apply_mask, make_mask
 from .metrics import PsnrSample, psnr
@@ -44,6 +44,12 @@ class SequenceSpec:
     width: int
     height: int
     frames: int | None = None  # None: 30 at CIF height and up, else 60
+
+    def __post_init__(self):
+        for key in ("width", "height", "frames"):
+            value = getattr(self, key)
+            if type(value) is not int and not (key == "frames" and value is None):
+                raise ValueError(f"sequence {self.name}: {key} must be an integer, got {value!r}")
 
     def frame_budget(self) -> int:
         if self.frames is not None:
@@ -63,11 +69,18 @@ class ExperimentSpec:
     dump_frames: list[int] = field(default_factory=list)
 
     def __post_init__(self):
+        # a string would be iterated letter by letter, a number not at all
+        for key in ("sequences", "rates", "modes", "dump_frames"):
+            if not isinstance(getattr(self, key), list):
+                raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
         for key in ("sequences", "rates", "modes"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must not be empty: the report would have no rows")
         if type(self.trials) is not int or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        # a bool is an int to Python, but true is no seed
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         # the search would only fail on this once the output tree exists
         if type(self.search_p) is not int or self.search_p < 0:
             raise ValueError(f"search_p must be an integer >= 0, got {self.search_p!r}")
@@ -79,6 +92,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown mode {mode!r}")
         tags: dict[str, float] = {}
         for rate in self.rates:
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise ValueError(f"rates entry {rate!r} is not a number")
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate {rate} outside [0, 1]")
             # trial and audit file names carry the rate tag, so equal tags
@@ -93,6 +108,8 @@ class ExperimentSpec:
                 raise ValueError(f"sequence {seq.name}: need at least 2 frames")
             # stills are written for these frame indices of every sequence
             for t in self.dump_frames:
+                if type(t) is not int:
+                    raise ValueError(f"dump_frames entry {t!r} is not an integer")
                 if not 0 <= t < budget:
                     raise ValueError(f"dump_frames index {t} outside sequence {seq.name}'s {budget} frames")
         # the file names carry the sequence name and the mode as well
@@ -103,8 +120,11 @@ class ExperimentSpec:
 
 
 def _check_keys(raw: dict, spec_type, where: str, derived: tuple[str, ...] = ()) -> None:
-    """Reject a key that names no field of ``spec_type``, and a missing one
-    for a field without a default that the loader does not derive."""
+    """Reject a ``raw`` that is not a table of keys, a key that names no
+    field of ``spec_type``, and a missing one for a field without a default
+    that the loader does not derive."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a table of keys, got {raw!r}")
     fields = dataclasses.fields(spec_type)
     unknown = sorted(set(raw) - {f.name for f in fields})
     if unknown:
@@ -128,13 +148,17 @@ def load_spec_file(path: str) -> ExperimentSpec:
         with open(path) as f:
             raw = json.load(f)
     _check_keys(raw, ExperimentSpec, "spec")
-    sequences = []
-    for s in raw["sequences"]:
-        # a sequence is named after its file unless the spec names it
-        _check_keys(s, SequenceSpec, "sequence", derived=("name",))
-        stem = os.path.splitext(os.path.basename(s["path"]))[0]
-        sequences.append(SequenceSpec(**{"name": stem, **s}))
+    sequences = raw["sequences"]
+    if isinstance(sequences, list):  # anything else is ExperimentSpec's to reject
+        sequences = [_load_sequence(s) for s in sequences]
     return ExperimentSpec(**{**raw, "sequences": sequences})
+
+
+def _load_sequence(raw) -> SequenceSpec:
+    # a sequence is named after its file unless the spec names it
+    _check_keys(raw, SequenceSpec, "sequence", derived=("name",))
+    stem = os.path.splitext(os.path.basename(raw["path"]))[0]
+    return SequenceSpec(**{"name": stem, **raw})
 
 
 @dataclass
@@ -176,12 +200,12 @@ def build_context(seq: SequenceSpec, search_p: int = 7) -> SequenceContext:
     return SequenceContext(seq, originals, fields)
 
 
-def blank_damaged(frame: Frame, status: MbStatusMap) -> Frame:
+def blank_damaged(frame: Frame, status: np.ndarray) -> Frame:
     """Zero out the pixels of damaged MBs; the decoder treats them as lost.
     One multiply scales each MB of the frame, which must cover the status
     grid exactly, by 0 where it is damaged and by 1 elsewhere."""
-    rows, cols = status.state.shape
-    keep = (status.state != MbState.DAMAGED).view(np.uint8)
+    rows, cols = status.shape
+    keep = (status != MbState.DAMAGED).view(np.uint8)
     blocks = frame.luma.reshape(rows, MB, cols, MB) * keep[:, None, :, None]
     return Frame(blocks.reshape(rows * MB, cols * MB))
 
@@ -206,9 +230,9 @@ def decode_frames(
     after the seeded loss of ``cfg``, against the previous reconstruction.
     Timed frames report the median of 3 concealment runs."""
     cols, rows = first.mb_cols, first.mb_rows
-    ref_frame, ref_status, prev_field = first, MbStatusMap.all_correct(cols, rows), None
+    ref_frame, ref_status, prev_field = first, np.zeros((rows, cols), dtype=np.uint8), None
     for t, (original, mv_field) in enumerate(inter, start=1):
-        status = apply_mask(ref_status, make_mask(t, cols, rows, cfg))
+        status = apply_mask(make_mask(t, cols, rows, cfg), cols, rows)
         damaged = blank_damaged(original, status)
         times = []
         for _ in range(3 if measure_timing else 1):

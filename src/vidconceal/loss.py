@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MbState, MbStatusMap
+from .core import MbState
 
 _U64 = (1 << 64) - 1
 
@@ -58,12 +58,13 @@ def make_mask(frame_index: int, mb_cols: int, mb_rows: int, cfg: TrialConfig) ->
     return LossMask(frame_index, np.sort(picks))
 
 
-def apply_mask(status: MbStatusMap, mask: LossMask) -> MbStatusMap:
-    """Fresh status map: masked MBs Damaged, everything else Correct."""
-    out = MbStatusMap.all_correct(status.mb_cols, status.mb_rows)
+def apply_mask(mask: LossMask, mb_cols: int, mb_rows: int) -> np.ndarray:
+    """Fresh (mb_rows, mb_cols) status grid: masked MBs Damaged, everything
+    else Correct."""
+    out = np.zeros((mb_rows, mb_cols), dtype=np.uint8)
     lost = mask.lost
-    bad = lost[(lost < 0) | (lost >= out.state.size)]
+    bad = lost[(lost < 0) | (lost >= out.size)]
     if bad.size:
-        raise ValueError(f"mask entry {bad[0]} outside {out.mb_cols}x{out.mb_rows} grid")
-    out.state.put(lost, MbState.DAMAGED)
+        raise ValueError(f"mask entry {bad[0]} outside {mb_cols}x{mb_rows} grid")
+    out.put(lost, MbState.DAMAGED)
     return out

@@ -1,38 +1,50 @@
 """Randomized test instances shared by the engine tests and the acceptance
 suite, status-grid helpers, and converters to the plain data the oracle
-consumes."""
+consumes.
+
+A status is a uint8 (mb_rows, mb_cols) grid of MbState codes. As in
+conceal_frame, a concealed MB's vector sits in the MV field next to the
+transmitted vectors of the correct MBs."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from vidconceal.core import Frame, MbAddress, MbState, MbStatusMap, MotionVector
+from vidconceal.core import Frame, MbAddress, MbState, MotionVector
 from vidconceal.motion import MvField
 
 
-def damage(status: MbStatusMap, *mbs: MbAddress) -> MbStatusMap:
+def all_correct(mb_cols: int, mb_rows: int) -> np.ndarray:
+    return np.zeros((mb_rows, mb_cols), dtype=np.uint8)
+
+
+def damage(status: np.ndarray, *mbs: MbAddress) -> np.ndarray:
     """Mark ``mbs`` damaged in place; returns ``status``."""
     for mb in mbs:
-        status.state[mb.row, mb.col] = MbState.DAMAGED
+        status[mb.row, mb.col] = MbState.DAMAGED
     return status
 
 
-def conceal(status: MbStatusMap, mb: MbAddress, mv: MotionVector) -> None:
-    status.state[mb.row, mb.col] = MbState.CONCEALED
-    status.mv_x[mb.row, mb.col], status.mv_y[mb.row, mb.col] = mv
+def conceal(status: np.ndarray, mb: MbAddress, field: MvField | None = None, mv: MotionVector | None = None) -> None:
+    """Mark ``mb`` concealed in place and, given a field, write its
+    concealment vector ``mv`` there. A reference grid needs no field:
+    nothing reads the vectors of the reference's concealed MBs."""
+    status[mb.row, mb.col] = MbState.CONCEALED
+    if field is not None:
+        field.vx[mb.row, mb.col], field.vy[mb.row, mb.col] = mv
 
 
-def damaged_mbs(status: MbStatusMap) -> list[MbAddress]:
+def damaged_mbs(status: np.ndarray) -> list[MbAddress]:
     """Damaged MBs in raster order (row-major)."""
-    rows, cols = np.nonzero(status.state == MbState.DAMAGED)
+    rows, cols = np.nonzero(status == MbState.DAMAGED)
     return [MbAddress(int(c), int(r)) for r, c in zip(rows, cols)]
 
 
-def concealed_mv(status: MbStatusMap, mb: MbAddress) -> MotionVector | None:
+def concealed_mv(status: np.ndarray, field: MvField, mb: MbAddress) -> MotionVector | None:
     """Concealment vector of a concealed MB, None otherwise."""
-    if status.state[mb.row, mb.col] != MbState.CONCEALED:
+    if status[mb.row, mb.col] != MbState.CONCEALED:
         return None
-    return MotionVector(int(status.mv_x[mb.row, mb.col]), int(status.mv_y[mb.row, mb.col]))
+    return field.mv_at(mb)
 
 
 def random_frame_pair(rng: np.random.Generator, width=64, height=64, levels=256):
@@ -43,16 +55,14 @@ def random_frame_pair(rng: np.random.Generator, width=64, height=64, levels=256)
     return cur, ref
 
 
-def random_status(rng, mb_cols, mb_rows, p_damaged=0.3, p_concealed=0.2, span=7):
-    """Status map with a random mix of correct, damaged and concealed MBs;
-    concealed entries carry random vectors."""
+def random_status(rng, mb_cols, mb_rows, p_damaged=0.3, p_concealed=0.2):
+    """Status grid with a random mix of correct, damaged and concealed MBs;
+    the vectors of the concealed ones are those of the field used with it."""
     draws = rng.random((mb_rows, mb_cols))
-    state = np.zeros((mb_rows, mb_cols), dtype=np.uint8)
+    state = all_correct(mb_cols, mb_rows)
     state[draws < p_damaged] = MbState.DAMAGED
     state[(draws >= p_damaged) & (draws < p_damaged + p_concealed)] = MbState.CONCEALED
-    mv_x = rng.integers(-span, span + 1, size=state.shape).astype(np.int16)
-    mv_y = rng.integers(-span, span + 1, size=state.shape).astype(np.int16)
-    return MbStatusMap(state, mv_x, mv_y)
+    return state
 
 
 def random_mv(rng, span=7) -> MotionVector:
@@ -99,7 +109,7 @@ def random_inbounds_mv(rng, frame: Frame, mb: MbAddress, span=7) -> MotionVector
     return MotionVector(int(rng.integers(vx_lo, vx_hi + 1)), int(rng.integers(vy_lo, vy_hi + 1)))
 
 
-def pick_damaged(rng, status: MbStatusMap) -> MbAddress | None:
+def pick_damaged(rng, status: np.ndarray) -> MbAddress | None:
     dmg = damaged_mbs(status)
     if not dmg:
         return None
@@ -110,15 +120,16 @@ def plain_pixels(frame: Frame):
     return frame.luma  # [y][x] indexing works directly on the array
 
 
-def plain_status(status: MbStatusMap):
-    return status.state.tolist()
+def plain_status(status: np.ndarray):
+    return status.tolist()
 
 
-def plain_concealed_mvs(status: MbStatusMap):
-    out = [[None] * status.mb_cols for _ in range(status.mb_rows)]
-    for row in range(status.mb_rows):
-        for col in range(status.mb_cols):
-            mv = concealed_mv(status, MbAddress(col, row))
+def plain_concealed_mvs(status: np.ndarray, field: MvField):
+    rows, cols = status.shape
+    out = [[None] * cols for _ in range(rows)]
+    for row in range(rows):
+        for col in range(cols):
+            mv = concealed_mv(status, field, MbAddress(col, row))
             if mv is not None:
                 out[row][col] = (mv.vx, mv.vy)
     return out

@@ -15,6 +15,7 @@ import pytest
 
 import oracle
 from instances import (
+    all_correct,
     damage,
     damaged_mbs,
     pick_damaged,
@@ -33,7 +34,6 @@ from vidconceal.core import (
     Frame,
     MbAddress,
     MbState,
-    MbStatusMap,
     MotionVector,
 )
 from vidconceal.engine import (
@@ -71,7 +71,7 @@ def _random_instance(rng):
     mb = pick_damaged(rng, status)
     if mb is None:
         mb = MbAddress(int(rng.integers(0, 4)), int(rng.integers(0, 4)))
-        status.state[mb.row, mb.col] = MbState.DAMAGED
+        status[mb.row, mb.col] = MbState.DAMAGED
     return cur, ref, status, ref_status, field, mb
 
 
@@ -108,7 +108,7 @@ def test_criterion_2_oracle_argmin_equivalence(rng):
         cands = build_candidates(prev, ctx, mb)
         got_mv, got_dist = select_mv(cur, ref, ref_status, mb, cands, ctx, mode)
         nmvs = oracle.neighbor_mvs(
-            plain_status(status), plain_field(field), plain_concealed_mvs(status), mb.col, mb.row
+            plain_status(status), plain_field(field), plain_concealed_mvs(status, field), mb.col, mb.row
         )
         want_mv, want_total = oracle.select(
             mode, plain_pixels(cur), plain_pixels(ref), plain_status(status),
@@ -173,9 +173,9 @@ def test_criterion_4_global_translation_exactness():
         ]
 
     exact = True
-    ref_frame, ref_status = originals[0], MbStatusMap.all_correct(cols, rows)
+    ref_frame, ref_status = originals[0], all_correct(cols, rows)
     for t in range(1, frames):
-        status = MbStatusMap.all_correct(cols, rows)
+        status = all_correct(cols, rows)
         damaged = Frame(originals[t].luma.copy())
         for mb in mask_for(t):
             damage(status, mb)
@@ -198,8 +198,7 @@ def test_criterion_5_scheduler_correctness(rng):
     masks = 0
     for _ in range(1000):
         cols, rows = 8, 8
-        state = (rng.random((rows, cols)) < rng.uniform(0.1, 0.5)).astype(np.uint8)
-        st = MbStatusMap(state.copy())
+        st = (rng.random((rows, cols)) < rng.uniform(0.1, 0.5)).astype(np.uint8)
         damaged = {(mb.col, mb.row) for mb in damaged_mbs(st)}
         if not damaged:
             continue
@@ -280,9 +279,9 @@ def _interleaved_conceal_s(ctx, rate, trials, seed):
     warm = False
     for k in range(trials):
         cfg = TrialConfig(rate, seed, k)
-        ref_frame, ref_status = originals[0], MbStatusMap.all_correct(cols, rows)
+        ref_frame, ref_status = originals[0], all_correct(cols, rows)
         for t in range(1, len(originals)):
-            status = apply_mask(ref_status, make_mask(t, cols, rows, cfg))
+            status = apply_mask(make_mask(t, cols, rows, cfg), cols, rows)
             args = (blank_damaged(originals[t], status), ref_frame, ref_status, status,
                     fields[t], fields[t - 1])
             if not warm:

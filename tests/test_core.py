@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from instances import damage, damaged_mbs, random_field, random_frame_pair
-from vidconceal.core import MB, Frame, MbAddress, MbState, MbStatusMap
+from instances import all_correct, damage, damaged_mbs, random_field, random_frame_pair
+from vidconceal.core import MB, Frame, MbAddress, MbState
 from vidconceal.engine import conceal_frame
 
 
@@ -41,30 +41,23 @@ class TestFrame:
         assert all(x % MB == 0 and y % MB == 0 for x, y in origins)
 
 
-class TestMbStatusMap:
+class TestMbStatus:
     def test_transitions(self, rng):
         cur, ref = random_frame_pair(rng, 48, 32)
-        st = damage(MbStatusMap.all_correct(3, 2), MbAddress(1, 1))
-        assert st.state.tolist() == [[0, 0, 0], [0, 1, 0]]
-        out = conceal_frame(cur, ref, MbStatusMap.all_correct(3, 2), st, random_field(rng, 3, 2), None, "bma")
-        assert out.status.state.tolist() == [[0, 0, 0], [0, 2, 0]]
-        mv = out.audit[0].mv
-        assert (out.status.mv_x[1, 1], out.status.mv_y[1, 1]) == (mv.vx, mv.vy)
+        st = damage(all_correct(3, 2), MbAddress(1, 1))
+        assert st.tolist() == [[0, 0, 0], [0, 1, 0]]
+        out = conceal_frame(cur, ref, all_correct(3, 2), st, random_field(rng, 3, 2), None, "bma")
+        assert out.status.tolist() == [[0, 0, 0], [0, 2, 0]]
+        assert [rec.mb for rec in out.audit] == [MbAddress(1, 1)]
 
     def test_correct_cannot_be_concealed(self, rng):
         # only damaged MBs are concealed; correct ones keep state and pixels
         cur, ref = random_frame_pair(rng, 32, 32)
-        st = MbStatusMap.all_correct(2, 2)
+        st = all_correct(2, 2)
         out = conceal_frame(cur, ref, st.copy(), st, random_field(rng, 2, 2), None, "ebmc")
-        assert (out.status.state == MbState.CORRECT).all() and out.audit == []
+        assert (out.status == MbState.CORRECT).all() and out.audit == []
         assert np.array_equal(out.frame.luma, cur.luma)
 
     def test_damaged_iterates_raster(self):
-        st = damage(MbStatusMap.all_correct(3, 3), MbAddress(1, 2), MbAddress(0, 1), MbAddress(2, 0))
+        st = damage(all_correct(3, 3), MbAddress(1, 2), MbAddress(0, 1), MbAddress(2, 0))
         assert damaged_mbs(st) == [MbAddress(2, 0), MbAddress(0, 1), MbAddress(1, 2)]
-
-    def test_copy_is_independent(self):
-        st = MbStatusMap.all_correct(2, 2)
-        cp = st.copy()
-        damage(st, MbAddress(0, 0))
-        assert cp.state[0, 0] == MbState.CORRECT

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracle
 from instances import (
+    all_correct,
     conceal,
     damage,
     pick_damaged,
@@ -15,7 +16,7 @@ from instances import (
     random_status,
     zero_field,
 )
-from vidconceal.core import SIDES, MbAddress, MbState, MbStatusMap, MotionVector
+from vidconceal.core import SIDES, MbAddress, MbState, MotionVector
 from vidconceal.engine import (
     build_candidates,
     mean_mv,
@@ -30,7 +31,7 @@ def ctx_from(top=None, bottom=None, left=None, right=None):
 
 class TestNeighborContext:
     def test_damaged_neighbors_unavailable(self):
-        st = MbStatusMap.all_correct(3, 3)
+        st = all_correct(3, 3)
         damage(st, MbAddress(1, 0))
         field = zero_field(3, 3)
         top, bottom, _, _ = neighbor_context(st, field, MbAddress(1, 1))
@@ -38,29 +39,29 @@ class TestNeighborContext:
         assert bottom is not None
 
     def test_frame_edge_unavailable(self):
-        st = MbStatusMap.all_correct(3, 3)
+        st = all_correct(3, 3)
         top, bottom, left, right = neighbor_context(st, zero_field(3, 3), MbAddress(0, 0))
         assert top is None
         assert left is None
         assert bottom is not None and right is not None
 
     def test_correct_neighbor_mv_from_field(self):
-        st = MbStatusMap.all_correct(3, 3)
+        st = all_correct(3, 3)
         field = zero_field(3, 3, mvs={MbAddress(1, 0): MotionVector(4, -2)})
         top, _, _, _ = neighbor_context(st, field, MbAddress(1, 1))
         assert top == MotionVector(4, -2)
 
     def test_concealed_neighbor_mv_from_status(self):
-        st = MbStatusMap.all_correct(3, 3)
-        conceal(st, MbAddress(0, 1), MotionVector(-1, 3))
+        st = all_correct(3, 3)
         field = zero_field(3, 3, mvs={MbAddress(0, 1): MotionVector(7, 7)})  # transmitted MV was lost
+        conceal(st, MbAddress(0, 1), field, MotionVector(-1, 3))
         _, _, left, _ = neighbor_context(st, field, MbAddress(1, 1))
         assert left == MotionVector(-1, 3)
 
     def test_available_mvs_in_side_order(self):
         around = {MbAddress(1, 0): (1, 0), MbAddress(1, 2): (2, 0), MbAddress(0, 1): (3, 0), MbAddress(2, 1): (4, 0)}
         field = zero_field(3, 3, mvs={mb: MotionVector(*mv) for mb, mv in around.items()})
-        ctx = neighbor_context(MbStatusMap.all_correct(3, 3), field, MbAddress(1, 1))
+        ctx = neighbor_context(all_correct(3, 3), field, MbAddress(1, 1))
         assert ctx == (MotionVector(1, 0), MotionVector(2, 0), MotionVector(3, 0), MotionVector(4, 0))
 
     @settings(max_examples=150, deadline=None)
@@ -77,7 +78,7 @@ class TestNeighborContext:
         rng = np.random.Generator(np.random.PCG64(seed))
         status = random_status(rng, cols, rows, p_damaged, p_concealed * (1.0 - p_damaged))
         field = random_field(rng, cols, rows)
-        plain = plain_status(status), plain_field(field), plain_concealed_mvs(status)
+        plain = plain_status(status), plain_field(field), plain_concealed_mvs(status, field)
         for row in range(rows):
             for col in range(cols):
                 want = oracle.neighbor_mvs(*plain, col, row)
@@ -156,7 +157,7 @@ class TestBuildCandidates:
             cands = build_candidates(None, ctx, mb)
             for side, mv in zip(SIDES, ctx):
                 n = oracle.neighbor_cell(mb.col, mb.row, side, 4, 4)
-                if n is not None and status.state[n[1], n[0]] == MbState.DAMAGED:
+                if n is not None and status[n[1], n[0]] == MbState.DAMAGED:
                     # the lost transmitted MV must not appear via this side
                     assert mv is None
 
@@ -173,7 +174,7 @@ class TestBuildCandidates:
             want = oracle.candidates(
                 plain_status(status),
                 plain_field(field),
-                plain_concealed_mvs(status),
+                plain_concealed_mvs(status, field),
                 plain_field(prev),
                 mb.col,
                 mb.row,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracle
 from instances import (
-    concealed_mv,
+    all_correct,
     damage,
     pick_damaged,
     plain_concealed_mvs,
@@ -23,7 +23,6 @@ from vidconceal.core import (
     Frame,
     MbAddress,
     MbState,
-    MbStatusMap,
     MotionVector,
 )
 from vidconceal.engine import (
@@ -42,7 +41,7 @@ TOP, BOTTOM, LEFT, RIGHT = SIDES
 
 
 def damaged_map(cols, rows, lost):
-    return damage(MbStatusMap.all_correct(cols, rows), *lost)
+    return damage(all_correct(cols, rows), *lost)
 
 
 def shifted_scene(rng, width=96, height=96, dx=3, dy=2):
@@ -71,7 +70,7 @@ def _scoring_instance(draw):
     mb = pick_damaged(rng, status)
     if mb is None:
         mb = MbAddress(int(rng.integers(0, cols)), int(rng.integers(0, rows)))
-        status.state[mb.row, mb.col] = MbState.DAMAGED
+        status[mb.row, mb.col] = MbState.DAMAGED
     prev = random_field(rng, cols, rows) if draw(st.booleans()) else None
     cands = build_candidates(prev, neighbor_context(status, field, mb), mb)
     cands += draw(st.lists(_MV, max_size=6))
@@ -93,7 +92,7 @@ def _loss_grid(draw):
 class TestSelectMv:
     def test_static_scene_zero_wins_with_zero_total(self, rng):
         f = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         mb = MbAddress(1, 1)
         ctx = neighbor_context(st, zero_field(4, 4), mb)
         mv, dist = select_mv(f, f, st, mb, [MotionVector(0, 0), MotionVector(2, 1)], ctx, "ebmc")
@@ -102,7 +101,7 @@ class TestSelectMv:
 
     def test_bma_static_zero_on_flat_content(self):
         f = Frame(np.full((64, 64), 200, dtype=np.uint8))
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         mb = MbAddress(1, 1)
         ctx = neighbor_context(st, zero_field(4, 4), mb)
         mv, dist = select_mv(f, f, st, mb, [MotionVector(0, 0), MotionVector(2, 1)], ctx, "bma")
@@ -111,7 +110,7 @@ class TestSelectMv:
 
     def test_tie_goes_to_earlier_candidate(self):
         f = Frame(np.full((64, 64), 80, dtype=np.uint8))
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         mb = MbAddress(1, 1)
         ctx = neighbor_context(st, zero_field(4, 4), mb)
         # flat content: every candidate scores 0, so list order decides
@@ -120,7 +119,7 @@ class TestSelectMv:
 
     def test_out_of_frame_candidates_skipped(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         mb = MbAddress(0, 0)
         ctx = neighbor_context(st, zero_field(4, 4), mb)
         mv, _ = select_mv(cur, ref, st, mb, [MotionVector(-3, -3), MotionVector(1, 1)], ctx, "bma")
@@ -128,7 +127,7 @@ class TestSelectMv:
 
     def test_all_skipped_falls_back_to_zero(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         mb = MbAddress(0, 0)
         ctx = neighbor_context(st, zero_field(4, 4), mb)
         mv, dist = select_mv(cur, ref, st, mb, [MotionVector(-3, -3)], ctx, "ebmc")
@@ -137,7 +136,7 @@ class TestSelectMv:
 
     def test_mode_validation(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         ctx = neighbor_context(st, zero_field(4, 4), MbAddress(0, 0))
         with pytest.raises(ValueError):
             select_mv(cur, ref, st, MbAddress(0, 0), [MotionVector(0, 0)], ctx, "tr")
@@ -158,7 +157,7 @@ class TestSelectMv:
             cands = build_candidates(prev, ctx, mb)
             got_mv, got_dist = select_mv(cur, ref, ref_status, mb, cands, ctx, mode)
             nmvs = oracle.neighbor_mvs(
-                plain_status(status), plain_field(field), plain_concealed_mvs(status), mb.col, mb.row
+                plain_status(status), plain_field(field), plain_concealed_mvs(status, field), mb.col, mb.row
             )
             want_mv, want_total = oracle.select(
                 mode, plain_pixels(cur), plain_pixels(ref), plain_status(status),
@@ -177,7 +176,7 @@ class TestSelectMv:
         ctx = neighbor_context(status, field, mb)
         got_mv, got_dist = select_mv(cur, ref, ref_status, mb, cands, ctx, mode)
         nmvs = oracle.neighbor_mvs(
-            plain_status(status), plain_field(field), plain_concealed_mvs(status), mb.col, mb.row
+            plain_status(status), plain_field(field), plain_concealed_mvs(status, field), mb.col, mb.row
         )
         want_mv, want_total = oracle.select(
             mode, plain_pixels(cur), plain_pixels(ref), plain_status(status),
@@ -230,7 +229,7 @@ class TestPrioritySchedule:
     def test_replay_matches_oracle_on_random_masks(self, rng):
         for _ in range(60):
             cols, rows = 6, 5
-            st = MbStatusMap.all_correct(cols, rows)
+            st = all_correct(cols, rows)
             lost = set()
             for _ in range(int(rng.integers(1, 15))):
                 mb = MbAddress(int(rng.integers(0, cols)), int(rng.integers(0, rows)))
@@ -277,7 +276,7 @@ class TestPrioritySchedule:
 class TestConcealFrame:
     def test_no_damage_is_identity(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         out = conceal_frame(cur, ref, st.copy(), st, zero_field(4, 4), None, "ebmc")
         assert np.array_equal(out.frame.luma, cur.luma)
         assert out.audit == []
@@ -292,7 +291,7 @@ class TestConcealFrame:
             i, j = mb.origin()
             damaged.luma[j : j + MB, i : i + MB] = 0
         out = conceal_frame(
-            damaged, f, MbStatusMap.all_correct(4, 4), st, zero_field(4, 4), zero_field(4, 4), mode
+            damaged, f, all_correct(4, 4), st, zero_field(4, 4), zero_field(4, 4), mode
         )
         assert np.array_equal(out.frame.luma, f.luma)
 
@@ -305,17 +304,57 @@ class TestConcealFrame:
         damaged = Frame(cur.luma.copy())
         i, j = mb.origin()
         damaged.luma[j : j + MB, i : i + MB] = 0
-        out = conceal_frame(damaged, ref, MbStatusMap.all_correct(6, 6), st, field, None, "ebmc")
-        assert concealed_mv(out.status, mb) == MotionVector(3, 2)
+        out = conceal_frame(damaged, ref, all_correct(6, 6), st, field, None, "ebmc")
+        assert [(rec.mb, rec.mv) for rec in out.audit] == [(mb, MotionVector(3, 2))]
         assert np.array_equal(out.frame.luma, cur.luma)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_inputs_left_unchanged(self, rng, mode):
+        # the concealed vectors go into a copy of the field: the caller's
+        # field is shared by every trial of a sequence
+        cur, ref = random_frame_pair(rng, 96, 96)
+        field, prev = random_field(rng, 6, 6), random_field(rng, 6, 6)
+        st = damaged_map(6, 6, {MbAddress(int(rng.integers(0, 6)), int(rng.integers(0, 6))) for _ in range(14)})
+        ref_status = random_status(rng, 6, 6)
+        inputs = (st, ref_status, field.vx, field.vy, prev.vx, prev.vy)
+        before = [a.copy() for a in inputs]
+        out = conceal_frame(cur, ref, ref_status, st, field, prev, mode)
+        assert out.audit and (out.status == MbState.CONCEALED).any()
+        assert all(np.array_equal(a, b) for a, b in zip(before, inputs))
+
+    @pytest.mark.parametrize("mode", ["avg", "median", "bma", "ebmc"])
+    def test_audit_replays_against_oracle(self, rng, mode):
+        # MB by MB in audit order, with the vectors of the MBs concealed so
+        # far kept apart from the transmitted field, as the oracle takes them
+        for k in range(20):
+            cur, ref = random_frame_pair(rng, 80, 80, levels=(2, 256)[k % 2])
+            field, prev = random_field(rng, 5, 5), random_field(rng, 5, 5)
+            st = damaged_map(5, 5, {MbAddress(int(rng.integers(0, 5)), int(rng.integers(0, 5))) for _ in range(9)})
+            ref_status = random_status(rng, 5, 5)
+            out = conceal_frame(cur, ref, ref_status, st, field, prev, mode)
+            status, concealed, work = plain_status(st), [[None] * 5 for _ in range(5)], cur.luma.copy()
+            for rec in out.audit:
+                col, row = rec.mb
+                nmvs = oracle.neighbor_mvs(status, plain_field(field), concealed, col, row)
+                if mode in ("bma", "ebmc"):
+                    cands = oracle.candidates(status, plain_field(field), concealed, plain_field(prev), col, row)
+                    want, _ = oracle.select(mode, work, ref.luma, status, plain_status(ref_status), col, row, cands, nmvs)
+                else:
+                    mvs = [mv for mv in nmvs.values() if mv is not None]
+                    vx, vy = (oracle.mean_mv(mvs) if mode == "avg" else oracle.median_mv(mvs)) if mvs else (0, 0)
+                    want = (min(max(vx, -MB * col), 80 - MB - MB * col), min(max(vy, -MB * row), 80 - MB - MB * row))
+                assert tuple(rec.mv) == want
+                status[row][col], concealed[row][col] = MbState.CONCEALED, want
+                i, j = MB * col, MB * row
+                work[j : j + MB, i : i + MB] = ref.luma[j + want[1] : j + want[1] + MB, i + want[0] : i + want[0] + MB]
 
     def test_correct_pixels_untouched_and_all_concealed(self, rng):
         cur, ref = random_frame_pair(rng, 96, 96)
         field = random_field(rng, 6, 6)
         lost = {MbAddress(int(rng.integers(0, 6)), int(rng.integers(0, 6))) for _ in range(10)}
         st = damaged_map(6, 6, lost)
-        out = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st, field, None, "ebmc")
-        assert not (out.status.state == MbState.DAMAGED).any()
+        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc")
+        assert not (out.status == MbState.DAMAGED).any()
         assert len(out.audit) == len(lost)
         assert len({rec.mb for rec in out.audit}) == len(lost)
         for row in range(6):
@@ -332,7 +371,7 @@ class TestConcealFrame:
         field = random_field(rng, 6, 6)
         lost = {MbAddress(1, 1), MbAddress(4, 2), MbAddress(2, 4)}
         st = damaged_map(6, 6, lost)
-        out = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st, field, None, "bma")
+        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "bma")
         for rec in out.audit:
             i, j = rec.mb.origin()
             vx, vy = rec.mv
@@ -345,15 +384,15 @@ class TestConcealFrame:
         cur, ref = random_frame_pair(rng, 96, 96)
         field = random_field(rng, 6, 6)
         st = damaged_map(6, 6, [MbAddress(1, 1), MbAddress(2, 1), MbAddress(5, 5)])
-        a = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st, field, None, "ebmc")
-        b = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st, field, None, "ebmc")
+        a = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc")
+        b = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc")
         assert np.array_equal(a.frame.luma, b.frame.luma)
         assert [(r.mb, r.mv) for r in a.audit] == [(r.mb, r.mv) for r in b.audit]
 
     def test_tr_mode_always_zero_mv(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
         st = damaged_map(4, 4, [MbAddress(2, 2), MbAddress(0, 3)])
-        out = conceal_frame(cur, ref, MbStatusMap.all_correct(4, 4), st, None, None, "tr")
+        out = conceal_frame(cur, ref, all_correct(4, 4), st, None, None, "tr")
         assert all(rec.mv == MotionVector(0, 0) for rec in out.audit)
 
     def test_avg_and_median_use_neighbor_mvs_directly(self, rng):
@@ -366,12 +405,12 @@ class TestConcealFrame:
         })
         mb = MbAddress(2, 2)
         st = damaged_map(6, 6, [mb])
-        out_avg = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st.copy(), field, None, "avg")
+        out_avg = conceal_frame(cur, ref, all_correct(6, 6), st.copy(), field, None, "avg")
         # mean: ((2+4+6+1)/4, (0+0+2+1)/4) = (3.25, 0.75) -> (3, 1)
-        assert concealed_mv(out_avg.status, mb) == MotionVector(3, 1)
-        out_med = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st.copy(), field, None, "median")
+        assert [(rec.mb, rec.mv) for rec in out_avg.audit] == [(mb, MotionVector(3, 1))]
+        out_med = conceal_frame(cur, ref, all_correct(6, 6), st.copy(), field, None, "median")
         # medians: x (2+4)/2 = 3, y (0+1)/2 = 0.5 -> 1
-        assert concealed_mv(out_med.status, mb) == MotionVector(3, 1)
+        assert [(rec.mb, rec.mv) for rec in out_med.audit] == [(mb, MotionVector(3, 1))]
 
     def test_avg_clamps_out_of_frame_vector(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
@@ -381,13 +420,13 @@ class TestConcealFrame:
         })
         mb = MbAddress(0, 0)
         st = damaged_map(4, 4, [mb])
-        out = conceal_frame(cur, ref, MbStatusMap.all_correct(4, 4), st, field, None, "avg")
-        assert concealed_mv(out.status, mb) == MotionVector(0, 0)  # clamped to frame
+        out = conceal_frame(cur, ref, all_correct(4, 4), st, field, None, "avg")
+        assert [(rec.mb, rec.mv) for rec in out.audit] == [(mb, MotionVector(0, 0))]  # clamped to frame
 
     def test_audit_csv_shape(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
         st = damaged_map(4, 4, [MbAddress(1, 2)])
-        out = conceal_frame(cur, ref, MbStatusMap.all_correct(4, 4), st, zero_field(4, 4), None, "ebmc")
+        out = conceal_frame(cur, ref, all_correct(4, 4), st, zero_field(4, 4), None, "ebmc")
         assert audit_csv_header() == "frame,mb_col,mb_row,mode,vx,vy,total,bmc_total,sides_absent"
         line = audit_csv_line(7, out.audit[0])
         parts = line.split(",")
@@ -399,7 +438,7 @@ class TestConcealFrame:
         field = random_field(rng, 6, 6)
         lost = {MbAddress(c, r) for c in range(1, 5) for r in range(1, 5) if (c + r) % 2 == 0}
         st = damaged_map(6, 6, lost)
-        out = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st, field, None, "ebmc")
+        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc")
         for rec in out.audit:
             assert rec.total <= rec.classic_total
 
@@ -409,7 +448,7 @@ class TestConcealFrame:
         field = random_field(rng, 6, 6)
         lost = {MbAddress(int(rng.integers(0, 6)), int(rng.integers(0, 6))) for _ in range(14)}
         st = damaged_map(6, 6, lost)
-        out = conceal_frame(cur, ref, MbStatusMap.all_correct(6, 6), st, field, None, mode)
+        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, mode)
         order = [(r.mb.col, r.mb.row) for r in out.audit]
         counts = oracle.replay_schedule({(m.col, m.row) for m in lost}, 6, 6, order)
         assert [r.priority for r in out.audit] == counts

@@ -3,6 +3,7 @@ import pytest
 
 import oracle
 from instances import (
+    all_correct,
     conceal,
     damage,
     pick_damaged,
@@ -20,7 +21,6 @@ from vidconceal.core import (
     SIDES,
     Frame,
     MbAddress,
-    MbStatusMap,
     MotionVector,
 )
 from vidconceal.engine import (
@@ -58,7 +58,7 @@ def bmc(cur, ref, mb, mv, side, status=None):
     are available (all Correct when None)."""
     cols, rows = cur.width // 16, cur.height // 16
     if status is None:
-        status = MbStatusMap.all_correct(cols, rows)
+        status = all_correct(cols, rows)
     got, d = select_mv(cur, ref, status, mb, [mv], neighbor_context(status, zero_field(cols, rows), mb), "bma")
     assert got == mv
     return d.classic[side]
@@ -106,7 +106,7 @@ class TestBoundaryBmc:
 
     def test_damaged_owner_makes_side_absent(self, rng):
         cur, ref = random_frame_pair(rng, 48, 48)
-        st = MbStatusMap.all_correct(3, 3)
+        st = all_correct(3, 3)
         damage(st, MbAddress(1, 0))  # top neighbor of (1,1)
         mb = MbAddress(1, 1)
         assert bmc(cur, ref, mb, MotionVector(0, 0), TOP, st) is None
@@ -114,8 +114,8 @@ class TestBoundaryBmc:
 
     def test_concealed_owner_keeps_side_present(self, rng):
         cur, ref = random_frame_pair(rng, 48, 48)
-        st = MbStatusMap.all_correct(3, 3)
-        conceal(st, MbAddress(1, 0), MotionVector(1, 1))
+        st = all_correct(3, 3)
+        conceal(st, MbAddress(1, 0))
         assert bmc(cur, ref, MbAddress(1, 1), MotionVector(0, 0), TOP, st) is not None
 
     def test_matches_oracle(self, rng):
@@ -138,7 +138,7 @@ def bmc_total(side_values) -> int:
     one pixel; a None side's neighbor is damaged."""
     cur = Frame(np.full((48, 48), 50, dtype=np.uint8))
     ref = Frame(np.full((48, 48), 50, dtype=np.uint8))
-    status = MbStatusMap.all_correct(3, 3)
+    status = all_correct(3, 3)
     mb = MbAddress(1, 1)  # origin (16, 16)
     outer = {TOP: (15, 20), BOTTOM: (32, 20), LEFT: (20, 15), RIGHT: (20, 32)}  # (y, x)
     for side, v in zip(SIDES, side_values):
@@ -166,7 +166,7 @@ class TestBmcTotal:
 class TestBoundaryPbmc:
     def test_static_scene_zero(self, rng):
         ref = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         mb = MbAddress(1, 1)
         ctx = ctx_all(MotionVector(0, 0))
         for side in SIDES:
@@ -176,7 +176,7 @@ class TestBoundaryPbmc:
         # f(x, y) = g(x): rows are identical, so the matched segments agree
         g = np.arange(64, dtype=np.uint8) * 3
         ref = Frame(np.tile(g, (64, 1)))
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         mv = MotionVector(2, 3)
         ctx = ctx_all(mv)
         assert pbmc(ref, st, MbAddress(1, 1), mv, TOP, ctx) == 0
@@ -185,7 +185,7 @@ class TestBoundaryPbmc:
     def test_neighbor_mv_equal_to_candidate_gives_zero_on_any_texture(self, rng):
         # the additional boundary then coincides with the candidate's inner one
         ref = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         mv = MotionVector(-3, 4)
         ctx = ctx_all(mv)
         for side in SIDES:
@@ -193,18 +193,18 @@ class TestBoundaryPbmc:
 
     def test_unavailable_neighbor_absent(self, rng):
         ref = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         assert pbmc(ref, st, MbAddress(1, 1), MotionVector(0, 0), TOP, ctx_none()) is None
 
     def test_concealed_reference_cell_absent(self, rng):
         ref = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         mb = MbAddress(1, 1)
         # top neighbor moved up by 7: its outer row lands in the row-0 MB band
         nmv = MotionVector(0, -7)
         ctx = ctx_top(nmv)
         assert pbmc(ref, st, mb, MotionVector(0, 0), TOP, ctx) is not None
-        conceal(st, MbAddress(1, 0), MotionVector(0, 0))
+        conceal(st, MbAddress(1, 0))
         assert pbmc(ref, st, mb, MotionVector(0, 0), TOP, ctx) is None
 
     def test_any_of_two_spanned_cells_concealed_is_enough(self, rng):
@@ -214,13 +214,13 @@ class TestBoundaryPbmc:
         nmv = MotionVector(5, -7)
         ctx = ctx_top(nmv)
         for concealed_col in (1, 2):
-            st = MbStatusMap.all_correct(4, 4)
-            conceal(st, MbAddress(concealed_col, 0), MotionVector(0, 0))
+            st = all_correct(4, 4)
+            conceal(st, MbAddress(concealed_col, 0))
             assert pbmc(ref, st, mb, MotionVector(0, 0), TOP, ctx) is None
 
     def test_segment_outside_reference_absent(self, rng):
         ref = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         # top neighbor of the top-row MB (1,0) does not exist, but craft the
         # context anyway: segment y = 0 + (-7) < 0 leaves the frame
         ctx = ctx_top(MotionVector(0, -7))
@@ -238,7 +238,7 @@ class TestBoundaryPbmc:
             ctx = neighbor_context(status, field, mb)
             mv = random_inbounds_mv(rng, ref, mb)
             nmvs = oracle.neighbor_mvs(
-                plain_status(status), plain_field(field), plain_concealed_mvs(status), mb.col, mb.row
+                plain_status(status), plain_field(field), plain_concealed_mvs(status, field), mb.col, mb.row
             )
             # a concealed collocated reference MB drops every additional
             # boundary (the wholesale fallback oracle.ebmc_eval applies)
@@ -255,14 +255,14 @@ class TestBoundaryPbmc:
 class TestEbmcTotal:
     def test_pbmc_absent_everywhere_degenerates_to_bmc(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
-        status = MbStatusMap.all_correct(4, 4)
-        ref_status = MbStatusMap.all_correct(4, 4)
+        status = all_correct(4, 4)
+        ref_status = all_correct(4, 4)
         mb = MbAddress(1, 1)
         # neighbors available but each side's additional boundary lands in a
         # concealed reference band
         ctx = (MotionVector(0, -7), MotionVector(0, 7), MotionVector(-7, 0), MotionVector(7, 0))
         for cell in (MbAddress(1, 0), MbAddress(1, 2), MbAddress(0, 1), MbAddress(2, 1)):
-            conceal(ref_status, cell, MotionVector(0, 0))
+            conceal(ref_status, cell)
         mv = MotionVector(2, 1)
         d = ebmc(cur, ref, ref_status, mb, mv, ctx)
         assert all(d.proposed[s] is None for s in SIDES)
@@ -276,7 +276,7 @@ class TestEbmcTotal:
         cur.luma[15, 20] = 57  # outer top row: one pixel +7 -> BMC_top = 7
         ref.luma[15, 24] = 53  # additional row (nmv (0,-1)): one pixel +3 -> PBMC_top = 3
         ctx = ctx_top(MotionVector(0, -1))
-        d = ebmc(cur, ref, MbStatusMap.all_correct(3, 3), mb, MotionVector(0, 0), ctx)
+        d = ebmc(cur, ref, all_correct(3, 3), mb, MotionVector(0, 0), ctx)
         assert d.classic[TOP] == 7
         assert d.proposed[TOP] == 3
         assert d.chosen[TOP] == 3
@@ -289,12 +289,12 @@ class TestEbmcTotal:
         mv = MotionVector(3, 2)
         ctx = ctx_all(mv)
         mb = MbAddress(1, 1)
-        clean = MbStatusMap.all_correct(4, 4)
+        clean = all_correct(4, 4)
         d_normal = ebmc(cur, ref, clean, mb, mv, ctx)
         assert d_normal.total == 0  # additional boundaries match exactly
 
-        tainted = MbStatusMap.all_correct(4, 4)
-        conceal(tainted, mb, MotionVector(0, 0))
+        tainted = all_correct(4, 4)
+        conceal(tainted, mb)
         d = ebmc(cur, ref, tainted, mb, mv, ctx)
         assert d.collocated_fallback
         assert all(d.proposed[s] is None for s in SIDES)
@@ -302,7 +302,7 @@ class TestEbmcTotal:
 
     def test_absent_both_sides_contribute_zero_and_flagged(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
-        st = MbStatusMap.all_correct(4, 4)
+        st = all_correct(4, 4)
         mb = MbAddress(0, 0)
         ctx = neighbor_context(st, random_field(rng, 4, 4), mb)
         d = ebmc(cur, ref, st, mb, MotionVector(0, 0), ctx)

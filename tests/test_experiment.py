@@ -79,6 +79,19 @@ class TestRunTrial:
         assert [s.value for s in a.samples] == [s.value for s in b.samples]
         assert a.audit_lines == b.audit_lines
 
+    @pytest.mark.parametrize("mode", ["tr", "avg", "median", "bma", "ebmc"])
+    def test_trials_leave_the_shared_fields_unchanged(self, small_seq, mode):
+        # every trial of a sequence conceals against the same encoder-side
+        # fields, so a concealed vector written into them would leak into
+        # the trials after it
+        ctx = build_context(small_seq)
+        before = [(f.vx.copy(), f.vy.copy()) for f in ctx.fields[1:]]
+        a = run_trial(ctx, mode, 0.5, 0, seed=4, measure_timing=False)
+        b = run_trial(ctx, mode, 0.5, 0, seed=4, measure_timing=False)
+        assert a.audit_lines == b.audit_lines
+        for f, (vx, vy) in zip(ctx.fields[1:], before):
+            assert np.array_equal(f.vx, vx) and np.array_equal(f.vy, vy)
+
     def test_distinct_trials_differ(self, small_ctx):
         a = run_trial(small_ctx, "ebmc", 0.2, 0, seed=9, measure_timing=False)
         b = run_trial(small_ctx, "ebmc", 0.2, 1, seed=9, measure_timing=False)
@@ -294,6 +307,31 @@ class TestSpecFile:
         lists[key] = []
         with pytest.raises(ValueError, match=key):
             ExperimentSpec(**lists)
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [("spec", "sequences", {"path": "small.yuv", "width": 64, "height": 64}),
+         ("spec", "rates", 0.1), ("spec", "rates", "0.1"), ("spec", "rates", [True]), ("spec", "rates", ["0.1"]),
+         ("spec", "modes", "tr"), ("spec", "dump_frames", 1), ("spec", "dump_frames", [1.0]),
+         ("spec", "seed", "x"), ("spec", "seed", 1.5), ("spec", "seed", True),
+         ("sequence", "width", "64"), ("sequence", "height", 64.0), ("sequence", "frames", 2.5)],
+    )
+    def test_mistyped_value_rejected_before_any_output(self, small_seq, tmp_path, where, key, value):
+        raw = {"sequences": [{"path": small_seq.path, "width": 64, "height": 64, "frames": 5}],
+               "rates": [0.1], "modes": ["tr"], "measure_timing": False}
+        (raw if where == "spec" else raw["sequences"][0])[key] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=key):
+            run_experiment(load_spec_file(str(path)), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", [["small.yuv"], {"sequences": ["small.yuv"], "rates": [0.1], "modes": ["tr"]}])
+    def test_spec_or_sequence_not_a_table_rejected(self, tmp_path, raw):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="must be a table of keys"):
+            load_spec_file(str(path))
 
     @pytest.mark.parametrize("rates", [[0.1234561, 0.1234564], [0.25, 0.25]])
     def test_rates_with_colliding_file_tags_rejected(self, small_seq, rates):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from instances import damage, damaged_mbs
-from vidconceal.core import MB, Frame, MbAddress, MbState, MbStatusMap
+from instances import all_correct, damage, damaged_mbs
+from vidconceal.core import MB, Frame, MbAddress, MbState
 from vidconceal.experiment import blank_damaged
 from vidconceal.loss import LossMask, TrialConfig, apply_mask, make_mask
 
@@ -62,29 +62,28 @@ class TestMakeMask:
 
 class TestApplyMask:
     def test_empty_mask_all_correct(self):
-        st = apply_mask(MbStatusMap.all_correct(4, 4), LossMask(1, np.array([], dtype=int)))
-        assert (st.state == MbState.CORRECT).sum() == 16
+        st = apply_mask(LossMask(1, np.array([], dtype=int)), 4, 4)
+        assert (st == MbState.CORRECT).sum() == 16
 
     def test_full_mask_all_damaged(self):
         full = np.arange(16)
-        st = apply_mask(MbStatusMap.all_correct(4, 4), LossMask(1, full))
-        assert (st.state == MbState.DAMAGED).sum() == 16
+        st = apply_mask(LossMask(1, full), 4, 4)
+        assert (st == MbState.DAMAGED).sum() == 16
 
     def test_damaged_count_matches_mask(self):
         mask = make_mask(1, 8, 8, TrialConfig(0.3, seed=11))
-        st = apply_mask(MbStatusMap.all_correct(8, 8), mask)
-        assert (st.state == MbState.DAMAGED).sum() == len(mask.lost)
+        st = apply_mask(mask, 8, 8)
+        assert (st == MbState.DAMAGED).sum() == len(mask.lost)
         assert set(damaged_mbs(st)) == lost_mbs(mask, 8)
 
     def test_prior_state_ignored(self):
-        st = damage(MbStatusMap.all_correct(2, 2), MbAddress(0, 0))
-        out = apply_mask(st, LossMask(1, np.array([3])))  # MB (1, 1)
-        assert out.state[0, 0] == MbState.CORRECT
-        assert out.state[1, 1] == MbState.DAMAGED
+        out = apply_mask(LossMask(1, np.array([3])), 2, 2)  # MB (1, 1)
+        assert out[0, 0] == MbState.CORRECT
+        assert out[1, 1] == MbState.DAMAGED
 
     def test_out_of_grid_rejected(self):
         with pytest.raises(ValueError):
-            apply_mask(MbStatusMap.all_correct(2, 2), LossMask(1, np.array([4])))
+            apply_mask(LossMask(1, np.array([4])), 2, 2)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -114,7 +113,7 @@ def test_make_mask_exact_count_of_distinct_in_grid_mbs(monkeypatch, cols, rows, 
 def _apply_and_blank_per_mb(luma, cols, rows, lost):
     """The per-MB loops apply_mask and blank_damaged replaced, kept as
     their reference: (status grid, blanked plane)."""
-    status = MbStatusMap.all_correct(cols, rows)
+    status = all_correct(cols, rows)
     for k in lost:
         if not 0 <= k < cols * rows:
             raise ValueError(f"mask entry {k} outside the grid")
@@ -123,7 +122,7 @@ def _apply_and_blank_per_mb(luma, cols, rows, lost):
     for k in lost:
         i, j = MbAddress(k % cols, k // cols).origin()
         out[j : j + MB, i : i + MB] = 0
-    return status.state, out
+    return status, out
 
 
 @st.composite
@@ -142,15 +141,12 @@ def _loss_instance(draw):
 @given(inst=_loss_instance())
 def test_apply_mask_and_blank_match_per_mb_loops(inst):
     cols, rows, lost, luma = inst
-    prior = MbStatusMap.all_correct(cols, rows)
-    prior.state[:] = MbState.CONCEALED  # apply_mask ignores the prior state
     try:
         want_state, want_luma = _apply_and_blank_per_mb(luma, cols, rows, lost)
     except ValueError:
         with pytest.raises(ValueError, match="outside"):
-            apply_mask(prior, LossMask(1, lost))
+            apply_mask(LossMask(1, lost), cols, rows)
         return
-    status = apply_mask(prior, LossMask(1, lost))
-    assert np.array_equal(status.state, want_state)
-    assert not status.mv_x.any() and not status.mv_y.any()
+    status = apply_mask(LossMask(1, lost), cols, rows)
+    assert status.dtype == np.uint8 and np.array_equal(status, want_state)
     assert np.array_equal(blank_damaged(Frame(luma), status).luma, want_luma)
