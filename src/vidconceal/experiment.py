@@ -46,10 +46,18 @@ class SequenceSpec:
     frames: int | None = None  # None: 30 at CIF height and up, else 60
 
     def __post_init__(self):
+        # os.path would raise a bare TypeError on anything else
+        if not isinstance(self.path, str):
+            raise ValueError(f"sequence {self.name}: path must be a string, got {self.path!r}")
         for key in ("width", "height", "frames"):
             value = getattr(self, key)
             if type(value) is not int and not (key == "frames" and value is None):
                 raise ValueError(f"sequence {self.name}: {key} must be an integer, got {value!r}")
+        # open_sequence rejects these too, but only once the output tree exists
+        for key in ("width", "height"):
+            value = getattr(self, key)
+            if value <= 0 or value % MB:
+                raise ValueError(f"sequence {self.name}: {key} must be a positive multiple of {MB}, got {value}")
 
     def frame_budget(self) -> int:
         if self.frames is not None:
@@ -155,9 +163,11 @@ def load_spec_file(path: str) -> ExperimentSpec:
 
 
 def _load_sequence(raw) -> SequenceSpec:
-    # a sequence is named after its file unless the spec names it
+    # a sequence is named after its file unless the spec names it; a path
+    # that is not a string is SequenceSpec's to reject
     _check_keys(raw, SequenceSpec, "sequence", derived=("name",))
-    stem = os.path.splitext(os.path.basename(raw["path"]))[0]
+    path = raw["path"]
+    stem = os.path.splitext(os.path.basename(path))[0] if isinstance(path, str) else repr(path)
     return SequenceSpec(**{"name": stem, **raw})
 
 

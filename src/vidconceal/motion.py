@@ -17,38 +17,47 @@ starting at column x,
 
     LB = sum over the block's 16 rows of |R_cur - R_ref|  <=  SAD
 
-by the triangle inequality. Each MB's first guess ``best0`` is the exact SAD
-at its displacement of lowest bound. A pair with LB > best0 has SAD > best0
->= the minimum, so it can never win; every pair with LB <= best0 is
-verified, ties with ``best0`` included, so every displacement of minimum SAD
-is scored exactly and the tie-break picks the same vector a full search
-would.
+by the triangle inequality. Each MB's guess is its first displacement of
+lowest bound, and ``best0`` the exact SAD there. When best0 equals that
+bound, the MB is settled: every pair ranked before the guess has a larger
+bound, so a larger SAD, and every pair after it has SAD >= bound >= best0,
+so at best a tie that the guess wins. The guess is then the vector, proven
+with no further SAD. For the other MBs the prune is tie-aware: a pair ranked
+before the guess is scored when its bound is <= best0, since an equal SAD
+would win the tie-break, and a pair ranked after it only when its bound is
+< best0. Every pair that could beat the guess is thus scored exactly, and
+the tie-break picks the same vector a full search would.
 
-How many pairs the bound rules out depends on the content: it prunes well
-when the residual at the true vector is small next to the row-sum
-differences the texture makes at every other displacement, that is, on
-textured content with little noise. The benchmark's synthetic clips are
-integer-shifted and noise-free, so the residual at the true vector is zero:
-3-10 % of the in-frame pairs are verified, and 5-12 % with +-1-3 levels of
-added noise. A verified pair costs about four times what a dense SAD pass
-spent on it, so past about 20 % survivors the search is slower than scoring
-every pair densely: low-contrast noisy content (a quarter of the clips'
-contrast with +-2 noise: 28 %) and white noise (about 91 %, four times as
-slow). README.md lists the measurements.
+How many pairs the bound rules out, and how many MBs settle, depends on the
+content: it prunes well when the residual at the true vector is small next
+to the row-sum differences the texture makes at every other displacement,
+that is, on textured content with little noise. The benchmark's synthetic
+clips are integer-shifted and noise-free, so the residual at the true vector
+is often zero: 74-87 % of their MBs settle, and 3-6 % of the in-frame pairs
+are scored. An MB settles only where the differences along each block row
+share one sign at its guess, so with added noise none does; with +-1-3
+levels of noise 5-7 % of the pairs are scored. A scored pair costs several
+times what a dense SAD pass spends on one, so past about 30 % of the pairs
+the search is slower than scoring every pair densely: low-contrast noisy
+content (half the clips' contrast with +-5 noise: 34 %) and white noise
+(every pair, three times as slow).
+README.md lists the measurements, made by tools/me_sweep.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import MB, Frame, MbAddress, MotionVector
 
-# Verified pairs are scored this many at a time, so the buffers of the verify
-# step stay bounded however few pairs the bound rules out.
+# The pairs the bound cannot rule out are scored this many at a time, so the
+# gather buffers stay bounded however few pairs it rules out; every chunk but
+# a frame's last is full, so they also keep one size.
 GATHER = 256
 
 
@@ -96,14 +105,36 @@ def _run_sums(flat: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _block_sads(ref_blocks, cur_blocks, ys, xs, rs, cs) -> np.ndarray:
-    """Exact uint16 SADs of the current blocks at MB (cs, rs) against the
-    reference blocks whose top-left pixels are (xs, ys)."""
-    d = np.subtract(ref_blocks[ys, xs], cur_blocks[rs, cs], dtype=np.int16)
+def _block_sads(ref_blocks: np.ndarray, cur_blocks: np.ndarray) -> np.ndarray:
+    """Exact uint16 SADs of gathered int16 16x16 reference blocks against
+    current blocks of the same (or a broadcastable) shape."""
+    d = np.subtract(ref_blocks, cur_blocks)
     np.abs(d, out=d)
     # non-negative, so the uint16 view holds the same values; a block sums to
     # at most 16*16*255 = 65280
-    return d.view(np.uint16).sum(axis=(-2, -1), dtype=np.uint16)
+    return d.view(np.uint16).reshape(d.shape[:-2] + (MB * MB,)).sum(axis=-1, dtype=np.uint16)
+
+
+def _first_min(a: np.ndarray) -> np.ndarray:
+    """Index of the first minimum along the last axis: ``a.argmin(axis=-1)``,
+    but about twice as fast on the search's uint16 rows."""
+    return (a == a.min(axis=-1, keepdims=True)).argmax(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _search_order(px: int, py: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The displacements of the window in tie-break order (smallest
+    |vx|+|vy|, then vy, then vx): ``rank[vy + py, vx + px]`` is the index of
+    (vx, vy) in that order, and ``vx_of``/``vy_of`` map an index back
+    (read-only: every search with this window shares them)."""
+    vy_grid, vx_grid = np.mgrid[-py : py + 1, -px : px + 1].reshape(2, -1)
+    order = np.lexsort((vx_grid, vy_grid, np.abs(vx_grid) + np.abs(vy_grid)))
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    tables = rank.reshape(2 * py + 1, 2 * px + 1), vx_grid[order].astype(np.int16), vy_grid[order].astype(np.int16)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _fill_bounds(vol: np.ndarray, cur: Frame, ref: Frame, px: int, py: int, rank: np.ndarray) -> None:
@@ -125,7 +156,7 @@ def _fill_bounds(vol: np.ndarray, cur: Frame, ref: Frame, px: int, py: int, rank
     nx = 2 * px + 1
     # 65535 where the block at MB column c displaced by vx leaves the frame
     x = MB * np.arange(cols)[:, None] + np.arange(-px, px + 1)
-    wraps = np.where((x < 0) | (x > w - MB), 0xFFFF, 0).astype(np.uint16)
+    wraps = np.where((x < 0) | (x > w - MB), 0xFFFF, 0).astype(np.uint16).reshape(-1)
     # row sums are at most 16*255 = 4080, so int16 views of them hold the
     # same values
     guarded = np.zeros(px + h * w + px + MB - 1, dtype=np.uint16)
@@ -135,7 +166,7 @@ def _fill_bounds(vol: np.ndarray, cur: Frame, ref: Frame, px: int, py: int, rank
     del guarded, runs
     # repeated along vx rather than broadcast: a broadcast subtract runs one
     # short inner loop per (row, MB column), six times slower at p = 7
-    cur_runs = cur.luma.reshape(h, cols, MB).sum(axis=2, dtype=np.uint16)
+    cur_runs = _run_sums(cur.luma.ravel().astype(np.uint16))[::MB].reshape(h, cols)
     cur_runs = np.repeat(cur_runs[:, :, None], nx, axis=2).view(np.int16)
     diff = np.empty_like(ref_runs)
     for vy in range(-py, py + 1):
@@ -144,26 +175,28 @@ def _fill_bounds(vol: np.ndarray, cur: Frame, ref: Frame, px: int, py: int, rank
         d = diff[: MB * (r1 - r0)]
         np.subtract(cur_runs[MB * r0 : MB * r1], ref_runs[MB * r0 + vy : MB * r1 + vy], out=d)
         np.abs(d, out=d)
-        bound = np.add.reduce(d.view(np.uint16).reshape(r1 - r0, MB, cols, nx), axis=1, dtype=np.uint16)
+        bound = d.view(np.uint16).reshape(r1 - r0, MB, cols * nx).sum(axis=1, dtype=np.uint16)
         np.bitwise_or(bound, wraps, out=bound)
-        vol[r0:r1, :, rank[vy + py]] = bound
+        vol[r0:r1, :, rank[vy + py]] = bound.reshape(r1 - r0, cols, nx)
 
 
 def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams(), frame_index: int = 1) -> MvField:
     """Minimum-SAD motion vector of every macroblock, by bound-then-verify.
 
-    All scores go into one uint16 volume of shape (mb_rows, mb_cols,
+    The row-sum bounds go into one uint16 volume of shape (MBs,
     displacements) whose last axis is in tie-break order (smallest |vx|+|vy|,
-    then vy, then vx), so the first minimum along it is the vector, and the
-    argmin reads the volume in place; (0, 0) is always inside the frame.
-    Pairs whose displaced block leaves the frame hold 65535, above the
-    largest SAD 65280.
+    then vy, then vx); pairs whose displaced block leaves the frame hold
+    65535, above the largest SAD 65280, and (0, 0) is always inside the
+    frame. Each MB's guess is the first minimum along its row, and ``best0``
+    the exact SAD there. A settled MB, whose ``best0`` equals the guess's
+    bound, takes the guess. For every other MB the pairs that survive the
+    tie-aware prune (ranked before the guess with bound <= best0, or after
+    it with bound < best0) are scored exactly, and the MB takes the pair of
+    smallest SAD * n + rank among them and the guess.
 
-    The volume first holds the row-sum bounds. ``best0`` is the exact SAD at
-    each MB's first displacement of lowest bound. Then, per MB row, whose
-    pairs are one contiguous slice, the pairs with bound <= best0 are scored
-    exactly, ``GATHER`` blocks at a time, and every other pair of the row is
-    set to 65535.
+    The unsettled MBs are pruned in groups of about ``16 * GATHER`` pairs,
+    and the survivors of all groups scored in one stream of ``GATHER``
+    blocks per chunk, so only the frame's last chunk is shorter.
     """
     if cur.luma.shape != ref.luma.shape:
         raise ValueError("current and reference frames must have equal dimensions")
@@ -171,34 +204,51 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
     w, h = cur.width, cur.height
     # a component beyond the frame size minus one block leaves it for every MB
     px, py = min(params.p, w - MB), min(params.p, h - MB)
-    nx = 2 * px + 1
-    vy_grid, vx_grid = np.mgrid[-py : py + 1, -px : px + 1].reshape(2, -1)
-    order = np.lexsort((vx_grid, vy_grid, np.abs(vx_grid) + np.abs(vy_grid)))
-    n = order.size
-    vx_of, vy_of = vx_grid[order].astype(np.int16), vy_grid[order].astype(np.int16)
-    # rank[vy + py, vx + px]: where (vx, vy) lies along the volume's last axis
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    rank = rank.reshape(2 * py + 1, nx)
+    rank, vx_of, vy_of = _search_order(px, py)
+    n = vx_of.size
     vol = np.full((rows, cols, n), 0xFFFF, dtype=np.uint16)
     _fill_bounds(vol, cur, ref, px, py, rank)
+    vol = vol.reshape(rows * cols, n)
 
-    cur_blocks = np.ascontiguousarray(cur.luma.reshape(rows, MB, cols, MB).transpose(0, 2, 1, 3))
-    ref_blocks = sliding_window_view(ref.luma, (MB, MB))
-    first = vol.argmin(axis=-1)
-    r_, c_ = np.indices((rows, cols))
-    best0 = _block_sads(ref_blocks, cur_blocks, MB * r_ + vy_of[first], MB * c_ + vx_of[first], r_, c_)
-    for r in range(rows):
-        row = vol[r]
-        keep = np.flatnonzero(row <= best0[r, :, None])
-        row.fill(0xFFFF)
-        flat = row.reshape(-1)
-        for s in range(0, keep.size, GATHER):
-            k = keep[s : s + GATHER]
-            c, i = np.divmod(k, n)
-            flat[k] = _block_sads(ref_blocks, cur_blocks, MB * r + vy_of[i], MB * c + vx_of[i], r, c)
+    # int16 planes, so that the SADs subtract without a cast
+    ref16 = ref.luma.astype(np.int16)
+    cur_blocks = cur.luma.astype(np.int16).reshape(rows, MB, cols, MB).transpose(0, 2, 1, 3)
+    # every 16x16 window of ref by the raster index of its top-left pixel,
+    # which is an MB's corner plus a displacement's shift
+    windows = as_strided(ref16, ((h - MB) * w + w - MB + 1, MB, MB), (ref16.itemsize, *ref16.strides), writeable=False)
+    corners = MB * (w * np.arange(rows)[:, None] + np.arange(cols))
+    shift = vy_of.astype(np.intp) * w + vx_of
+    first = _first_min(vol)
+    best0 = _block_sads(windows[corners + shift[first.reshape(rows, cols)]], cur_blocks).reshape(-1)
 
-    best = vol.argmin(axis=-1)
+    unsettled = np.flatnonzero(best0 != vol[np.arange(rows * cols), first])
+    # key = SAD * n + rank of the best pair found so far: the smallest key
+    # has the smallest SAD, and on a tie the lowest rank
+    key = best0[unsettled].astype(np.int64) * n + first[unsettled]
+    corner = corners.reshape(-1)[unsettled]
+    blocks = cur_blocks[unsettled // cols, unsettled % cols]  # contiguous, so cheap to gather from
+    # MBs pruned at a time: on noise nearly every pair survives, and the
+    # queue grows with the group's pairs
+    group = max(1, 16 * GATHER // n)
+    ranks = np.arange(n)
+    # the pairs still to score, as p * n + i: p the MB's position in
+    # unsettled, i the pair's rank
+    queue = np.empty(0, dtype=np.intp)
+    for s in range(0, unsettled.size, group):
+        g = unsettled[s : s + group]
+        limit = np.add(best0[g, None], ranks < first[g, None], dtype=np.uint16)
+        limit[np.arange(g.size), first[g]] = 0  # the guess is scored already
+        keep = np.flatnonzero(vol[g] < limit)
+        queue = np.concatenate((queue, keep + s * n))
+        done = queue.size if s + group >= unsettled.size else queue.size - queue.size % GATHER
+        for t in range(0, done, GATHER):
+            p, i = np.divmod(queue[t : t + GATHER], n)
+            sads = _block_sads(windows[corner[p] + shift[i]], blocks[p])
+            np.minimum.at(key, p, np.multiply(sads, n, dtype=np.int64) + i)
+        queue = queue[done:]
+
+    first[unsettled] = key % n
+    best = first.reshape(rows, cols)
     return MvField(frame_index, vx_of[best], vy_of[best])
 
 

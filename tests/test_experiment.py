@@ -326,6 +326,22 @@ class TestSpecFile:
             run_experiment(load_spec_file(str(path)), str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("width", 40), ("width", -64), ("width", 0), ("height", 72), ("height", -16),
+         ("path", 5), ("path", None), ("path", ["small.yuv"])],
+    )
+    def test_bad_size_or_path_rejected_before_any_output(self, small_seq, tmp_path, key, value):
+        # a size used to fail in open_sequence, after the output tree was
+        # made, and a path in os.path.basename with a bare TypeError
+        raw = {"sequences": [{"path": small_seq.path, "width": 64, "height": 64, "frames": 5, key: value}],
+               "rates": [0.1], "modes": ["tr"], "measure_timing": False}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=key):
+            run_experiment(load_spec_file(str(path)), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("raw", [["small.yuv"], {"sequences": ["small.yuv"], "rates": [0.1], "modes": ["tr"]}])
     def test_spec_or_sequence_not_a_table_rejected(self, tmp_path, raw):
         path = tmp_path / "spec.json"

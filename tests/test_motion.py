@@ -169,8 +169,9 @@ class TestRowRunWrap:
 
 
 class TestBoundThenVerify:
-    """The search scores exactly only the pairs whose row-sum bound is at
-    most best0, the exact SAD at each MB's displacement of lowest bound."""
+    """The search scores exactly the SAD best0 at each MB's first displacement
+    of lowest row-sum bound, and then only pairs whose bound is at most best0,
+    of the MBs whose best0 is above that bound."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -180,8 +181,8 @@ class TestBoundThenVerify:
     def test_tight_bound(self, shape, p, seed, levels):
         # ref is constant along each whole row and cur along each row of each
         # block, so the 16 differences of a block row share a sign and the
-        # bound equals the SAD for every pair: the winner's bound is best0
-        # exactly, and only the <= rule keeps it
+        # bound equals the SAD for every pair: every MB is settled, its first
+        # displacement of lowest bound being its first of lowest SAD
         h, w = shape
         rng = np.random.Generator(np.random.PCG64(seed))
         g = rng.integers(0, levels, size=h, dtype=np.uint8)
@@ -207,13 +208,103 @@ class TestBoundThenVerify:
         gather=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
     )
     def test_survivors_span_many_chunks(self, rows, cols, p, gather, seed):
-        # on noise most pairs survive the bound: an MB row holds up to
-        # 3 * 21**2 of them, many chunks of at most 64 and a partial last one
+        # on noise most pairs survive the bound: an MB holds up to 21**2 of
+        # them, many chunks of at most 64 that run on from one group of MBs
+        # to the next, so that only the last chunk is shorter
         rng = np.random.Generator(np.random.PCG64(seed))
         cur, ref = rng.integers(0, 256, size=(2, 16 * rows, 16 * cols), dtype=np.uint8)
+        scored = []
+        block_sads = motion._block_sads
+
+        def spy(ref_blocks, cur_blocks):
+            sads = block_sads(ref_blocks, cur_blocks)
+            scored.append(sads.shape)
+            return sads
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(motion, "GATHER", gather)
+            mp.setattr(motion, "_block_sads", spy)
             _assert_matches_oracle(cur, ref, p)
+        # the first call scores every MB's guess
+        assert scored[0] == (rows, cols)
+        chunks = [n for n, in scored[1:]]
+        assert all(n == gather for n in chunks[:-1]) and chunks[-1:] <= [gather]
+
+
+def _planted(seed, plants):
+    """A 48x48 pair of noise planes in which the block of cur's MB (1, 1)
+    reappears in ref at each displacement of ``plants``, edited: "copy"
+    leaves it as it is (bound 0, SAD 0), "row" adds 1 along one block row
+    (bound = SAD = 16) and "swap" swaps two samples 8 apart within a row
+    (bound 0, SAD 16). The planted windows do not overlap."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cur = rng.integers(0, 256, size=(48, 48), dtype=np.uint8)
+    ref = rng.integers(0, 256, size=(48, 48), dtype=np.uint8)
+    block = rng.integers(0, 200, size=(16, 16), dtype=np.uint8)
+    block[3, 5] = block[3, 4] + 8
+    cur[16:32, 16:32] = block
+    for (vx, vy), edit in plants.items():
+        b = block.copy()
+        if edit == "row":
+            b[7] += 1
+        elif edit == "swap":
+            b[3, 4], b[3, 5] = b[3, 5], b[3, 4]
+        ref[16 + vy : 32 + vy, 16 + vx : 32 + vx] = b
+    return cur, ref
+
+
+def _pairs_in_search_order(cur, ref, col, row, p):
+    """(vx, vy, row-sum bound, SAD) of every in-frame displacement of one MB,
+    in tie-break order, computed directly from the definitions."""
+    x, y = 16 * col, 16 * row
+    block = cur[y : y + 16, x : x + 16].astype(int)
+    window = [(vx, vy) for vy in range(-p, p + 1) for vx in range(-p, p + 1)]
+    out = []
+    for vx, vy in sorted(window, key=lambda v: (abs(v[0]) + abs(v[1]), v[1], v[0])):
+        if 0 <= x + vx <= cur.shape[1] - 16 and 0 <= y + vy <= cur.shape[0] - 16:
+            cand = ref[y + vy : y + vy + 16, x + vx : x + vx + 16].astype(int)
+            out.append((vx, vy, int(np.abs(block.sum(1) - cand.sum(1)).sum()), int(np.abs(block - cand).sum())))
+    return out
+
+
+class TestTieAwarePrune:
+    """Each MB's guess is its first displacement of lowest bound, with exact
+    SAD best0. An MB whose best0 equals that bound is settled and keeps the
+    guess; for the others a pair ranked before the guess is scored when its
+    bound is <= best0, and one ranked after it only when its bound is below
+    best0. Each case plants the blocks that make one rule decide the vector
+    of MB (1, 1), checks that they do, and compares with the oracle."""
+
+    P = 14
+
+    def _check(self, plants, guess, want):
+        cur, ref = _planted(5, plants)
+        pairs = _pairs_in_search_order(cur, ref, 1, 1, self.P)
+        bounds = [lb for _, _, lb, _ in pairs]
+        g = bounds.index(min(bounds))
+        assert pairs[g][:2] == guess
+        field = estimate_field(Frame(cur), Frame(ref), SearchParams(p=self.P))
+        assert field.mv_at(MbAddress(1, 1)) == MotionVector(*want)
+        assert want == oracle.full_search(cur.tolist(), ref.tolist(), 1, 1, self.P)
+        return pairs, g
+
+    def test_pair_after_guess_with_equal_sad_loses(self):
+        pairs, g = self._check({(-3, 2): "swap", (13, 0): "swap"}, guess=(-3, 2), want=(-3, 2))
+        best0 = pairs[g][3]
+        later = [q for q in pairs[g + 1 :] if q[3] == best0]
+        assert best0 == 16 and [q[:2] for q in later] == [(13, 0)] and later[0][2] < best0
+
+    def test_pair_before_guess_with_bound_and_sad_at_best0_wins(self):
+        # a strict < on both sides of the guess would prune (-3, 2)
+        pairs, g = self._check({(-3, 2): "row", (13, 0): "swap"}, guess=(13, 0), want=(-3, 2))
+        best0 = pairs[g][3]
+        assert best0 == 16 > pairs[g][2] == min(q[2] for q in pairs)
+        assert [q for q in pairs[:g] if q[3] == best0] == [(-3, 2, 16, 16)]
+
+    def test_settled_mb_with_later_exact_matches(self):
+        pairs, g = self._check({(-3, 2): "copy", (13, 0): "copy", (-13, -14): "copy"}, guess=(-3, 2), want=(-3, 2))
+        assert pairs[g][2:] == (0, 0)
+        assert sorted(q[:2] for q in pairs[g + 1 :] if q[3] == 0) == [(-13, -14), (13, 0)]
 
 
 @pytest.mark.parametrize("p", [7, 40])
