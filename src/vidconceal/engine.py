@@ -357,22 +357,27 @@ class PrioritySchedule:
     MB leaves at most four stale entries. ``last_count`` is the count the
     latest extract() popped its MB at, which is that MB's number of
     available sides.
+
+    The starting counts are one sum of four shifted views of the
+    availability grid with a border of zeros, so an out-of-frame neighbor
+    counts as unavailable; one raster pass over the damaged MBs then fills
+    the buckets, each of which starts out sorted and so is already a heap.
     """
 
     def __init__(self, status: np.ndarray):
-        self._cols = status.shape[1]
+        rows, cols = status.shape
+        self._cols = cols
         damaged = status == MbState.DAMAGED
-        avail = ~damaged
-        neigh = np.zeros(avail.shape, dtype=np.int8)
-        neigh[1:, :] += avail[:-1, :]
-        neigh[:-1, :] += avail[1:, :]
-        neigh[:, 1:] += avail[:, :-1]
-        neigh[:, :-1] += avail[:, 1:]
-        index = np.flatnonzero(damaged)  # raster order
-        count = neigh.ravel()[index]
-        self._live: dict[int, int] = dict(zip(index.tolist(), count.tolist()))
-        # Each bucket starts out sorted, which is already a heap.
-        self._buckets: list[list[int]] = [index[count == c].tolist() for c in range(5)]
+        avail = np.zeros((rows + 2, cols + 2), dtype=np.int8)
+        avail[1:-1, 1:-1] = ~damaged
+        neigh = avail[:-2, 1:-1] + avail[2:, 1:-1] + avail[1:-1, :-2] + avail[1:-1, 2:]
+        index = np.flatnonzero(damaged).tolist()  # raster order
+        count = neigh[damaged].tolist()
+        self._live: dict[int, int] = dict(zip(index, count))
+        buckets: list[list[int]] = [[], [], [], [], []]
+        for k, c in zip(index, count):
+            buckets[c].append(k)
+        self._buckets = buckets
         self.last_count = -1
 
     @property

@@ -212,12 +212,16 @@ def build_context(seq: SequenceSpec, search_p: int = 7) -> SequenceContext:
 
 def blank_damaged(frame: Frame, status: np.ndarray) -> Frame:
     """Zero out the pixels of damaged MBs; the decoder treats them as lost.
-    One multiply scales each MB of the frame, which must cover the status
-    grid exactly, by 0 where it is damaged and by 1 elsewhere."""
+    The frame must cover the status grid exactly. One multiply scales it by
+    a keep mask of MB rows x frame width, 0 under a damaged MB and 1
+    elsewhere, broadcast over the 16 pixel rows of each MB row, so the
+    inner loop runs the frame's width and the cost is the same at every
+    loss rate. The result is a new C-contiguous uint8 plane; the input,
+    which other trials and modes share, is never written."""
     rows, cols = status.shape
-    keep = (status != MbState.DAMAGED).view(np.uint8)
-    blocks = frame.luma.reshape(rows, MB, cols, MB) * keep[:, None, :, None]
-    return Frame(blocks.reshape(rows * MB, cols * MB))
+    keep = np.repeat((status != MbState.DAMAGED).view(np.uint8), MB, axis=1)
+    lines = frame.luma.reshape(rows, MB, cols * MB) * keep[:, None, :]
+    return Frame(lines.reshape(rows * MB, cols * MB))
 
 
 class DecodedFrame(NamedTuple):

@@ -22,14 +22,18 @@ def psnr(reconstructed: Frame, pristine: Frame) -> float:
     """10*log10(255^2 / MSE) over the luma plane, capped at 100 dB so that
     identical frames average cleanly.
 
-    The squared error is summed exactly in int64; an int32 sum would wrap
-    once 33,026 samples differ by 255, well inside a CIF plane. Every partial
-    sum of a float64 mean of the same squares is an integer below 2^53 and
-    so exact, which makes this MSE equal to the float64 mean bit for bit."""
-    if reconstructed.luma.shape != pristine.luma.shape:
+    The squared error is exact. ``maximum - minimum`` of two uint8 planes is
+    their absolute difference, which stays in uint8; its square is at most
+    255^2 = 65,025 and fits uint16; the sum runs in uint64, which a plane
+    would need more than 2.8e14 samples to overflow. Every partial sum of a
+    float64 mean of the same squares is an integer below 2^53 and so exact,
+    which makes this MSE equal to the float64 mean bit for bit."""
+    a, b = reconstructed.luma, pristine.luma
+    if a.shape != b.shape:
         raise ValueError("frames must have equal dimensions")
-    diff = np.subtract(reconstructed.luma, pristine.luma, dtype=np.int16)
-    sse = int(np.square(diff, dtype=np.int32).sum(dtype=np.int64))
+    diff = np.maximum(a, b)
+    diff -= np.minimum(a, b)
+    sse = int(np.square(diff, dtype=np.uint16).sum(dtype=np.uint64))
     mse = sse / diff.size
     if mse == 0.0:
         return PSNR_CAP_DB

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -35,6 +35,7 @@ from vidconceal.engine import (
     neighbor_context,
     select_mv,
 )
+from vidconceal.loss import TrialConfig, make_mask
 from vidconceal.motion import estimate_field
 
 TOP, BOTTOM, LEFT, RIGHT = SIDES
@@ -87,6 +88,17 @@ def _loss_grid(draw):
     n = cols * rows
     lost = [True] * n if kind == "all" else draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return cols, rows, {(c, r) for r in range(rows) for c in range(cols) if lost[r * cols + c]}
+
+
+def _benchmark_grids(test):
+    """Add the CIF (22x18) and QCIF (11x9) grids, lost as make_mask draws
+    them at rates 0.1, 0.5 and 1.0, as explicit examples of a _loss_grid
+    test: the strategy stops at 12x12."""
+    for cols, rows in ((22, 18), (11, 9)):
+        for rate in (0.1, 0.5, 1.0):
+            lost = make_mask(1, cols, rows, TrialConfig(rate, seed=20260810)).lost.tolist()
+            test = example(grid=(cols, rows, {(k % cols, k // cols) for k in lost}))(test)
+    return test
 
 
 class TestSelectMv:
@@ -247,6 +259,7 @@ class TestPrioritySchedule:
             oracle.replay_schedule({(m.col, m.row) for m in lost}, cols, rows, order)
 
     @settings(max_examples=150, deadline=None)
+    @_benchmark_grids
     @given(grid=_loss_grid())
     def test_matches_oracle_property(self, grid):
         cols, rows, lost = grid

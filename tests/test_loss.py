@@ -149,4 +149,11 @@ def test_apply_mask_and_blank_match_per_mb_loops(inst):
         return
     status = apply_mask(LossMask(1, lost), cols, rows)
     assert status.dtype == np.uint8 and np.array_equal(status, want_state)
-    assert np.array_equal(blank_damaged(Frame(luma), status).luma, want_luma)
+    before = luma.copy()
+    out = blank_damaged(Frame(luma), status).luma
+    assert np.array_equal(out, want_luma)
+    # The originals are shared by every trial and mode: blanking must leave
+    # its input as it was and hand back a plane of its own.
+    assert np.array_equal(luma, before)
+    assert not np.shares_memory(out, luma)
+    assert out.dtype == np.uint8 and out.flags.c_contiguous
