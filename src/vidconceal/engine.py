@@ -24,11 +24,16 @@ Scoring is batched per damaged MB. Every boundary segment is the inner
 boundary of some 16x16 block, so a segment is read as a plane's flat samples
 at the block's raster offset plus one row of a precomputed 4 x 16 offset
 table. The outer and additional (target) boundaries depend only on the MB
-and its neighbors; they and the inner boundaries of all K in-frame
-candidates land in one (K + T) x 4 x 16 buffer, filled by one flat take from
-the reference and one from the current frame. The classic and additional
-SADs come out together as K x T x 4, the per-side minimum is taken over the
-targets that exist, and the first argmin of the per-candidate sums wins.
+and its neighbors. An outer boundary needs no bounds check of its own: the
+neighbor that owns it lies in the frame exactly when its adjacent row or
+column does, so one compare of the MB's origin against the frame edge
+settles it, and its block starts one row or column off the MB's origin.
+The targets and the inner boundaries of all K in-frame candidates land in
+one (K + T) x 4 x 16 buffer, filled by one flat take from the reference,
+after which the outer row is read again from the current frame. The classic
+and additional SADs come out together as K x T x 4, the per-side minimum is
+taken over the targets that exist, and the first argmin of the
+per-candidate sums wins.
 
 Damaged MBs are processed in priority order (most available 4-neighbors
 first), and each concealment immediately raises the priority of its damaged
@@ -49,6 +54,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,16 +102,16 @@ _ABSENT = 1 << 14
 _ONES = np.ones(MB, dtype=np.int16)
 
 
-def _pattern(bits: int) -> tuple[tuple[tuple[bool, ...], ...], np.ndarray, np.ndarray]:
+def _pattern(bits: int) -> tuple[tuple[tuple[bool, ...], ...], np.ndarray, np.ndarray, int]:
     """For one presence pattern of a damaged MB's boundaries (bit k: the
     outer boundary of side k, bit 4 + k: its additional boundary): the
     presence flags of the outer and the additional boundaries and of the
-    sides that have either, the 2 x 4 cost of the targets, and the scored
-    sides as 0/1."""
+    sides that have either, the 2 x 4 cost of the targets, the scored sides
+    as 0/1, and the number of sides with neither."""
     outer, addl = (tuple(bool(bits >> (4 * t + k) & 1) for k in range(4)) for t in range(2))
     scored = tuple(a or b for a, b in zip(outer, addl))
     cost = np.array([[0 if p else _ABSENT for p in row] for row in (outer, addl)], dtype=np.int16)
-    return (outer, addl, scored), cost, np.array(scored, dtype=np.int16)
+    return (outer, addl, scored), cost, np.array(scored, dtype=np.int16), scored.count(False)
 
 
 _PATTERNS = [_pattern(bits) for bits in range(256)]
@@ -171,70 +177,6 @@ class BoundaryDistortion:
         return self._sides(2)
 
 
-def _start(shape: tuple[int, int], x: int, y: int, k: int, screen: np.ndarray | None = None) -> int | None:
-    """Raster offset of the 16x16 block whose top-left pixel is (x, y), in a
-    plane of the given shape, when that block's side-k inner boundary lies in
-    the plane and, given a ``screen`` status grid, no concealed MB lies under
-    either end of it; None otherwise. The boundary itself is then the plane's
-    flat samples at that offset plus ``_flat_offsets(width)[k]``."""
-    dx0, dy0, dx1, dy1 = _ENDS[k]
-    x0, y0, x1, y1 = x + dx0, y + dy0, x + dx1, y + dy1
-    h, w = shape
-    if x0 < 0 or y0 < 0 or x1 >= w or y1 >= h:
-        return None
-    if screen is not None and (
-        screen.item(y0 // MB, x0 // MB) == MbState.CONCEALED
-        or screen.item(y1 // MB, x1 // MB) == MbState.CONCEALED
-    ):
-        return None
-    return y * w + x
-
-
-def _target_starts(ref: Frame, ref_status: np.ndarray, mb: MbAddress,
-                   ctx: NeighborContext, mode: str) -> tuple[list[list[int]], int, bool]:
-    """The candidate-independent part of scoring one damaged MB: where its
-    target boundaries start, which of them are present, and whether the
-    additional boundaries fell back.
-
-    The outer boundary of side k, read from the current frame, is present
-    when that neighbor is available and the segment lies in the frame. The
-    additional boundary, read from the reference (ebmc only), is present
-    when the neighbor is available, the segment its vector points at stays
-    in the reference and no concealed reference MB lies under it. When the MB
-    collocated with the damaged one was concealed in the reference, the
-    additional boundaries are distrusted wholesale.
-
-    Both are read as an inner boundary of a shifted block: the outer
-    boundary is that of the damaged MB moved one pixel toward the neighbor,
-    and the additional boundary is that of the block the neighbor's own
-    vector points at, so it coincides with the candidate's inner boundary
-    when the candidate vector equals the neighbor's. The starts are those
-    blocks' raster offsets, one row of four per target kind: the additional
-    row (ebmc without fallback only), then the outer row; an absent target
-    starts at 0. The presence bits follow _PATTERNS.
-    """
-    i, j = mb.origin()
-    shape = ref.luma.shape
-    fallback = mode == "ebmc" and ref_status.item(mb.row, mb.col) == MbState.CONCEALED
-    addl = mode == "ebmc" and not fallback
-    outer, extra = [0] * 4, [0] * 4
-    bits = 0
-    for k, ((dc, dr), mv) in enumerate(zip(SIDE_STEPS, ctx)):
-        if mv is None:
-            continue
-        start = _start(shape, i + dc, j + dr, k)
-        if start is not None:
-            outer[k] = start
-            bits |= 1 << k
-        if addl:
-            vx, vy = mv
-            start = _start(shape, i + vx, j + vy, k, ref_status)
-            if start is not None:
-                extra[k] = start
-                bits |= 16 << k
-    return ([extra, outer] if addl else [outer]), bits, fallback
-
-
 def select_mv(
     cur: Frame,
     ref: Frame,
@@ -249,6 +191,14 @@ def select_mv(
 
     Candidates whose displaced block leaves the reference frame are skipped;
     if that removes every candidate, the zero vector is returned unscored.
+
+    The outer boundary of side k, read from the current frame, is present
+    when ``ctx`` names that neighbor and the neighbor lies in the frame. The
+    additional boundary, read from the reference (ebmc only), is present
+    when ``ctx`` names the neighbor, the segment its vector points at stays
+    in the reference and no concealed reference MB lies under either end of
+    it. When the MB collocated with the damaged one was concealed in the
+    reference, the additional boundaries are distrusted wholesale.
     """
     if mode not in ("bma", "ebmc"):
         raise ValueError(f"select_mv mode must be bma or ebmc, got {mode!r}")
@@ -256,41 +206,76 @@ def select_mv(
         raise ValueError("current and reference frames must have equal dimensions")
     i, j = mb.origin()
     h, w = ref.luma.shape
-    kept = [mv for mv in candidates if 0 <= i + mv[0] <= w - MB and 0 <= j + mv[1] <= h - MB]
+    origin = j * w + i
+    # Raster offset of each kept candidate's block, once per side.
+    kept: list[MotionVector] = []
+    flat: list[int] = []
+    for mv in candidates:
+        vx, vy = mv
+        if 0 <= i + vx <= w - MB and 0 <= j + vy <= h - MB:
+            kept.append(mv)
+            flat += [origin + vy * w + vx] * 4
     if not kept:
         return ZERO_MV, BoundaryDistortion.empty()
-    starts, bits, fallback = _target_starts(ref, ref_status, mb, ctx, mode)
-    (outer, addl, scored), cost, scored_01 = _PATTERNS[bits]
 
-    # One gather of every boundary: the K candidates' four inner boundaries
-    # and the additional targets from the reference, the outer targets from
-    # the current frame. Reversed, the target rows are (outer, additional).
-    flat: list[int] = []
-    for vx, vy in kept:
-        flat += [(j + vy) * w + i + vx] * 4
-    for row in starts:
-        flat += row
-    index = np.array(flat).reshape(-1, 4, 1) + _flat_offsets(w)  # (K + T) x 4 x 16
-    samples = np.empty(index.shape, dtype=np.uint8)
-    ref.luma.take(index[:-1], out=samples[:-1])
-    cur.luma.take(index[-1], out=samples[-1])
+    # Target starts: the outer row, then (ebmc without fallback) the
+    # additional row, an absent target at 0; the presence bits follow
+    # _PATTERNS. The outer boundary of side k is the inner boundary of the
+    # damaged MB moved one pixel toward that neighbor, so it starts one row
+    # or column off the MB's origin.
+    top, bottom, left, right = ctx
+    has_t = top is not None and j > 0
+    has_b = bottom is not None and j + MB < h
+    has_l = left is not None and i > 0
+    has_r = right is not None and i + MB < w
+    flat += [
+        origin - w if has_t else 0, origin + w if has_b else 0,
+        origin - 1 if has_l else 0, origin + 1 if has_r else 0,
+    ]
+    bits = has_t | has_b << 1 | has_l << 2 | has_r << 3
+    fallback = mode == "ebmc" and ref_status.item(mb.row, mb.col) == MbState.CONCEALED
+    addl = mode == "ebmc" and not fallback
+    if addl:
+        # The additional boundary of side k is the inner boundary of the
+        # block the neighbor's own vector points at, so it coincides with
+        # the candidate's when the candidate vector equals the neighbor's.
+        for side, (nmv, (dx0, dy0, dx1, dy1)) in enumerate(zip(ctx, _ENDS)):
+            start = 0
+            if nmv is not None:
+                x, y = i + nmv[0], j + nmv[1]
+                x0, y0, x1, y1 = x + dx0, y + dy0, x + dx1, y + dy1
+                if (
+                    x0 >= 0 and y0 >= 0 and x1 < w and y1 < h
+                    and ref_status.item(y0 // MB, x0 // MB) != MbState.CONCEALED
+                    and ref_status.item(y1 // MB, x1 // MB) != MbState.CONCEALED
+                ):
+                    start = y * w + x
+                    bits |= 16 << side
+            flat.append(start)
+    (outer, additional, scored), cost, scored_01, absent = _PATTERNS[bits]
+
+    # One gather of every boundary from the reference, (K + T) x 4 x 16:
+    # the K candidates' inner boundaries, then the T target rows. The outer
+    # row is then read again from the current frame.
+    index = np.array(flat).reshape(-1, 4, 1) + _flat_offsets(w)
+    samples = ref.luma.take(index)
     k = len(kept)
-    inner, targets = samples[:k], samples[k:][::-1]
+    samples[k] = cur.luma.take(index[k])
+    inner, targets = samples[:k], samples[k:]
 
     diff = np.subtract(inner[:, None], targets, dtype=np.int16)
     sads = np.abs(diff, out=diff) @ _ONES  # K x T x 4; at most 16 * 255
     # K x 4; only the scored sides count, and only they are reported.
-    per_side = (sads + cost).min(axis=1) if len(starts) == 2 else sads[:, 0]
+    per_side = (sads + cost).min(axis=1) if addl else sads[:, 0]
     totals = per_side @ scored_01
-    best = int(totals.argmin())
+    best = int(totals.argmin()) if k > 1 else 0
 
     # Without additional boundaries the last row is the outer one, and
-    # addl marks none of it.
+    # ``additional`` marks none of it.
     side_sads = sads[best].tolist()
-    classic_total = sum(v for v, p in zip(side_sads[0], outer) if p)
     dist = BoundaryDistortion(
-        int(totals[best]), classic_total, scored.count(False), fallback,
-        (side_sads[0], side_sads[-1], per_side[best].tolist()), (outer, addl, scored),
+        int(totals[best]), sum(compress(side_sads[0], outer)), absent, fallback,
+        (side_sads[0], side_sads[-1], per_side[best].tolist()), (outer, additional, scored),
     )
     return kept[best], dist
 
@@ -349,14 +334,13 @@ class PrioritySchedule:
     extract() pops the highest count, breaking ties in raster order; each
     concealment bumps the count of every remaining damaged 4-neighbor by
     exactly one. The live count of every MB still to be concealed is kept
-    by raster index ``row * cols + col``; ``counts`` shows it keyed by
-    address. Next to it sit five buckets, one per count 0-4, each a heap of
-    raster indices. A bump pushes the MB into its new bucket and leaves the
-    old entry behind; extract() drops such stale entries, whose count no
-    longer matches their bucket, as it meets them. Counts only rise, so each
-    MB leaves at most four stale entries. ``last_count`` is the count the
-    latest extract() popped its MB at, which is that MB's number of
-    available sides.
+    by raster index ``row * cols + col``. Next to it sit five buckets, one
+    per count 0-4, each a heap of raster indices. A bump pushes the MB into
+    its new bucket and leaves the old entry behind; extract() drops such
+    stale entries, whose count no longer matches their bucket, as it meets
+    them. Counts only rise, so each MB leaves at most four stale entries.
+    ``last_count`` is the count the latest extract() popped its MB at,
+    which is that MB's number of available sides.
 
     The starting counts are one sum of four shifted views of the
     availability grid with a border of zeros, so an out-of-frame neighbor
@@ -379,11 +363,6 @@ class PrioritySchedule:
             buckets[c].append(k)
         self._buckets = buckets
         self.last_count = -1
-
-    @property
-    def counts(self) -> dict[MbAddress, int]:
-        cols = self._cols
-        return {MbAddress(k % cols, k // cols): c for k, c in self._live.items()}
 
     def extract(self) -> MbAddress | None:
         live = self._live

@@ -14,11 +14,13 @@ from instances import (
     plain_status,
     random_field,
     random_frame_pair,
+    random_mv,
     random_status,
     zero_field,
 )
 from vidconceal.core import (
     MB,
+    SIDE_STEPS,
     SIDES,
     Frame,
     MbAddress,
@@ -27,6 +29,7 @@ from vidconceal.core import (
 )
 from vidconceal.engine import (
     MODES,
+    BoundaryDistortion,
     PrioritySchedule,
     audit_csv_header,
     audit_csv_line,
@@ -61,7 +64,8 @@ def _scoring_instance(draw):
     """A random instance built with tests/instances.py on a 1x1 to 4x4 MB
     grid. Few-valued content makes equal totals common, and the candidate
     list (the engine's own, then drawn extras) can hold duplicates and
-    vectors whose block leaves the frame."""
+    vectors whose block leaves the frame. Half the contexts name the
+    off-frame neighbors of an edge MB too (see _name_off_frame)."""
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
     cols, rows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     cur, ref = random_frame_pair(rng, MB * cols, MB * rows, levels=draw(st.sampled_from([1, 2, 3, 256])))
@@ -73,9 +77,12 @@ def _scoring_instance(draw):
         mb = MbAddress(int(rng.integers(0, cols)), int(rng.integers(0, rows)))
         status[mb.row, mb.col] = MbState.DAMAGED
     prev = random_field(rng, cols, rows) if draw(st.booleans()) else None
-    cands = build_candidates(prev, neighbor_context(status, field, mb), mb)
+    ctx = neighbor_context(status, field, mb)
+    if draw(st.booleans()):
+        ctx = _name_off_frame(rng, ctx, mb, cols, rows)
+    cands = build_candidates(prev, ctx, mb)
     cands += draw(st.lists(_MV, max_size=6))
-    return cur, ref, status, ref_status, field, mb, cands
+    return cur, ref, status, ref_status, field, mb, cands, ctx
 
 
 @st.composite
@@ -99,6 +106,62 @@ def _benchmark_grids(test):
             lost = make_mask(1, cols, rows, TrialConfig(rate, seed=20260810)).lost.tolist()
             test = example(grid=(cols, rows, {(k % cols, k // cols) for k in lost}))(test)
     return test
+
+
+def _name_off_frame(rng, ctx, mb, cols, rows):
+    """``ctx`` with a random vector on each side whose neighbor lies off the
+    cols x rows grid. The scorer must keep such an outer boundary absent,
+    yet score the additional boundary that vector points at where it lies
+    in the reference."""
+    return tuple(
+        random_mv(rng) if not (0 <= mb.col + dc < cols and 0 <= mb.row + dr < rows) else mv
+        for (dc, dr), mv in zip(SIDE_STEPS, ctx)
+    )
+
+
+def _check_scoring(mode, cur, ref, status, ref_status, field, mb, cands, ctx):
+    """select_mv against the oracle: the winner and its total, then the
+    winner's whole breakdown (each side's classic, proposed and chosen
+    value, the classic total, the absent sides and the collocated
+    fallback). The oracle derives the in-grid neighbor vectors itself and
+    takes those of off-grid neighbors from ``ctx``. Returns the breakdown."""
+    got_mv, got = select_mv(cur, ref, ref_status, mb, cands, ctx, mode)
+    cur_p, ref_p = plain_pixels(cur), plain_pixels(ref)
+    st_p, ref_st_p = plain_status(status), plain_status(ref_status)
+    col, row = mb
+    rows, cols = status.shape
+    nmvs = oracle.neighbor_mvs(st_p, plain_field(field), plain_concealed_mvs(status, field), col, row)
+    for side, mv in zip(oracle.SIDE_NAMES, ctx):
+        if oracle.neighbor_cell(col, row, side, cols, rows) is None:
+            nmvs[side] = mv
+    want_mv, want_total = oracle.select(
+        mode, cur_p, ref_p, st_p, ref_st_p, col, row, [tuple(c) for c in cands], nmvs,
+    )
+    assert tuple(got_mv) == want_mv
+    assert got.total == want_total
+    i, j = mb.origin()
+    h, w = cur.luma.shape
+    if not any(0 <= i + vx <= w - MB and 0 <= j + vy <= h - MB for vx, vy in cands):
+        assert got == BoundaryDistortion.empty()
+        return got
+    vi, vj = want_mv
+    fallback = mode == "ebmc" and ref_st_p[row][col] == MbState.CONCEALED
+    classic = {s: oracle.bmc_side_checked(cur_p, ref_p, st_p, col, row, vi, vj, s) for s in oracle.SIDE_NAMES}
+    if mode == "ebmc":
+        proposed = {
+            s: None if fallback else oracle.pbmc_side(ref_p, ref_st_p, col, row, vi, vj, s, nmvs[s])
+            for s in oracle.SIDE_NAMES
+        }
+        total, chosen = oracle.ebmc_eval(cur_p, ref_p, st_p, ref_st_p, col, row, vi, vj, nmvs)
+    else:
+        proposed = dict.fromkeys(oracle.SIDE_NAMES)
+        total, chosen = oracle.bma_eval(cur_p, ref_p, st_p, col, row, vi, vj), classic
+    assert got.total == total
+    assert (got.classic, got.proposed, got.chosen) == (classic, proposed, chosen)
+    assert got.classic_total == sum(v for v in classic.values() if v is not None)
+    assert got.sides_absent == sum(v is None for v in chosen.values())
+    assert got.collocated_fallback == fallback
+    return got
 
 
 class TestSelectMv:
@@ -155,7 +218,7 @@ class TestSelectMv:
 
     @pytest.mark.parametrize("mode", ["bma", "ebmc"])
     def test_matches_oracle_randomized(self, rng, mode):
-        agree = 0
+        agree = named = named_scored = 0
         for _ in range(150):
             cur, ref = random_frame_pair(rng, 64, 64)
             status = random_status(rng, 4, 4)
@@ -167,44 +230,48 @@ class TestSelectMv:
                 continue
             ctx = neighbor_context(status, field, mb)
             cands = build_candidates(prev, ctx, mb)
-            got_mv, got_dist = select_mv(cur, ref, ref_status, mb, cands, ctx, mode)
-            nmvs = oracle.neighbor_mvs(
-                plain_status(status), plain_field(field), plain_concealed_mvs(status, field), mb.col, mb.row
-            )
-            want_mv, want_total = oracle.select(
-                mode, plain_pixels(cur), plain_pixels(ref), plain_status(status),
-                plain_status(ref_status), mb.col, mb.row, [tuple(c) for c in cands], nmvs,
-            )
-            assert tuple(got_mv) == want_mv
-            assert got_dist.total == want_total
+            _check_scoring(mode, cur, ref, status, ref_status, field, mb, cands, ctx)
             agree += 1
+            off = _name_off_frame(rng, ctx, mb, 4, 4)
+            if off != ctx:
+                dist = _check_scoring(mode, cur, ref, status, ref_status, field, mb, cands, off)
+                named += 1
+                named_scored += any(
+                    mv is None and p is not None for mv, p in zip(ctx, dist.proposed.values())
+                )
         assert agree > 100
+        # edge MBs are common on a 4x4 grid, and with ebmc some of their
+        # off-frame neighbors' additional boundaries land in the reference
+        assert named > 50
+        if mode == "ebmc":
+            assert named_scored > 10
 
     @pytest.mark.parametrize("mode", ["bma", "ebmc"])
     @settings(max_examples=150, deadline=None)
     @given(inst=_scoring_instance())
     def test_matches_oracle_property(self, mode, inst):
-        cur, ref, status, ref_status, field, mb, cands = inst
-        ctx = neighbor_context(status, field, mb)
-        got_mv, got_dist = select_mv(cur, ref, ref_status, mb, cands, ctx, mode)
-        nmvs = oracle.neighbor_mvs(
-            plain_status(status), plain_field(field), plain_concealed_mvs(status, field), mb.col, mb.row
-        )
-        want_mv, want_total = oracle.select(
-            mode, plain_pixels(cur), plain_pixels(ref), plain_status(status),
-            plain_status(ref_status), mb.col, mb.row, [tuple(c) for c in cands], nmvs,
-        )
-        assert tuple(got_mv) == want_mv
-        assert got_dist.total == want_total
+        _check_scoring(mode, *inst)
+
+
+def _drain(sched, conceal=True):
+    """Every MB the schedule pops, with the count it popped it at; without
+    ``conceal`` no concealment bumps a count, so each is its starting one."""
+    popped = []
+    while (mb := sched.extract()) is not None:
+        popped.append((mb, sched.last_count))
+        if conceal:
+            sched.on_concealed(mb)
+    return popped
 
 
 class TestPrioritySchedule:
     def test_initial_counts(self):
         st = damaged_map(4, 4, [MbAddress(1, 1), MbAddress(2, 1), MbAddress(0, 0)])
-        sched = PrioritySchedule(st)
-        assert sched.counts[MbAddress(0, 0)] == 2  # corner: two in-frame neighbors
-        assert sched.counts[MbAddress(1, 1)] == 3  # right neighbor damaged
-        assert sched.counts[MbAddress(2, 1)] == 3
+        assert _drain(PrioritySchedule(st), conceal=False) == [
+            (MbAddress(1, 1), 3),  # right neighbor damaged
+            (MbAddress(2, 1), 3),
+            (MbAddress(0, 0), 2),  # corner: two in-frame neighbors
+        ]
 
     def test_three_in_a_row_order_and_counts(self):
         # run A,B,C at (1,1),(2,1),(3,1): ends start at 3, middle at 2.
@@ -212,31 +279,20 @@ class TestPrioritySchedule:
         # now 3 and it precedes C in raster order), then C at 4.
         a, b, c = MbAddress(1, 1), MbAddress(2, 1), MbAddress(3, 1)
         st = damaged_map(6, 3, [a, b, c])
-        sched = PrioritySchedule(st)
-        assert (sched.counts[a], sched.counts[b], sched.counts[c]) == (3, 2, 3)
-        order = []
-        priorities = []
-        while True:
-            mb = sched.extract()
-            if mb is None:
-                break
-            order.append(mb)
-            sched.on_concealed(mb)
-            if sched.counts:
-                priorities.append(dict(sched.counts))
-        assert order == [a, b, c]
-        assert priorities[0][b] == 3  # after concealing A
-        assert priorities[1][c] == 4  # after concealing B the middle's
+        assert _drain(PrioritySchedule(st), conceal=False) == [(a, 3), (c, 3), (b, 2)]
+        # after concealing A the middle is at 3; after concealing B its
         # right neighbor has every side available
+        assert _drain(PrioritySchedule(st)) == [(a, 3), (b, 3), (c, 4)]
 
     def test_counts_increment_by_one(self):
         st = damaged_map(4, 4, [MbAddress(1, 1), MbAddress(1, 2)])
+        before = dict(_drain(PrioritySchedule(st), conceal=False))[MbAddress(1, 2)]
         sched = PrioritySchedule(st)
-        before = sched.counts[MbAddress(1, 2)]
         extracted = sched.extract()
         assert extracted == MbAddress(1, 1)
         sched.on_concealed(extracted)
-        assert sched.counts[MbAddress(1, 2)] == before + 1
+        assert sched.extract() == MbAddress(1, 2)
+        assert sched.last_count == before + 1
 
     def test_replay_matches_oracle_on_random_masks(self, rng):
         for _ in range(60):
@@ -263,27 +319,9 @@ class TestPrioritySchedule:
     @given(grid=_loss_grid())
     def test_matches_oracle_property(self, grid):
         cols, rows, lost = grid
-        sched = PrioritySchedule(damaged_map(cols, rows, [MbAddress(c, r) for c, r in lost]))
-        remaining = set(lost)
-
-        def live_count(c, r):
-            return sum(
-                1 for side in oracle.SIDE_NAMES
-                if (n := oracle.neighbor_cell(c, r, side, cols, rows)) is not None and n not in remaining
-            )
-
-        order, counts = [], []
-        while True:
-            before = dict(sched.counts)
-            mb = sched.extract()
-            if mb is None:
-                break
-            order.append((mb.col, mb.row))
-            counts.append(before[mb])
-            sched.on_concealed(mb)
-            remaining.discard((mb.col, mb.row))
-            assert sched.counts == {MbAddress(c, r): live_count(c, r) for c, r in remaining}
-        assert oracle.replay_schedule(lost, cols, rows, order) == counts
+        popped = _drain(PrioritySchedule(damaged_map(cols, rows, [MbAddress(c, r) for c, r in lost])))
+        order = [(mb.col, mb.row) for mb, _ in popped]
+        assert oracle.replay_schedule(lost, cols, rows, order) == [count for _, count in popped]
 
 
 class TestConcealFrame:

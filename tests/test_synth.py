@@ -1,0 +1,56 @@
+import numpy as np
+import pytest
+
+from vidconceal.synth import value_noise
+
+OCTAVES = ((64, 1.0), (32, 0.6), (16, 0.5), (8, 0.45), (4, 0.4))
+
+
+def four_gather_noise(height, width, rng, octaves=OCTAVES):
+    """value_noise as a per-pixel bilinear blend of four full-size gathers
+    of the grid corners around each pixel."""
+    acc = np.zeros((height, width), dtype=np.float64)
+    for cell, amp in octaves:
+        grid = rng.random((height // cell + 2, width // cell + 2))
+        ys = np.arange(height) / cell
+        xs = np.arange(width) / cell
+        y0 = ys.astype(int)
+        x0 = xs.astype(int)
+        fy = (ys - y0)[:, None]
+        fx = (xs - x0)[None, :]
+        fy = fy * fy * (3 - 2 * fy)
+        fx = fx * fx * (3 - 2 * fx)
+        g00 = grid[np.ix_(y0, x0)]
+        g01 = grid[np.ix_(y0, x0 + 1)]
+        g10 = grid[np.ix_(y0 + 1, x0)]
+        g11 = grid[np.ix_(y0 + 1, x0 + 1)]
+        acc += amp * ((1 - fy) * ((1 - fx) * g00 + fx * g01) + fy * ((1 - fx) * g10 + fx * g11))
+    acc -= acc.min()
+    peak = acc.max()
+    if peak > 0:
+        acc *= 255.0 / peak
+    return acc.astype(np.uint8)
+
+
+def _sizes():
+    rng = np.random.default_rng(20260810)
+    drawn = [tuple(int(v) for v in rng.integers(1, 200, size=2)) for _ in range(40)]
+    # 1x1, single rows and columns, exact and off multiples of every cell
+    return [(1, 1), (1, 37), (53, 1), (64, 64), (63, 65), (144, 176), *drawn]
+
+
+@pytest.mark.parametrize("height,width", _sizes())
+def test_value_noise_matches_four_gather_blend_bytewise(height, width):
+    seed = height * 1000 + width
+    got = value_noise(height, width, np.random.default_rng(seed))
+    want = four_gather_noise(height, width, np.random.default_rng(seed))
+    assert got.dtype == np.uint8 and got.shape == (height, width)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_value_noise_matches_with_custom_octaves():
+    octaves = ((16, 1.0), (8, 0.6), (4, 0.45))
+    for side in (40, 57, 71):
+        got = value_noise(side, side, np.random.default_rng(side), octaves=octaves)
+        want = four_gather_noise(side, side, np.random.default_rng(side), octaves=octaves)
+        assert got.tobytes() == want.tobytes()
