@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import MB, Frame, MbState
 from .engine import MODES, audit_csv_header, audit_csv_line, conceal_frame
-from .loss import TrialConfig, apply_mask, make_mask
+from .loss import TrialConfig, apply_mask, make_mask, mask_memo
 from .metrics import PsnrSample, psnr
 from .motion import MvField, SearchParams, estimate_field
 from .yuv_io import SequenceHeader, YuvFrameRecord, open_sequence, read_frame, write_pgm
@@ -354,6 +354,9 @@ def write_trial_csv(tr: TrialResult, path: str) -> None:
             f.write(f"{s.frame_index},{s.value!r},{ms!r},{n}\n")
 
 
+# every mode of a (rate, trial) conceals the same draws: within one run the
+# first mode draws them and the later modes reuse them
+@mask_memo()
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> list[ReportRow]:
     """Run every (sequence, mode, rate, trial) cell, persist the results and
     return the report's rows.

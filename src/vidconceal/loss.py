@@ -11,17 +11,32 @@ the order in which the status grid is laid out.
 The PRNG is NumPy's PCG64 keyed on (seed, trial_index, frame_index), a fixed
 algorithm rather than any platform default, so masks are reproducible across
 runs for a given NumPy version.
+
+Every mode of a trial conceals the same draws. Inside a ``mask_memo()``
+scope, which ``experiment.run_experiment`` opens for its run, each draw is
+made once and handed back to the later modes; outside one, every call
+draws. The scope is per run, not per process, so a run never reuses the
+draws of an earlier one.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .core import MbState
 
 _U64 = (1 << 64) - 1
+
+# (seed & _U64, trial_index, frame_index, MB count, lost count) -> lost
+# indices, while a mask_memo() scope is open
+_memo: dict[tuple[int, int, int, int, int], np.ndarray] | None = None
+
+_NONE_LOST = np.empty(0, dtype=np.int64)
+_NONE_LOST.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -43,19 +58,39 @@ class LossMask:
     lost: np.ndarray  # sorted int raster indices row * cols + col
 
 
+@contextmanager
+def mask_memo() -> Iterator[None]:
+    """Scope within which make_mask draws each mask once and returns the
+    same array for every later call with the same key. The memo is dropped
+    on exit, also when an exception leaves the scope."""
+    global _memo
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
 def make_mask(frame_index: int, mb_cols: int, mb_rows: int, cfg: TrialConfig) -> LossMask:
     """Exactly round(rate * mb_cols * mb_rows) distinct lost MBs (round half
-    to even), drawn deterministically from (seed, trial_index, frame_index)."""
+    to even), drawn deterministically from (seed, trial_index, frame_index).
+    The lost-index array is read-only: inside a mask_memo() scope, later
+    calls share it."""
     if frame_index < 0:
         raise ValueError("frame_index must be >= 0")
     total = mb_cols * mb_rows
     count = round(cfg.rate * total)
     if frame_index == 0 or count == 0:
-        return LossMask(frame_index, np.empty(0, dtype=np.int64))
-    key = np.random.SeedSequence([cfg.seed & _U64, cfg.trial_index, frame_index])
-    rng = np.random.Generator(np.random.PCG64(key))
-    picks = rng.choice(total, size=count, replace=False)
-    return LossMask(frame_index, np.sort(picks))
+        return LossMask(frame_index, _NONE_LOST)
+    key = (cfg.seed & _U64, cfg.trial_index, frame_index, total, count)
+    lost = None if _memo is None else _memo.get(key)
+    if lost is None:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key[:3])))
+        lost = np.sort(rng.choice(total, size=count, replace=False))
+        lost.flags.writeable = False
+        if _memo is not None:
+            _memo[key] = lost
+    return LossMask(frame_index, lost)
 
 
 def apply_mask(mask: LossMask, mb_cols: int, mb_rows: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import os
+import subprocess
+import types
 
 import pytest
 
@@ -89,3 +92,69 @@ def test_more_change_failures_no_gain():
     # as many failures on both sides leaves the gain standing
     runs[4]["failed"] = 1
     assert bench_ab.compare(runs, [WALL])["metrics"]["wall_s"]["gain_met"]
+
+
+class FakeRuns:
+    """Stands in for `subprocess.run` in `bench_ab.main`: git and tar
+    succeed, and each `perfbench/run.py` prints a manifest line and a result
+    line in which the working tree is a little faster than the base."""
+
+    def __init__(self, root):
+        self.root = str(root)
+        self.bench = []
+
+    def __call__(self, cmd, cwd=None, input=None, check=False, capture_output=False, text=False):
+        if cmd[0] == "git":
+            out = {"rev-parse": "0" * 40, "status": ""}.get(cmd[1], b"")
+            return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+        if cmd[0] == "tar":
+            return subprocess.CompletedProcess(cmd, 0)
+        self.bench.append((cmd, cwd))
+        arg = lambda flag: cmd[cmd.index(flag) + 1]  # noqa: E731
+        manifest = {"workload": arg("--workload"), "seed": int(arg("--seed"))}
+        result = {"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"wall_s": {"value": 0.9 if cwd == self.root else 1.0}}}
+        out = f"manifest {json.dumps(manifest)}\n{json.dumps(result)}\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+
+@pytest.fixture
+def fake_runs(tmp_path, monkeypatch):
+    bench = {"workloads": [{"name": n} for n in ("sparse", "burst", "cli-stream")], "end_to_end": [WALL]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    fake = FakeRuns(tmp_path)
+    monkeypatch.setattr(bench_ab, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_ab, "bench_sha256", lambda root: "0" * 64)
+    # bench_ab's own subprocess only; platform.platform() still runs uname
+    monkeypatch.setattr(bench_ab, "subprocess", types.SimpleNamespace(run=fake))
+    return fake
+
+
+@pytest.mark.parametrize(
+    "flags, seed, workloads",
+    [
+        ([], 7, ["sparse", "burst", "cli-stream"]),
+        (["--seed", "4099", "--workload", "sparse"], 4099, ["sparse"]),
+        (["--workload", "cli-stream", "--seed", "11", "--workload", "sparse"], 11, ["cli-stream", "sparse"]),
+    ],
+)
+def test_seed_and_workloads_reach_both_sides_and_the_report(fake_runs, tmp_path, flags, seed, workloads):
+    assert bench_ab.main(["--label", "t", "--pairs", "2", *flags]) == 0
+    # two pairs of a base and a change run per workload, in the order asked
+    assert [cmd[cmd.index("--workload") + 1] for cmd, _ in fake_runs.bench] == [w for w in workloads for _ in range(4)]
+    assert all(cmd[cmd.index("--seed") + 1] == str(seed) for cmd, _ in fake_runs.bench)
+    sides = {cwd for _, cwd in fake_runs.bench}
+    assert len(sides) == 2 and str(tmp_path) in sides
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["seed"] == seed and report["command"].endswith(f"--seed {seed}")
+    assert list(report["workloads"]) == workloads
+    for w in workloads:
+        runs = report["workloads"][w]["runs"]
+        assert [r["manifest"] for r in runs] == [{"workload": w, "seed": seed}] * 4
+        assert report["workloads"][w]["metrics"]["wall_s"]["change_wins"] == 2
+
+
+def test_unknown_workload_rejected(fake_runs, tmp_path):
+    with pytest.raises(SystemExit):
+        bench_ab.main(["--label", "t", "--workload", "sprase"])
+    assert fake_runs.bench == [] and not (tmp_path / "BENCH_t.json").exists()

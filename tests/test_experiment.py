@@ -4,10 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from vidconceal import experiment
+from vidconceal.engine import audit_csv_header
 from vidconceal.experiment import (
     ExperimentSpec,
     SequenceSpec,
     TrialResult,
+    _cell_tag,
     _rate_tag,
     _render_report_csv,
     aggregate,
@@ -15,6 +18,7 @@ from vidconceal.experiment import (
     load_spec_file,
     run_experiment,
     run_trial,
+    write_trial_csv,
 )
 from vidconceal.metrics import PSNR_CAP_DB, PsnrSample
 from vidconceal.synth import make_sequence, write_i420
@@ -186,6 +190,49 @@ class TestRunExperiment:
             assert (tmp_path / "a" / "audits" / name).read_bytes() == (
                 tmp_path / "b" / "audits" / name
             ).read_bytes()
+
+    def test_make_mask_called_per_frame_mode_rate_and_trial(self, small_seq, tmp_path, monkeypatch):
+        # perfbench's tracer counts loss.mbs_lost by wrapping
+        # experiment.make_mask, and reference.json pins that count: every
+        # mode must still call it once per inter frame, rate and trial
+        calls, make_mask = [], experiment.make_mask
+
+        def spy(*args):
+            mask = make_mask(*args)
+            calls.append(len(mask.lost))
+            return mask
+
+        monkeypatch.setattr(experiment, "make_mask", spy)
+        spec = self._spec(small_seq)  # 5 frames of 4x4 MBs, 2 modes, 2 rates, 2 trials
+        run_experiment(spec, str(tmp_path / "out"))
+        frames, modes = small_seq.frames, len(spec.modes)
+        assert len(calls) == (frames - 1) * modes * len(spec.rates) * spec.trials
+        one_pass = sum(round(rate * 16) * (frames - 1) * spec.trials for rate in spec.rates)
+        assert sum(calls) == modes * one_pass
+
+    def test_outputs_equal_per_cell_trials_outside_the_memo(self, small_seq, tmp_path):
+        spec = self._spec(small_seq, modes=["tr", "median", "ebmc"])
+        out, want = tmp_path / "out", tmp_path / "want"
+        run_experiment(spec, str(out))
+        # the same files, built from run_trial calls that each draw their own masks
+        ctx = build_context(small_seq, spec.search_p)
+        os.makedirs(want / "trials")
+        os.makedirs(want / "audits")
+        rows = []
+        for mode in spec.modes:
+            for rate in spec.rates:
+                cell = [run_trial(ctx, mode, rate, k, spec.seed, measure_timing=False) for k in range(spec.trials)]
+                for k, tr in enumerate(cell):
+                    tag = _cell_tag("small", mode, rate, k)
+                    write_trial_csv(tr, str(want / "trials" / f"{tag}.csv"))
+                    (want / "audits" / f"{tag}.csv").write_text(
+                        "".join(line + "\n" for line in [audit_csv_header(), *tr.audit_lines]))
+                rows.append(aggregate(cell))
+        (want / "report.csv").write_text(_render_report_csv(rows))
+        got = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert got == sorted(str(p.relative_to(want)) for p in want.rglob("*") if p.is_file())
+        for name in got:
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
     def test_pgm_dumps(self, small_seq, tmp_path):
         out = tmp_path / "out"

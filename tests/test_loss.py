@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from instances import all_correct, damage, damaged_mbs
 from vidconceal.core import MB, Frame, MbAddress, MbState
-from vidconceal.experiment import blank_damaged
-from vidconceal.loss import LossMask, TrialConfig, apply_mask, make_mask
+from vidconceal import experiment
+from vidconceal.experiment import ExperimentSpec, SequenceSpec, blank_damaged, run_experiment
+from vidconceal.loss import LossMask, TrialConfig, apply_mask, make_mask, mask_memo
+from vidconceal.synth import make_sequence, write_i420
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -86,8 +88,7 @@ class TestApplyMask:
             apply_mask(LossMask(1, np.array([4])), 2, 2)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
+_MASK_ARGS = dict(
     cols=st.integers(1, 30),
     rows=st.integers(1, 30),
     rate=st.floats(0.0, 1.0),
@@ -95,6 +96,10 @@ class TestApplyMask:
     trial=st.integers(0, 1000),
     frame_index=st.integers(1, 1000),
 )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(**_MASK_ARGS)
 def test_make_mask_exact_count_of_distinct_in_grid_mbs(monkeypatch, cols, rows, rate, seed, trial, frame_index):
     monkeypatch.syspath_prepend(PERFBENCH)
     import checks  # the benchmark's own draw, written apart from vidconceal.loss
@@ -108,6 +113,73 @@ def test_make_mask_exact_count_of_distinct_in_grid_mbs(monkeypatch, cols, rows, 
     assert mask.lost.size == 0 or (0 <= mask.lost[0] and mask.lost[-1] < cols * rows)
     want = checks.lost_mbs(seed, trial, frame_index, cols, rows, rate)
     assert {(k % cols, k // cols) for k in mask.lost.tolist()} == want
+
+
+def _assert_read_only(lost):
+    assert not lost.flags.writeable
+    if lost.size:
+        with pytest.raises(ValueError, match="read-only"):
+            lost[0] = lost[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_MASK_ARGS)
+def test_memo_returns_the_draw_made_outside_it(cols, rows, rate, seed, trial, frame_index):
+    cfg = TrialConfig(rate, seed, trial)
+    outside = make_mask(frame_index, cols, rows, cfg)
+    with mask_memo():
+        first = make_mask(frame_index, cols, rows, cfg)
+        again = make_mask(frame_index, cols, rows, cfg)
+    # the repeated call reuses the first one's draw, which later modes share
+    assert again.lost is first.lost
+    for mask in (outside, first, again):
+        assert mask.frame_index == frame_index
+        assert np.array_equal(mask.lost, outside.lost)
+        _assert_read_only(mask.lost)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**_MASK_ARGS, fail=st.booleans())
+def test_memo_dropped_on_exit(cols, rows, rate, seed, trial, frame_index, fail):
+    cfg = TrialConfig(max(rate, 1 / (cols * rows)), seed, trial)  # at least one lost MB
+    if fail:
+        with pytest.raises(RuntimeError, match="inside"):
+            with mask_memo():
+                inside = make_mask(frame_index, cols, rows, cfg).lost
+                raise RuntimeError("inside the scope")
+    else:
+        with mask_memo():
+            inside = make_mask(frame_index, cols, rows, cfg).lost
+    # outside the scope and in a new one, the same key draws afresh
+    after = make_mask(frame_index, cols, rows, cfg).lost
+    with mask_memo():
+        again = make_mask(frame_index, cols, rows, cfg).lost
+    assert after is not inside and again is not inside
+    assert np.array_equal(after, inside) and np.array_equal(again, inside)
+
+
+def test_second_experiment_run_draws_again(tmp_path, monkeypatch):
+    path = tmp_path / "clip.yuv"
+    write_i420(str(path), make_sequence(32, 32, 3, seed=1))
+    spec = ExperimentSpec([SequenceSpec("clip", str(path), 32, 32, 3)], [0.5], ["tr", "bma"], trials=2,
+                          measure_timing=False)
+    runs: list[list[np.ndarray]] = []
+
+    def spy(*args):
+        mask = make_mask(*args)
+        runs[-1].append(mask.lost)
+        return mask
+
+    monkeypatch.setattr(experiment, "make_mask", spy)
+    for k in range(2):
+        runs.append([])
+        run_experiment(spec, str(tmp_path / f"out{k}"))
+    # per run: 2 modes x 2 trials x 2 inter frames, and bma reuses tr's draws
+    for lost in runs:
+        assert len(lost) == 8
+        assert all(b is a for a, b in zip(lost[:4], lost[4:]))
+    # the second run draws again: equal draws, but none of the first run's arrays
+    assert all(b is not a and np.array_equal(a, b) for a, b in zip(*runs))
 
 
 def _apply_and_blank_per_mb(luma, cols, rows, lost):

@@ -1,15 +1,19 @@
 """A/B benchmark of the working tree against a base commit.
 
     python3 tools/bench_ab.py --label pr7
+    python3 tools/bench_ab.py --label heldout --seed 4099 --workload sparse
 
 Extracts the base commit (default HEAD, so the uncommitted change is what is
 measured) with `git archive` into a temporary directory, and runs each side's
-own `perfbench/run.py --trace 0` from that side's root, at the benchmark's
-default seed and run length: N pairs per workload of BENCHMARK.json, the
-base first in even pairs and the working tree first in odd ones. The
-temporary directory is removed afterwards, also when a run fails.
+own `perfbench/run.py --trace 0 --seed S` from that side's root, at the
+benchmark's run length: N pairs per workload, the base first in even pairs
+and the working tree first in odd ones. The seed defaults to the
+benchmark's default 7, and the workloads to every one in BENCHMARK.json;
+`--workload` may be given more than once. The temporary directory is
+removed afterwards, also when a run fails.
 
-Writes BENCH_<label>.json at the repository root with, per workload:
+Writes BENCH_<label>.json at the repository root with the seed and, per
+workload:
 - per end-to-end metric of BENCHMARK.json, each side's median, quartiles
   and values, the pairs the change wins (ties count for neither), and two
   verdicts: `gain_met` when the change wins at least 9 in 10 of all pairs
@@ -76,10 +80,13 @@ def machine() -> dict:
     }
 
 
-def run_once(root: str, workload: str) -> dict:
+DEFAULT_SEED = 7  # perfbench's own default
+
+
+def run_once(root: str, workload: str, seed: int) -> dict:
     """One `perfbench/run.py --trace 0` run from a side's root: its manifest,
     counts and metrics, or the error when it did not complete."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0", "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -149,12 +156,21 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="output file is BENCH_<label>.json at the repository root")
     ap.add_argument("--base", default="HEAD", help="commit to compare against (default: HEAD)")
     ap.add_argument("--pairs", type=int, default=10, help="base/change pairs per workload (default: 10)")
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help=f"workload seed passed to both sides (default: {DEFAULT_SEED})")
+    ap.add_argument("--workload", action="append", dest="workloads", metavar="NAME",
+                    help="workload to run; repeatable (default: every workload in BENCHMARK.json)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
+    declared = [w["name"] for w in bench["workloads"]]
+    workloads = list(dict.fromkeys(args.workloads or declared))
+    unknown = [w for w in workloads if w not in declared]
+    if unknown:
+        ap.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json declares {', '.join(declared)}")
     base_rev = git("rev-parse", args.base)
     tmp = tempfile.mkdtemp(prefix="bench_ab_")
     base_root = os.path.join(tmp, "base")
@@ -166,7 +182,8 @@ def main(argv=None) -> int:
         sides = {"base": base_root, "change": ROOT}
         report = {
             "label": args.label,
-            "command": "perfbench/run.py --trace 0",
+            "command": f"perfbench/run.py --trace 0 --seed {args.seed}",
+            "seed": args.seed,
             "base": {"revision": base_rev, "bench_sha256": bench_sha256(base_root)},
             "change": {
                 "revision": git("rev-parse", "HEAD"),
@@ -177,12 +194,12 @@ def main(argv=None) -> int:
             "machine": machine(),
             "workloads": {},
         }
-        for workload in (w["name"] for w in bench["workloads"]):
+        for workload in workloads:
             runs = []
             for pair in range(args.pairs):
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for side in order:
-                    run = run_once(sides[side], workload)
+                    run = run_once(sides[side], workload, args.seed)
                     runs.append({"pair": pair, "side": side, **run})
                     errors += "error" in run
                     status = "error" if "error" in run else f"failed={run['failed']}"
