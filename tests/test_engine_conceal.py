@@ -35,6 +35,7 @@ from vidconceal.engine import (
     audit_csv_line,
     build_candidates,
     conceal_frame,
+    conceal_order,
     neighbor_context,
     select_mv,
 )
@@ -253,21 +254,24 @@ class TestSelectMv:
         _check_scoring(mode, *inst)
 
 
-def _drain(sched, conceal=True):
-    """Every MB the schedule pops, with the count it popped it at; without
-    ``conceal`` no concealment bumps a count, so each is its starting one."""
-    popped = []
+def _drain(status, conceal=True):
+    """Every MB the schedule of ``status`` pops, with the count it popped it
+    at: conceal_order's pops, or without ``conceal`` a drain in which no
+    concealment bumps a count, so each is its starting one."""
+    cols = status.shape[1]
+    if conceal:
+        order = conceal_order(status)
+        return [(MbAddress(k % cols, k // cols), c) for k, c in zip(order.index.tolist(), order.count.tolist())]
+    sched, popped = PrioritySchedule(status), []
     while (mb := sched.extract()) is not None:
         popped.append((mb, sched.last_count))
-        if conceal:
-            sched.on_concealed(mb)
     return popped
 
 
 class TestPrioritySchedule:
     def test_initial_counts(self):
         st = damaged_map(4, 4, [MbAddress(1, 1), MbAddress(2, 1), MbAddress(0, 0)])
-        assert _drain(PrioritySchedule(st), conceal=False) == [
+        assert _drain(st, conceal=False) == [
             (MbAddress(1, 1), 3),  # right neighbor damaged
             (MbAddress(2, 1), 3),
             (MbAddress(0, 0), 2),  # corner: two in-frame neighbors
@@ -279,14 +283,14 @@ class TestPrioritySchedule:
         # now 3 and it precedes C in raster order), then C at 4.
         a, b, c = MbAddress(1, 1), MbAddress(2, 1), MbAddress(3, 1)
         st = damaged_map(6, 3, [a, b, c])
-        assert _drain(PrioritySchedule(st), conceal=False) == [(a, 3), (c, 3), (b, 2)]
+        assert _drain(st, conceal=False) == [(a, 3), (c, 3), (b, 2)]
         # after concealing A the middle is at 3; after concealing B its
         # right neighbor has every side available
-        assert _drain(PrioritySchedule(st)) == [(a, 3), (b, 3), (c, 4)]
+        assert _drain(st) == [(a, 3), (b, 3), (c, 4)]
 
     def test_counts_increment_by_one(self):
         st = damaged_map(4, 4, [MbAddress(1, 1), MbAddress(1, 2)])
-        before = dict(_drain(PrioritySchedule(st), conceal=False))[MbAddress(1, 2)]
+        before = dict(_drain(st, conceal=False))[MbAddress(1, 2)]
         sched = PrioritySchedule(st)
         extracted = sched.extract()
         assert extracted == MbAddress(1, 1)
@@ -304,14 +308,7 @@ class TestPrioritySchedule:
                 lost.add(mb)
             for mb in lost:
                 damage(st, mb)
-            sched = PrioritySchedule(st)
-            order = []
-            while True:
-                mb = sched.extract()
-                if mb is None:
-                    break
-                order.append((mb.col, mb.row))
-                sched.on_concealed(mb)
+            order = [(mb.col, mb.row) for mb, _ in _drain(st)]
             oracle.replay_schedule({(m.col, m.row) for m in lost}, cols, rows, order)
 
     @settings(max_examples=150, deadline=None)
@@ -319,7 +316,7 @@ class TestPrioritySchedule:
     @given(grid=_loss_grid())
     def test_matches_oracle_property(self, grid):
         cols, rows, lost = grid
-        popped = _drain(PrioritySchedule(damaged_map(cols, rows, [MbAddress(c, r) for c, r in lost])))
+        popped = _drain(damaged_map(cols, rows, [MbAddress(c, r) for c, r in lost]))
         order = [(mb.col, mb.row) for mb, _ in popped]
         assert oracle.replay_schedule(lost, cols, rows, order) == [count for _, count in popped]
 
@@ -503,3 +500,26 @@ class TestConcealFrame:
         order = [(r.mb.col, r.mb.row) for r in out.audit]
         counts = oracle.replay_schedule({(m.col, m.row) for m in lost}, 6, 6, order)
         assert [r.priority for r in out.audit] == counts
+
+    @settings(max_examples=60, deadline=None)
+    @example(grid=(5, 4, set()), seed=0)
+    @example(grid=(5, 4, {(c, r) for c in range(5) for r in range(4)}), seed=0)
+    @given(grid=_loss_grid(), seed=st.integers(0, 2**32 - 1))
+    def test_given_order_matches_built_order(self, grid, seed):
+        # one order walked by every mode in turn, as an experiment run shares it
+        cols, rows, lost = grid
+        rng = np.random.Generator(np.random.PCG64(seed))
+        cur, ref = random_frame_pair(rng, MB * cols, MB * rows, levels=(2, 256)[seed % 2])
+        field, prev = random_field(rng, cols, rows), random_field(rng, cols, rows)
+        ref_status = random_status(rng, cols, rows)
+        status = damaged_map(cols, rows, [MbAddress(c, r) for c, r in lost])
+        order = conceal_order(status)
+        assert (order.index.dtype, order.count.dtype) == (np.int32, np.uint8)
+        index, count = order.index.copy(), order.count.copy()
+        for mode in MODES:
+            want = conceal_frame(cur, ref, ref_status, status, field, prev, mode)
+            got = conceal_frame(cur, ref, ref_status, status, field, prev, mode, order)
+            assert np.array_equal(got.frame.luma, want.frame.luma)
+            assert np.array_equal(got.status, want.status)
+            assert got.audit == want.audit
+        assert np.array_equal(order.index, index) and np.array_equal(order.count, count)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from vidconceal import experiment
+from vidconceal import engine, experiment
 from vidconceal.engine import audit_csv_header
 from vidconceal.experiment import (
     ExperimentSpec,
@@ -209,6 +209,21 @@ class TestRunExperiment:
         assert len(calls) == (frames - 1) * modes * len(spec.rates) * spec.trials
         one_pass = sum(round(rate * 16) * (frames - 1) * spec.trials for rate in spec.rates)
         assert sum(calls) == modes * one_pass
+
+    def test_one_schedule_per_trial_frame_shared_by_every_mode(self, small_seq, tmp_path, monkeypatch):
+        # the concealment order depends on the loss draw alone: the first
+        # mode builds each trial-frame's order, the later modes and the
+        # timing repeats walk it
+        built, init = [], engine.PrioritySchedule.__init__
+
+        def spy(sched, status):
+            built.append(status.shape)
+            init(sched, status)
+
+        monkeypatch.setattr(engine.PrioritySchedule, "__init__", spy)
+        spec = self._spec(small_seq, modes=list(engine.MODES), measure_timing=True)
+        run_experiment(spec, str(tmp_path / "out"))
+        assert len(built) == (small_seq.frames - 1) * len(spec.rates) * spec.trials
 
     def test_outputs_equal_per_cell_trials_outside_the_memo(self, small_seq, tmp_path):
         spec = self._spec(small_seq, modes=["tr", "median", "ebmc"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from instances import all_correct, damage, damaged_mbs
 from vidconceal.core import MB, Frame, MbAddress, MbState
 from vidconceal import experiment
-from vidconceal.experiment import ExperimentSpec, SequenceSpec, blank_damaged, run_experiment
+from vidconceal.experiment import ExperimentSpec, SequenceSpec, blank_damaged, frame_plan, run_experiment
 from vidconceal.loss import LossMask, TrialConfig, apply_mask, make_mask, mask_memo
 from vidconceal.synth import make_sequence, write_i420
 
@@ -142,20 +142,32 @@ def test_memo_returns_the_draw_made_outside_it(cols, rows, rate, seed, trial, fr
 @given(**_MASK_ARGS, fail=st.booleans())
 def test_memo_dropped_on_exit(cols, rows, rate, seed, trial, frame_index, fail):
     cfg = TrialConfig(max(rate, 1 / (cols * rows)), seed, trial)  # at least one lost MB
+
+    def draw_and_plan():
+        plan = frame_plan(frame_index, cols, rows, cfg)
+        return make_mask(frame_index, cols, rows, cfg).lost, plan
+
     if fail:
         with pytest.raises(RuntimeError, match="inside"):
             with mask_memo():
-                inside = make_mask(frame_index, cols, rows, cfg).lost
+                inside, plan = draw_and_plan()
+                assert frame_plan(frame_index, cols, rows, cfg) is plan
                 raise RuntimeError("inside the scope")
     else:
         with mask_memo():
-            inside = make_mask(frame_index, cols, rows, cfg).lost
-    # outside the scope and in a new one, the same key draws afresh
-    after = make_mask(frame_index, cols, rows, cfg).lost
+            inside, plan = draw_and_plan()
+            assert frame_plan(frame_index, cols, rows, cfg) is plan
+    # outside the scope and in a new one, the same key draws and plans afresh
+    after, after_plan = draw_and_plan()
     with mask_memo():
-        again = make_mask(frame_index, cols, rows, cfg).lost
+        again, again_plan = draw_and_plan()
     assert after is not inside and again is not inside
     assert np.array_equal(after, inside) and np.array_equal(again, inside)
+    status, order = plan
+    for new_status, new_order in (after_plan, again_plan):
+        assert new_status is not status and new_order is not order
+        assert np.array_equal(new_status, status)
+        assert all(np.array_equal(a, b) for a, b in zip(new_order, order))
 
 
 def test_second_experiment_run_draws_again(tmp_path, monkeypatch):
@@ -164,22 +176,35 @@ def test_second_experiment_run_draws_again(tmp_path, monkeypatch):
     spec = ExperimentSpec([SequenceSpec("clip", str(path), 32, 32, 3)], [0.5], ["tr", "bma"], trials=2,
                           measure_timing=False)
     runs: list[list[np.ndarray]] = []
+    orders: list[list] = []
+    conceal_frame = experiment.conceal_frame
 
     def spy(*args):
         mask = make_mask(*args)
         runs[-1].append(mask.lost)
         return mask
 
+    def conceal_spy(*args):
+        orders[-1].append(args[7])
+        return conceal_frame(*args)
+
     monkeypatch.setattr(experiment, "make_mask", spy)
+    monkeypatch.setattr(experiment, "conceal_frame", conceal_spy)
     for k in range(2):
         runs.append([])
+        orders.append([])
         run_experiment(spec, str(tmp_path / f"out{k}"))
-    # per run: 2 modes x 2 trials x 2 inter frames, and bma reuses tr's draws
-    for lost in runs:
-        assert len(lost) == 8
+    # per run: 2 modes x 2 trials x 2 inter frames, and bma reuses tr's
+    # draws and concealment orders
+    for lost, order in zip(runs, orders):
+        assert len(lost) == len(order) == 8
         assert all(b is a for a, b in zip(lost[:4], lost[4:]))
-    # the second run draws again: equal draws, but none of the first run's arrays
+        assert all(b is a for a, b in zip(order[:4], order[4:]))
+    # the second run draws and orders again: equal draws and orders, but none
+    # of the first run's arrays
     assert all(b is not a and np.array_equal(a, b) for a, b in zip(*runs))
+    for a, b in zip(*orders):
+        assert b is not a and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def _apply_and_blank_per_mb(luma, cols, rows, lost):

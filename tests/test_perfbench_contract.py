@@ -1,0 +1,61 @@
+"""The benchmark's tracer contract, checked on a small run.
+
+perfbench/tracing.py wraps module-level names of vidconceal, and
+perfbench/worker.py's layer_metrics divides span times by the calls those
+wrappers record. A change that stops calling a wrapped name through its
+module, or calls it less often than the traced counts of
+perfbench/reference.json pin, fails the benchmark's traced check; this test
+catches it in tier-1 without running the benchmark. It edits nothing under
+perfbench/.
+"""
+
+import math
+import os
+import sys
+import time
+
+import pytest
+
+from vidconceal import engine, experiment
+from vidconceal.experiment import ExperimentSpec, SequenceSpec
+from vidconceal.synth import make_sequence, write_i420
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's tracing and worker modules; sys.path, which importing
+    worker extends, is restored afterwards."""
+    monkeypatch.setattr(sys, "path", [PERFBENCH, *sys.path])
+    import tracing
+    import worker
+
+    return tracing, worker
+
+
+def test_layer_metrics_compute_on_an_all_modes_run(perfbench, tmp_path):
+    tracing, worker = perfbench
+    path = tmp_path / "clip.yuv"
+    frames = 4
+    write_i420(str(path), make_sequence(64, 64, frames, seed=5))
+    spec = ExperimentSpec([SequenceSpec("clip", str(path), 64, 64, frames)], [0.25, 0.5], list(engine.MODES),
+                          trials=2, measure_timing=False)
+    tracer = tracing.Tracer()
+    tracing.install_targets(tracer)
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        experiment.run_experiment(spec, str(tmp_path / "out"))
+        wall = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    stats, counts, _ = tracer.take()
+    # a name called too rarely would divide by zero calls here
+    metrics = worker.layer_metrics(stats, counts, 1, wall, 1.0)
+    assert all(math.isfinite(value) for value, _ in metrics.values())
+    # every mode draws its masks through make_mask, on a 4 x 4 MB grid
+    draws = sum(round(rate * 16) for rate in spec.rates) * (frames - 1) * spec.trials
+    assert metrics["loss.mbs_lost"][0] == draws * len(spec.modes)
+    for mode in engine.MODES:
+        assert metrics[f"engine.mbs_concealed.{mode}"][0] == draws
