@@ -46,12 +46,15 @@ so ``conceal_order`` drains it once into a ``ConcealOrder`` (the raster
 indices in pop order and the count each was popped at), and every mode
 that conceals the same grid can walk that one order. ``conceal_frame``
 walks a given order, or builds one when none is given.
-Per MB the loop does only what its mode needs: ``tr`` reads no neighbor
-context, and the other modes write each concealed vector into one working
-copy of the frame's MV field, where later neighbors read it as they read a
-transmitted one. Each concealed MB leaves one flat audit record: its
-vector, its priority and the total, classic total and absent sides of its
-score, copied once from the scorer's breakdown.
+Per MB the loop does only what its mode needs, on plain Python ints. ``tr``
+reads no neighbor context. The other modes flatten the status grid and the
+frame's MV field once per frame into lists by raster index ``row * cols +
+col``, and ``bma``/``ebmc`` the previous frame's field as well; each
+concealed MB's state and vector are written there, where later neighbors
+read them as they read a transmitted one. The returned status grid is
+written once, from the order. Each concealed MB leaves one flat audit
+record: its vector, its priority and the total, classic total and absent
+sides of its score, copied once from the scorer's breakdown.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ import numpy as np
 from .core import (
     MB,
     SIDES,
-    SIDE_STEPS,
     Frame,
     MbAddress,
     MbState,
@@ -127,29 +129,34 @@ def _pattern(bits: int) -> tuple[tuple[tuple[bool, ...], ...], np.ndarray, np.nd
 
 
 _PATTERNS = [_pattern(bits) for bits in range(256)]
+_DAMAGED, _CONCEALED = MbState.DAMAGED, MbState.CONCEALED
+_new = tuple.__new__
 
 
-def neighbor_context(status: np.ndarray, mv_field: MvField, mb: MbAddress) -> NeighborContext:
-    """Motion vector of each 4-neighbor in SIDES order, None where that side
-    is unavailable.
+def neighbor_context(state: list[int], vx: list[int], vy: list[int], index: int, cols: int) -> NeighborContext:
+    """Motion vector of each 4-neighbor of the MB at raster index ``index``
+    (``row * cols + col``) in SIDES order, None where that side is
+    unavailable.
 
-    A side is available iff the neighbor exists in-frame and is Correct or
-    Concealed in the ``status`` grid; a still-Damaged neighbor has lost both
-    pixels and vector. An available neighbor's vector is read from
-    ``mv_field``, which holds the transmitted vector of a Correct MB and the
-    recovered vector of a Concealed one.
+    ``state``, ``vx`` and ``vy`` are a frame's status grid and working MV
+    field as flat lists by raster index. A side is available iff the
+    neighbor exists in-frame and is Correct or Concealed; a still-Damaged
+    neighbor has lost both pixels and vector. An available neighbor's vector
+    is the transmitted one of a Correct MB or the recovered one of a
+    Concealed MB. A step up or down off the grid leaves the list's range,
+    and a step left from column 0 or right from the last column is guarded,
+    since in a flat list it would land on the next row.
     """
-    rows, cols = status.shape
-    col, row = mb
-    vx, vy = mv_field.vx, mv_field.vy
-    ctx = []
-    for dc, dr in SIDE_STEPS:
-        c, r = col + dc, row + dr
-        if 0 <= c < cols and 0 <= r < rows and status.item(r, c) != MbState.DAMAGED:
-            ctx.append(MotionVector(vx.item(r, c), vy.item(r, c)))
-        else:
-            ctx.append(None)
-    return tuple(ctx)
+    col = index % cols
+    up, down, left, right = index - cols, index + cols, index - 1, index + 1
+    # _new(MotionVector, (x, y)) is MotionVector(x, y) without the Python
+    # call of the named tuple's own __new__.
+    return (
+        _new(MotionVector, (vx[up], vy[up])) if up >= 0 and state[up] != _DAMAGED else None,
+        _new(MotionVector, (vx[down], vy[down])) if down < len(state) and state[down] != _DAMAGED else None,
+        _new(MotionVector, (vx[left], vy[left])) if col and state[left] != _DAMAGED else None,
+        _new(MotionVector, (vx[right], vy[right])) if col + 1 < cols and state[right] != _DAMAGED else None,
+    )
 
 
 @dataclass
@@ -300,43 +307,34 @@ def _round_half_away(num: int, den: int) -> int:
 
 
 def mean_mv(mvs: list[MotionVector]) -> MotionVector:
-    xs, ys = zip(*mvs)
-    n = len(xs)
-    return MotionVector(_round_half_away(sum(xs), n), _round_half_away(sum(ys), n))
-
-
-def _median(values: tuple[int, ...]) -> int:
-    s = sorted(values)
-    n = len(s)
-    return _round_half_away(s[(n - 1) // 2] + s[n // 2], 2)
+    sx = sy = 0
+    for x, y in mvs:
+        sx += x
+        sy += y
+    n = len(mvs)
+    return MotionVector(_round_half_away(sx, n), _round_half_away(sy, n))
 
 
 def median_mv(mvs: list[MotionVector]) -> MotionVector:
     """Component-wise median; an even count averages the two middle values,
     rounded half away from zero."""
-    xs, ys = zip(*mvs)
-    return MotionVector(_median(xs), _median(ys))
+    xs, ys = map(sorted, zip(*mvs))
+    lo, hi = (len(xs) - 1) // 2, len(xs) // 2
+    return MotionVector(_round_half_away(xs[lo] + xs[hi], 2), _round_half_away(ys[lo] + ys[hi], 2))
 
 
-def build_candidates(
-    prev_mv_field: MvField | None, ctx: NeighborContext, mb: MbAddress
-) -> CandidateSet:
+def build_candidates(collocated: MotionVector, ctx: NeighborContext) -> CandidateSet:
     """Ordered, deduplicated candidate vectors for one damaged MB.
 
-    Order is normative (it breaks score ties): zero, collocated from the
-    previous frame's field, the four neighbor vectors, then the mean and the
-    median of the available neighbor vectors. Vectors from still-damaged
-    neighbors never enter the set.
+    Order is normative (it breaks score ties): zero, the collocated vector
+    of the previous frame's field, the four neighbor vectors, then the mean
+    and the median of the available neighbor vectors. A repeated vector
+    keeps its first position. Vectors from still-damaged neighbors never
+    enter the set.
     """
-    neighbor_mvs = [mv for mv in ctx if mv is not None]
-    ordered = [prev_mv_field.mv_at(mb) if prev_mv_field is not None else ZERO_MV, *neighbor_mvs]
-    if neighbor_mvs:
-        ordered += [mean_mv(neighbor_mvs), median_mv(neighbor_mvs)]
-    out: CandidateSet = [ZERO_MV]
-    for mv in ordered:
-        if mv not in out:
-            out.append(mv)
-    return out
+    mvs = [mv for mv in ctx if mv is not None]
+    summaries = (mean_mv(mvs), median_mv(mvs)) if mvs else ()
+    return list(dict.fromkeys((ZERO_MV, collocated, *mvs, *summaries)))
 
 
 class PrioritySchedule:
@@ -448,13 +446,12 @@ class ConcealedFrame:
     audit: list[AuditRecord] = field(default_factory=list)
 
 
-def _clamp_mv(frame: Frame, mb: MbAddress, mv: MotionVector) -> MotionVector:
-    """Clamp a displacement so the copied block stays inside the frame."""
-    i, j = mb.origin()
-    return MotionVector(
-        min(max(mv.vx, -i), frame.width - MB - i),
-        min(max(mv.vy, -j), frame.height - MB - j),
-    )
+def _flat_field(mv_field: MvField, shape: tuple[int, int], name: str) -> tuple[list[int], list[int]]:
+    """A field's vx and vy as flat lists by raster index. Its grid must be
+    the status grid's: on any other, a raster index names another MB."""
+    if mv_field.vx.shape != shape:
+        raise ValueError(f"{name} is a {mv_field.vx.shape} grid, the status grid {shape}")
+    return mv_field.vx.ravel().tolist(), mv_field.vy.ravel().tolist()
 
 
 def conceal_frame(
@@ -490,41 +487,55 @@ def conceal_frame(
     work = cur_damaged.luma.copy()
     out_frame = Frame(work)
     ref_luma = ref_frame.luma
-    state = status.copy()
-    # every trial of a sequence shares the caller's field
-    vectors = None if mode == "tr" else MvField(mv_field.frame_index, mv_field.vx.copy(), mv_field.vy.copy())
+    h, w = ref_luma.shape
     if order is None:
         order = conceal_order(status)
     rows, cols = status.shape
     addresses = _mb_addresses(cols, rows)
     audit: list[AuditRecord] = []
     scored = mode in ("bma", "ebmc")
+    if mode != "tr":
+        # The status grid and the working MV field as flat lists by raster
+        # index, which the caller's grid and field (shared by every trial of
+        # a sequence) never see.
+        state = status.ravel().tolist()
+        vx, vy = _flat_field(mv_field, status.shape, "mv_field")
+    if scored:
+        if prev_mv_field is None:
+            prev_vx = prev_vy = [0] * len(state)
+        else:
+            prev_vx, prev_vy = _flat_field(prev_mv_field, status.shape, "prev_mv_field")
 
     for index, count in zip(order.index.tolist(), order.count.tolist()):
         mb = addresses[index]
-        col, row = mb
+        i, j = MB * mb.col, MB * mb.row
         total, classic_total, sides_absent = -1, -1, 4
         if mode == "tr":
             mv = ZERO_MV
         else:
-            ctx = neighbor_context(state, vectors, mb)
+            ctx = neighbor_context(state, vx, vy, index, cols)
             if scored:
-                candidates = build_candidates(prev_mv_field, ctx, mb)
+                candidates = build_candidates(MotionVector(prev_vx[index], prev_vy[index]), ctx)
                 mv, dist = select_mv(out_frame, ref_frame, ref_status, mb, candidates, ctx, mode)
                 total, classic_total, sides_absent = dist.total, dist.classic_total, dist.sides_absent
             else:
                 mvs = [mv for mv in ctx if mv is not None]
-                mv = (mean_mv(mvs) if mode == "avg" else median_mv(mvs)) if mvs else ZERO_MV
-                mv = _clamp_mv(ref_frame, mb, mv)
-            vectors.vx[row, col], vectors.vy[row, col] = mv
-        vx, vy = mv
-        i, j = MB * col, MB * row
-        work[j : j + MB, i : i + MB] = ref_luma[j + vy : j + vy + MB, i + vx : i + vx + MB]
-        # The order came from the schedule, so the MB is in the grid and Damaged.
-        state[row, col] = MbState.CONCEALED
+                if mvs:
+                    x, y = mean_mv(mvs) if mode == "avg" else median_mv(mvs)
+                    # clamped so that the copied block stays in the frame
+                    mv = MotionVector(min(max(x, -i), w - MB - i), min(max(y, -j), h - MB - j))
+                else:
+                    mv = ZERO_MV
+            state[index] = _CONCEALED
+            vx[index], vy[index] = mv
+        dx, dy = mv
+        work[j : j + MB, i : i + MB] = ref_luma[j + dy : j + dy + MB, i + dx : i + dx + MB]
         audit.append(AuditRecord(mb, mode, mv, count, total, classic_total, sides_absent))
 
-    return ConcealedFrame(out_frame, state, audit)
+    # The order came from the schedule, so it names every Damaged MB.
+    concealed = status.copy()
+    concealed.flat[order.index] = _CONCEALED
+    return ConcealedFrame(out_frame, concealed, audit)
 
 
 def audit_csv_header() -> str:

@@ -413,9 +413,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> list[ReportRow]:
                     tag = _cell_tag(seq.name, mode, rate, k)
                     write_trial_csv(tr, os.path.join(trials_dir, f"{tag}.csv"))
                     with open(os.path.join(audits_dir, f"{tag}.csv"), "w", newline="") as f:
-                        f.write(audit_csv_header() + "\n")
-                        for line in tr.audit_lines:
-                            f.write(line + "\n")
+                        f.write("\n".join([audit_csv_header(), *tr.audit_lines, ""]))
                     if k == 0 and dump:
                         for t, frm in tr.damaged_frames.items():
                             write_pgm(frm, os.path.join(out_dir, "frames", f"{seq.name}_{mode}_r{_rate_tag(rate)}_f{t:03d}_damaged.pgm"))

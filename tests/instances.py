@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from vidconceal.core import Frame, MbAddress, MbState, MotionVector
+from vidconceal.core import ZERO_MV, Frame, MbAddress, MbState, MotionVector
+from vidconceal.engine import NeighborContext, neighbor_context
 from vidconceal.motion import MvField
 
 
@@ -32,6 +33,21 @@ def conceal(status: np.ndarray, mb: MbAddress, field: MvField | None = None, mv:
     status[mb.row, mb.col] = MbState.CONCEALED
     if field is not None:
         field.vx[mb.row, mb.col], field.vy[mb.row, mb.col] = mv
+
+
+def context_at(status: np.ndarray, field: MvField, mb: MbAddress) -> NeighborContext:
+    """engine.neighbor_context of ``mb`` on a status grid and an MV field,
+    passed as the flat lists by raster index that conceal_frame keeps."""
+    cols = status.shape[1]
+    flat = (a.ravel().tolist() for a in (status, field.vx, field.vy))
+    return neighbor_context(*flat, mb.row * cols + mb.col, cols)
+
+
+def collocated(prev: MvField | None, mb: MbAddress) -> MotionVector:
+    """The collocated candidate conceal_frame passes to
+    engine.build_candidates: ``mb``'s vector in the previous frame's field,
+    the zero vector without one."""
+    return ZERO_MV if prev is None else prev.mv_at(mb)
 
 
 def damaged_mbs(status: np.ndarray) -> list[MbAddress]:

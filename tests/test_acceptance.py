@@ -16,6 +16,8 @@ import pytest
 import oracle
 from instances import (
     all_correct,
+    collocated,
+    context_at,
     damage,
     damaged_mbs,
     pick_damaged,
@@ -40,7 +42,6 @@ from vidconceal.engine import (
     build_candidates,
     conceal_frame,
     conceal_order,
-    neighbor_context,
     select_mv,
 )
 from vidconceal.experiment import (
@@ -81,7 +82,7 @@ def test_criterion_1_per_boundary_dominance(rng):
     violations = 0
     for _ in range(n):
         cur, ref, status, ref_status, field, mb = _random_instance(rng)
-        ctx = neighbor_context(status, field, mb)
+        ctx = context_at(status, field, mb)
         mv = random_inbounds_mv(rng, ref, mb)
         _, d = select_mv(cur, ref, ref_status, mb, [mv], ctx, "ebmc")
         for side in SIDES:
@@ -104,8 +105,8 @@ def test_criterion_2_oracle_argmin_equivalence(rng):
         mode = "ebmc" if k % 3 else "bma"
         cur, ref, status, ref_status, field, mb = _random_instance(rng)
         prev = random_field(rng, 4, 4) if rng.random() < 0.7 else None
-        ctx = neighbor_context(status, field, mb)
-        cands = build_candidates(prev, ctx, mb)
+        ctx = context_at(status, field, mb)
+        cands = build_candidates(collocated(prev, mb), ctx)
         got_mv, got_dist = select_mv(cur, ref, ref_status, mb, cands, ctx, mode)
         nmvs = oracle.neighbor_mvs(
             plain_status(status), plain_field(field), plain_concealed_mvs(status, field), mb.col, mb.row

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 import oracle
 from instances import (
     all_correct,
+    collocated,
     conceal,
+    context_at,
     damage,
     pick_damaged,
     plain_concealed_mvs,
@@ -16,12 +18,11 @@ from instances import (
     random_status,
     zero_field,
 )
-from vidconceal.core import SIDES, MbAddress, MbState, MotionVector
+from vidconceal.core import SIDES, ZERO_MV, MbAddress, MbState, MotionVector
 from vidconceal.engine import (
     build_candidates,
     mean_mv,
     median_mv,
-    neighbor_context,
 )
 
 
@@ -34,13 +35,13 @@ class TestNeighborContext:
         st = all_correct(3, 3)
         damage(st, MbAddress(1, 0))
         field = zero_field(3, 3)
-        top, bottom, _, _ = neighbor_context(st, field, MbAddress(1, 1))
+        top, bottom, _, _ = context_at(st, field, MbAddress(1, 1))
         assert top is None
         assert bottom is not None
 
     def test_frame_edge_unavailable(self):
         st = all_correct(3, 3)
-        top, bottom, left, right = neighbor_context(st, zero_field(3, 3), MbAddress(0, 0))
+        top, bottom, left, right = context_at(st, zero_field(3, 3), MbAddress(0, 0))
         assert top is None
         assert left is None
         assert bottom is not None and right is not None
@@ -48,20 +49,20 @@ class TestNeighborContext:
     def test_correct_neighbor_mv_from_field(self):
         st = all_correct(3, 3)
         field = zero_field(3, 3, mvs={MbAddress(1, 0): MotionVector(4, -2)})
-        top, _, _, _ = neighbor_context(st, field, MbAddress(1, 1))
+        top, _, _, _ = context_at(st, field, MbAddress(1, 1))
         assert top == MotionVector(4, -2)
 
     def test_concealed_neighbor_mv_from_status(self):
         st = all_correct(3, 3)
         field = zero_field(3, 3, mvs={MbAddress(0, 1): MotionVector(7, 7)})  # transmitted MV was lost
         conceal(st, MbAddress(0, 1), field, MotionVector(-1, 3))
-        _, _, left, _ = neighbor_context(st, field, MbAddress(1, 1))
+        _, _, left, _ = context_at(st, field, MbAddress(1, 1))
         assert left == MotionVector(-1, 3)
 
     def test_available_mvs_in_side_order(self):
         around = {MbAddress(1, 0): (1, 0), MbAddress(1, 2): (2, 0), MbAddress(0, 1): (3, 0), MbAddress(2, 1): (4, 0)}
         field = zero_field(3, 3, mvs={mb: MotionVector(*mv) for mb, mv in around.items()})
-        ctx = neighbor_context(all_correct(3, 3), field, MbAddress(1, 1))
+        ctx = context_at(all_correct(3, 3), field, MbAddress(1, 1))
         assert ctx == (MotionVector(1, 0), MotionVector(2, 0), MotionVector(3, 0), MotionVector(4, 0))
 
     @settings(max_examples=150, deadline=None)
@@ -82,7 +83,7 @@ class TestNeighborContext:
         for row in range(rows):
             for col in range(cols):
                 want = oracle.neighbor_mvs(*plain, col, row)
-                got = neighbor_context(status, field, MbAddress(col, row))
+                got = context_at(status, field, MbAddress(col, row))
                 assert got == tuple(want[s] for s in oracle.SIDE_NAMES)
 
 
@@ -121,21 +122,21 @@ class TestBuildCandidates:
         # mean and median both collapse into (1,0)
         ctx = ctx_from(top=(1, 0), left=(1, 0))
         prev = zero_field(3, 3, mvs={MbAddress(1, 1): MotionVector(2, 1)})
-        got = build_candidates(prev, ctx, MbAddress(1, 1))
+        got = build_candidates(collocated(prev, MbAddress(1, 1)), ctx)
         assert got == [MotionVector(0, 0), MotionVector(2, 1), MotionVector(1, 0)]
 
     def test_all_neighbors_damaged_no_history(self):
-        assert build_candidates(None, ctx_from(), MbAddress(1, 1)) == [MotionVector(0, 0)]
+        assert build_candidates(ZERO_MV, ctx_from()) == [MotionVector(0, 0)]
 
     def test_opposite_neighbors_mean_dedups_into_zero(self):
         ctx = ctx_from(top=(3, 0), bottom=(-3, 0))
-        got = build_candidates(None, ctx, MbAddress(1, 1))
+        got = build_candidates(ZERO_MV, ctx)
         assert got == [MotionVector(0, 0), MotionVector(3, 0), MotionVector(-3, 0)]
 
     def test_full_order(self):
         ctx = ctx_from(top=(1, 1), bottom=(2, 2), left=(3, 3), right=(4, 4))
         prev = zero_field(3, 3, mvs={MbAddress(1, 1): MotionVector(-5, -5)})
-        got = build_candidates(prev, ctx, MbAddress(1, 1))
+        got = build_candidates(collocated(prev, MbAddress(1, 1)), ctx)
         # mean of the four: (2.5, 2.5) -> (3, 3) dedups into left; median same
         assert got == [
             MotionVector(0, 0),
@@ -153,8 +154,8 @@ class TestBuildCandidates:
             mb = pick_damaged(rng, status)
             if mb is None:
                 continue
-            ctx = neighbor_context(status, field, mb)
-            cands = build_candidates(None, ctx, mb)
+            ctx = context_at(status, field, mb)
+            cands = build_candidates(ZERO_MV, ctx)
             for side, mv in zip(SIDES, ctx):
                 n = oracle.neighbor_cell(mb.col, mb.row, side, 4, 4)
                 if n is not None and status[n[1], n[0]] == MbState.DAMAGED:
@@ -169,8 +170,8 @@ class TestBuildCandidates:
             mb = pick_damaged(rng, status)
             if mb is None:
                 continue
-            ctx = neighbor_context(status, field, mb)
-            got = [tuple(mv) for mv in build_candidates(prev, ctx, mb)]
+            ctx = context_at(status, field, mb)
+            got = [tuple(mv) for mv in build_candidates(collocated(prev, mb), ctx)]
             want = oracle.candidates(
                 plain_status(status),
                 plain_field(field),
@@ -188,6 +189,6 @@ class TestBuildCandidates:
             mb = pick_damaged(rng, status)
             if mb is None:
                 continue
-            cands = build_candidates(None, neighbor_context(status, field, mb), mb)
+            cands = build_candidates(ZERO_MV, context_at(status, field, mb))
             assert cands[0] == MotionVector(0, 0)
             assert len(cands) == len(set(cands))

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 import oracle
 from instances import (
     all_correct,
+    collocated,
+    context_at,
     damage,
     pick_damaged,
     plain_concealed_mvs,
@@ -36,7 +38,6 @@ from vidconceal.engine import (
     build_candidates,
     conceal_frame,
     conceal_order,
-    neighbor_context,
     select_mv,
 )
 from vidconceal.loss import TrialConfig, make_mask
@@ -78,10 +79,10 @@ def _scoring_instance(draw):
         mb = MbAddress(int(rng.integers(0, cols)), int(rng.integers(0, rows)))
         status[mb.row, mb.col] = MbState.DAMAGED
     prev = random_field(rng, cols, rows) if draw(st.booleans()) else None
-    ctx = neighbor_context(status, field, mb)
+    ctx = context_at(status, field, mb)
     if draw(st.booleans()):
         ctx = _name_off_frame(rng, ctx, mb, cols, rows)
-    cands = build_candidates(prev, ctx, mb)
+    cands = build_candidates(collocated(prev, mb), ctx)
     cands += draw(st.lists(_MV, max_size=6))
     return cur, ref, status, ref_status, field, mb, cands, ctx
 
@@ -170,7 +171,7 @@ class TestSelectMv:
         f = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
         st = all_correct(4, 4)
         mb = MbAddress(1, 1)
-        ctx = neighbor_context(st, zero_field(4, 4), mb)
+        ctx = context_at(st, zero_field(4, 4), mb)
         mv, dist = select_mv(f, f, st, mb, [MotionVector(0, 0), MotionVector(2, 1)], ctx, "ebmc")
         assert mv == MotionVector(0, 0)
         assert dist.total == 0  # additional boundaries coincide exactly
@@ -179,7 +180,7 @@ class TestSelectMv:
         f = Frame(np.full((64, 64), 200, dtype=np.uint8))
         st = all_correct(4, 4)
         mb = MbAddress(1, 1)
-        ctx = neighbor_context(st, zero_field(4, 4), mb)
+        ctx = context_at(st, zero_field(4, 4), mb)
         mv, dist = select_mv(f, f, st, mb, [MotionVector(0, 0), MotionVector(2, 1)], ctx, "bma")
         assert mv == MotionVector(0, 0)
         assert dist.total == 0
@@ -188,7 +189,7 @@ class TestSelectMv:
         f = Frame(np.full((64, 64), 80, dtype=np.uint8))
         st = all_correct(4, 4)
         mb = MbAddress(1, 1)
-        ctx = neighbor_context(st, zero_field(4, 4), mb)
+        ctx = context_at(st, zero_field(4, 4), mb)
         # flat content: every candidate scores 0, so list order decides
         mv, _ = select_mv(f, f, st, mb, [MotionVector(1, 0), MotionVector(0, 0)], ctx, "bma")
         assert mv == MotionVector(1, 0)
@@ -197,7 +198,7 @@ class TestSelectMv:
         cur, ref = random_frame_pair(rng, 64, 64)
         st = all_correct(4, 4)
         mb = MbAddress(0, 0)
-        ctx = neighbor_context(st, zero_field(4, 4), mb)
+        ctx = context_at(st, zero_field(4, 4), mb)
         mv, _ = select_mv(cur, ref, st, mb, [MotionVector(-3, -3), MotionVector(1, 1)], ctx, "bma")
         assert mv == MotionVector(1, 1)
 
@@ -205,7 +206,7 @@ class TestSelectMv:
         cur, ref = random_frame_pair(rng, 64, 64)
         st = all_correct(4, 4)
         mb = MbAddress(0, 0)
-        ctx = neighbor_context(st, zero_field(4, 4), mb)
+        ctx = context_at(st, zero_field(4, 4), mb)
         mv, dist = select_mv(cur, ref, st, mb, [MotionVector(-3, -3)], ctx, "ebmc")
         assert mv == MotionVector(0, 0)
         assert dist.sides_absent == 4 and dist.total == 0
@@ -213,7 +214,7 @@ class TestSelectMv:
     def test_mode_validation(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
         st = all_correct(4, 4)
-        ctx = neighbor_context(st, zero_field(4, 4), MbAddress(0, 0))
+        ctx = context_at(st, zero_field(4, 4), MbAddress(0, 0))
         with pytest.raises(ValueError):
             select_mv(cur, ref, st, MbAddress(0, 0), [MotionVector(0, 0)], ctx, "tr")
 
@@ -229,8 +230,8 @@ class TestSelectMv:
             mb = pick_damaged(rng, status)
             if mb is None:
                 continue
-            ctx = neighbor_context(status, field, mb)
-            cands = build_candidates(prev, ctx, mb)
+            ctx = context_at(status, field, mb)
+            cands = build_candidates(collocated(prev, mb), ctx)
             _check_scoring(mode, cur, ref, status, ref_status, field, mb, cands, ctx)
             agree += 1
             off = _name_off_frame(rng, ctx, mb, 4, 4)
@@ -371,30 +372,52 @@ class TestConcealFrame:
         assert all(np.array_equal(a, b) for a, b in zip(before, inputs))
 
     @pytest.mark.parametrize("mode", ["avg", "median", "bma", "ebmc"])
-    def test_audit_replays_against_oracle(self, rng, mode):
+    @settings(max_examples=100, deadline=None)
+    @example(grid=(1, 6, {(0, 0), (0, 2), (0, 3), (0, 5)}), seed=1)  # one column
+    @example(grid=(7, 1, {(0, 0), (2, 0), (3, 0), (6, 0)}), seed=2)  # one row
+    @example(grid=(5, 4, {(c, r) for c in range(5) for r in range(4)}), seed=3)  # all lost
+    @given(grid=_loss_grid(), seed=st.integers(0, 2**32 - 1))
+    def test_audit_replays_against_oracle(self, mode, grid, seed):
         # MB by MB in audit order, with the vectors of the MBs concealed so
-        # far kept apart from the transmitted field, as the oracle takes them
-        for k in range(20):
-            cur, ref = random_frame_pair(rng, 80, 80, levels=(2, 256)[k % 2])
-            field, prev = random_field(rng, 5, 5), random_field(rng, 5, 5)
-            st = damaged_map(5, 5, {MbAddress(int(rng.integers(0, 5)), int(rng.integers(0, 5))) for _ in range(9)})
-            ref_status = random_status(rng, 5, 5)
-            out = conceal_frame(cur, ref, ref_status, st, field, prev, mode)
-            status, concealed, work = plain_status(st), [[None] * 5 for _ in range(5)], cur.luma.copy()
-            for rec in out.audit:
-                col, row = rec.mb
-                nmvs = oracle.neighbor_mvs(status, plain_field(field), concealed, col, row)
-                if mode in ("bma", "ebmc"):
-                    cands = oracle.candidates(status, plain_field(field), concealed, plain_field(prev), col, row)
-                    want, _ = oracle.select(mode, work, ref.luma, status, plain_status(ref_status), col, row, cands, nmvs)
-                else:
-                    mvs = [mv for mv in nmvs.values() if mv is not None]
-                    vx, vy = (oracle.mean_mv(mvs) if mode == "avg" else oracle.median_mv(mvs)) if mvs else (0, 0)
-                    want = (min(max(vx, -MB * col), 80 - MB - MB * col), min(max(vy, -MB * row), 80 - MB - MB * row))
-                assert tuple(rec.mv) == want
-                status[row][col], concealed[row][col] = MbState.CONCEALED, want
-                i, j = MB * col, MB * row
-                work[j : j + MB, i : i + MB] = ref.luma[j + want[1] : j + want[1] + MB, i + want[0] : i + want[0] + MB]
+        # far kept apart from the transmitted field, as the oracle takes them;
+        # a flat-list neighbor read that wraps at a grid edge or a wrong
+        # candidate or rounding shows up as a different vector
+        cols, rows, lost = grid
+        width, height = MB * cols, MB * rows
+        rng = np.random.Generator(np.random.PCG64(seed))
+        cur, ref = random_frame_pair(rng, width, height, levels=(2, 256)[seed % 2])
+        field, prev = random_field(rng, cols, rows), random_field(rng, cols, rows)
+        damaged_grid = damaged_map(cols, rows, [MbAddress(c, r) for c, r in lost])
+        ref_status = random_status(rng, cols, rows)
+        out = conceal_frame(cur, ref, ref_status, damaged_grid, field, prev, mode)
+        assert len(out.audit) == len(lost)
+        status, concealed, work = plain_status(damaged_grid), [[None] * cols for _ in range(rows)], cur.luma.copy()
+        for rec in out.audit:
+            col, row = rec.mb
+            nmvs = oracle.neighbor_mvs(status, plain_field(field), concealed, col, row)
+            if mode in ("bma", "ebmc"):
+                cands = oracle.candidates(status, plain_field(field), concealed, plain_field(prev), col, row)
+                want, _ = oracle.select(mode, work, ref.luma, status, plain_status(ref_status), col, row, cands, nmvs)
+            else:
+                mvs = [mv for mv in nmvs.values() if mv is not None]
+                vx, vy = (oracle.mean_mv(mvs) if mode == "avg" else oracle.median_mv(mvs)) if mvs else (0, 0)
+                want = (min(max(vx, -MB * col), width - MB - MB * col), min(max(vy, -MB * row), height - MB - MB * row))
+            assert tuple(rec.mv) == want
+            status[row][col], concealed[row][col] = MbState.CONCEALED, want
+            i, j = MB * col, MB * row
+            work[j : j + MB, i : i + MB] = ref.luma[j + want[1] : j + want[1] + MB, i + want[0] : i + want[0] + MB]
+        assert np.array_equal(out.frame.luma, work)
+        assert out.status.tolist() == status
+
+    @pytest.mark.parametrize("name", ["mv_field", "prev_mv_field"])
+    def test_field_on_another_grid_rejected(self, rng, name):
+        # read by raster index, a field of another shape would name other MBs
+        cur, ref = random_frame_pair(rng, 64, 64)
+        damaged_grid = damaged_map(4, 4, [MbAddress(1, 1)])
+        fields = {"mv_field": random_field(rng, 4, 4), "prev_mv_field": random_field(rng, 4, 4)}
+        fields[name] = random_field(rng, 5, 4)
+        with pytest.raises(ValueError, match=name):
+            conceal_frame(cur, ref, all_correct(4, 4), damaged_grid, fields["mv_field"], fields["prev_mv_field"], "bma")
 
     def test_correct_pixels_untouched_and_all_concealed(self, rng):
         cur, ref = random_frame_pair(rng, 96, 96)

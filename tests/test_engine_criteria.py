@@ -5,6 +5,7 @@ import oracle
 from instances import (
     all_correct,
     conceal,
+    context_at,
     damage,
     pick_damaged,
     plain_pixels,
@@ -24,7 +25,6 @@ from vidconceal.core import (
     MotionVector,
 )
 from vidconceal.engine import (
-    neighbor_context,
     select_mv,
 )
 
@@ -59,7 +59,7 @@ def bmc(cur, ref, mb, mv, side, status=None):
     cols, rows = cur.width // 16, cur.height // 16
     if status is None:
         status = all_correct(cols, rows)
-    got, d = select_mv(cur, ref, status, mb, [mv], neighbor_context(status, zero_field(cols, rows), mb), "bma")
+    got, d = select_mv(cur, ref, status, mb, [mv], context_at(status, zero_field(cols, rows), mb), "bma")
     assert got == mv
     return d.classic[side]
 
@@ -147,7 +147,7 @@ def bmc_total(side_values) -> int:
             damage(status, MbAddress(x // 16, y // 16))
         else:
             cur.luma[y, x] = 50 + v
-    _, d = select_mv(cur, ref, status, mb, [MotionVector(0, 0)], neighbor_context(status, zero_field(3, 3), mb), "bma")
+    _, d = select_mv(cur, ref, status, mb, [MotionVector(0, 0)], context_at(status, zero_field(3, 3), mb), "bma")
     assert list(d.classic.values()) == list(side_values)
     return d.classic_total
 
@@ -235,7 +235,7 @@ class TestBoundaryPbmc:
             mb = pick_damaged(rng, status)
             if mb is None:
                 continue
-            ctx = neighbor_context(status, field, mb)
+            ctx = context_at(status, field, mb)
             mv = random_inbounds_mv(rng, ref, mb)
             nmvs = oracle.neighbor_mvs(
                 plain_status(status), plain_field(field), plain_concealed_mvs(status, field), mb.col, mb.row
@@ -304,7 +304,7 @@ class TestEbmcTotal:
         cur, ref = random_frame_pair(rng, 64, 64)
         st = all_correct(4, 4)
         mb = MbAddress(0, 0)
-        ctx = neighbor_context(st, random_field(rng, 4, 4), mb)
+        ctx = context_at(st, random_field(rng, 4, 4), mb)
         d = ebmc(cur, ref, st, mb, MotionVector(0, 0), ctx)
         assert d.chosen[TOP] is None and d.chosen[LEFT] is None
         assert d.sides_absent == 2
@@ -319,7 +319,7 @@ class TestEbmcTotal:
             mb = pick_damaged(rng, status)
             if mb is None:
                 continue
-            ctx = neighbor_context(status, field, mb)
+            ctx = context_at(status, field, mb)
             mv = random_inbounds_mv(rng, ref, mb)
             d = ebmc(cur, ref, ref_status, mb, mv, ctx)
             for side in SIDES:

@@ -59,3 +59,13 @@ def test_layer_metrics_compute_on_an_all_modes_run(perfbench, tmp_path):
     assert metrics["loss.mbs_lost"][0] == draws * len(spec.modes)
     for mode in engine.MODES:
         assert metrics[f"engine.mbs_concealed.{mode}"][0] == draws
+    # the per-call layer metrics divide by these calls: each lost MB goes
+    # through engine's module-level names once, in the modes that need them
+    calls_by_mode = {
+        "engine.neighbor_context": ("avg", "median", "bma", "ebmc"),
+        "engine.build_candidates": ("bma", "ebmc"),
+        "engine.select_mv": ("bma", "ebmc"),
+    }
+    for name, modes in calls_by_mode.items():
+        calls = {mode: stats.get((name, mode), [0])[0] for mode in engine.MODES}
+        assert calls == {mode: draws if mode in modes else 0 for mode in engine.MODES}, name
