@@ -36,11 +36,12 @@ clips are integer-shifted and noise-free, so the residual at the true vector
 is often zero: 74-87 % of their MBs settle, and 3-6 % of the in-frame pairs
 are scored. An MB settles only where the differences along each block row
 share one sign at its guess, so with added noise none does; with +-1-3
-levels of noise 5-7 % of the pairs are scored. A scored pair costs several
-times what a dense SAD pass spends on one, so past about 30 % of the pairs
-the search is slower than scoring every pair densely: low-contrast noisy
-content (half the clips' contrast with +-5 noise: 34 %) and white noise
-(every pair, three times as slow).
+levels of noise 5-7 % of the pairs are scored. A scored pair, its block
+gathered as 16 rows of 16 bytes, still costs more than a dense SAD pass
+spends on one, so past about half of the pairs the search is slower than
+scoring every pair densely: low-contrast noisy content (a quarter of the
+clips' contrast with +-5 noise: 74 %, 1.2 times as slow) and white noise
+(every pair, 1.7 times as slow).
 README.md lists the measurements, made by tools/me_sweep.py.
 """
 
@@ -51,7 +52,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import MB, Frame, MbAddress, MotionVector
 
@@ -105,14 +105,15 @@ def _run_sums(flat: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _block_sads(ref_blocks: np.ndarray, cur_blocks: np.ndarray) -> np.ndarray:
-    """Exact uint16 SADs of gathered int16 16x16 reference blocks against
-    current blocks of the same (or a broadcastable) shape."""
-    d = np.subtract(ref_blocks, cur_blocks)
-    np.abs(d, out=d)
-    # non-negative, so the uint16 view holds the same values; a block sums to
-    # at most 16*16*255 = 65280
-    return d.view(np.uint16).reshape(d.shape[:-2] + (MB * MB,)).sum(axis=-1, dtype=np.uint16)
+def _block_sads(ref_rows: np.ndarray, cur_blocks: np.ndarray) -> np.ndarray:
+    """Exact uint16 SADs of reference blocks, gathered as 16 rows of 16
+    bytes each (``np.void`` items), against uint8 current blocks of 256
+    samples along the last axis, of the same (or a broadcastable) shape."""
+    ref_blocks = ref_rows.view(np.uint8)
+    d = np.maximum(ref_blocks, cur_blocks)
+    d -= np.minimum(ref_blocks, cur_blocks)
+    # a block sums to at most 16*16*255 = 65280
+    return d.sum(axis=-1, dtype=np.uint16)
 
 
 def _first_min(a: np.ndarray) -> np.ndarray:
@@ -162,8 +163,11 @@ def _fill_bounds(vol: np.ndarray, cur: Frame, ref: Frame, px: int, py: int, rank
     guarded = np.zeros(px + h * w + px + MB - 1, dtype=np.uint16)
     guarded[px : px + h * w] = ref.luma.ravel()
     runs = _run_sums(guarded)
-    ref_runs = np.ascontiguousarray(sliding_window_view(runs, nx)[::MB]).reshape(h, cols, nx).view(np.int16)
-    del guarded, runs
+    # the nx run sums from each block column on, as one item of 2 nx bytes
+    # per (row, MB column), copied in one pass
+    windows = np.ndarray(h * cols, np.dtype((np.void, 2 * nx)), runs, strides=(2 * MB,))
+    ref_runs = windows.copy().view(np.int16).reshape(h, cols, nx)
+    del guarded, runs, windows
     # repeated along vx rather than broadcast: a broadcast subtract runs one
     # short inner loop per (row, MB column), six times slower at p = 7
     cur_runs = _run_sums(cur.luma.ravel().astype(np.uint16))[::MB].reshape(h, cols)
@@ -196,7 +200,11 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
 
     The unsettled MBs are pruned in groups of about ``16 * GATHER`` pairs,
     and the survivors of all groups scored in one stream of ``GATHER``
-    blocks per chunk, so only the frame's last chunk is shorter.
+    blocks per chunk, so only the frame's last chunk is shorter. A scored
+    block of ``ref`` is gathered as 16 rows of 16 bytes, ``np.void`` items
+    of a view of every 16x16 window of the C-contiguous uint8 plane, not as
+    256 separate samples, and scored in uint8 against one contiguous copy of
+    the current blocks.
     """
     if cur.luma.shape != ref.luma.shape:
         raise ValueError("current and reference frames must have equal dimensions")
@@ -210,12 +218,13 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
     _fill_bounds(vol, cur, ref, px, py, rank)
     vol = vol.reshape(rows * cols, n)
 
-    # int16 planes, so that the SADs subtract without a cast
-    ref16 = ref.luma.astype(np.int16)
-    cur_blocks = cur.luma.astype(np.int16).reshape(rows, MB, cols, MB).transpose(0, 2, 1, 3)
-    # every 16x16 window of ref by the raster index of its top-left pixel,
-    # which is an MB's corner plus a displacement's shift
-    windows = as_strided(ref16, ((h - MB) * w + w - MB + 1, MB, MB), (ref16.itemsize, *ref16.strides), writeable=False)
+    # the 16 rows of the 16x16 window of ref at each raster index of its
+    # top-left pixel, which is an MB's corner plus a displacement's shift:
+    # a block is gathered as 16 items of 16 bytes, not 256 samples. The
+    # items read the plane's rows w bytes apart, and a Frame may hold a view
+    ref8 = np.ascontiguousarray(ref.luma)
+    windows = np.ndarray(((h - MB) * w + w - MB + 1, MB), np.dtype((np.void, MB)), ref8, strides=(1, w))
+    cur_blocks = cur.luma.reshape(rows, MB, cols, MB).transpose(0, 2, 1, 3).reshape(rows, cols, MB * MB)
     corners = MB * (w * np.arange(rows)[:, None] + np.arange(cols))
     shift = vy_of.astype(np.intp) * w + vx_of
     first = _first_min(vol)
@@ -226,7 +235,7 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
     # has the smallest SAD, and on a tie the lowest rank
     key = best0[unsettled].astype(np.int64) * n + first[unsettled]
     corner = corners.reshape(-1)[unsettled]
-    blocks = cur_blocks[unsettled // cols, unsettled % cols]  # contiguous, so cheap to gather from
+    blocks = cur_blocks.reshape(rows * cols, MB * MB)[unsettled]  # contiguous, so cheap to gather from
     # MBs pruned at a time: on noise nearly every pair survives, and the
     # queue grows with the group's pairs
     group = max(1, 16 * GATHER // n)

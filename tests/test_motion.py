@@ -149,6 +149,24 @@ class TestEstimateFieldProperties:
         _assert_matches_oracle(cur, cur, p)
 
 
+class TestViewPlanes:
+    """Frame keeps the array it is given, so either plane may be a view whose
+    rows are not one contiguous run of samples: a column slice of a wider
+    array, or a vertical flip with a negative row stride."""
+
+    @pytest.mark.parametrize("view", ["column_slice", "vertical_flip"])
+    def test_matches_oracle(self, rng, view):
+        if view == "column_slice":
+            base = rng.integers(0, 256, size=(52, 80), dtype=np.uint8)
+            # cur is ref moved by (3, 2)
+            ref, cur = base[:48, 16:64], base[2:50, 19:67]
+        else:
+            base = rng.integers(0, 256, size=(52, 48), dtype=np.uint8)[::-1]
+            ref, cur = base[:48], base[2:50]
+        assert not (ref.flags.c_contiguous or cur.flags.c_contiguous)
+        _assert_matches_oracle(cur, ref, 7)
+
+
 class TestRowRunWrap:
     """Each displacement is scored over runs of whole rows, so a block that
     the displacement moves out of the frame sideways reads across a row end.

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from vidconceal import engine, experiment
+from vidconceal import cli, engine, experiment
 from vidconceal.experiment import ExperimentSpec, SequenceSpec
 from vidconceal.synth import make_sequence, write_i420
 
@@ -69,3 +69,47 @@ def test_layer_metrics_compute_on_an_all_modes_run(perfbench, tmp_path):
     for name, modes in calls_by_mode.items():
         calls = {mode: stats.get((name, mode), [0])[0] for mode in engine.MODES}
         assert calls == {mode: draws if mode in modes else 0 for mode in engine.MODES}, name
+
+
+@pytest.fixture
+def traced(perfbench):
+    """A tracer installed on every wrapped name for the test's duration."""
+    tracing, _ = perfbench
+    tracer = tracing.Tracer()
+    tracing.install_targets(tracer)
+    tracer.install()
+    yield tracer
+    tracer.uninstall()
+
+
+def test_run_experiment_searches_each_inter_frame_once(traced, tmp_path):
+    # the fields are computed once per sequence and shared by every mode,
+    # rate and trial; the traced motion.mbs and motion.search_points count
+    # on it
+    sequences = []
+    for name, frames in (("a", 3), ("b", 5)):
+        path = tmp_path / f"{name}.yuv"
+        write_i420(str(path), make_sequence(64, 48, frames, seed=5))
+        sequences.append(SequenceSpec(name, str(path), 64, 48, frames))
+    spec = ExperimentSpec(sequences, [0.25, 0.5], list(engine.MODES), trials=2, measure_timing=False)
+    experiment.run_experiment(spec, str(tmp_path / "out"))
+    stats, counts, _ = traced.take()
+    assert stats["motion.estimate_field"][0] == (3 - 1) + (5 - 1)
+    assert counts["motion.mbs"] == 6 * 4 * 3
+
+
+def test_cli_commands_search_each_inter_frame_once(traced, tmp_path):
+    path = str(tmp_path / "clip.yuv")
+    frames = 4
+    write_i420(path, make_sequence(64, 64, frames, seed=5))
+    geometry = ["--in", path, "--width", "64", "--height", "64"]
+    commands = {"estimate": ["estimate", *geometry, "--out", str(tmp_path / "mv.csv")]}
+    for mode in engine.MODES:
+        commands[f"conceal {mode}"] = [
+            "conceal", *geometry, "--rate", "0.25", "--seed", "5", "--mode", mode,
+            "--out-yuv", str(tmp_path / "out.yuv"), "--audit", str(tmp_path / "audit.csv"),
+        ]
+    for label, argv in commands.items():
+        assert cli.main(argv) == 0
+        stats, _, _ = traced.take()
+        assert stats["motion.estimate_field"][0] == frames - 1, label
