@@ -70,8 +70,10 @@ class Frame:
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("luma must be a non-empty 2-D array")
         if arr.dtype != np.uint8:
-            if arr.min() < 0 or arr.max() > 255:
-                raise ValueError("luma samples must lie in [0, 255]")
+            # NaN fails every comparison, and a fraction differs from its
+            # truncation, so either would otherwise be cast away silently
+            if not ((arr >= 0) & (arr <= 255) & (np.trunc(arr) == arr)).all():
+                raise ValueError("luma samples must be integers in [0, 255]")
             arr = arr.astype(np.uint8)
         self.luma = arr
 

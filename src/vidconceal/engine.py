@@ -45,16 +45,25 @@ The schedule reads nothing but the status grid, never a pixel or a vector,
 so ``conceal_order`` drains it once into a ``ConcealOrder`` (the raster
 indices in pop order and the count each was popped at), and every mode
 that conceals the same grid can walk that one order. ``conceal_frame``
-walks a given order, or builds one when none is given.
-Per MB the loop does only what its mode needs, on plain Python ints. ``tr``
-reads no neighbor context. The other modes flatten the status grid and the
-frame's MV field once per frame into lists by raster index ``row * cols +
-col``, and ``bma``/``ebmc`` the previous frame's field as well; each
-concealed MB's state and vector are written there, where later neighbors
-read them as they read a transmitted one. The returned status grid is
-written once, from the order. Each concealed MB leaves one flat audit
-record: its vector, its priority and the total, classic total and absent
-sides of its score, copied once from the scorer's breakdown.
+walks a given order, or builds one when none is given, and raises unless
+the order names exactly the grid's Damaged MBs.
+
+Only the modes that choose a vector walk the order MB by MB. ``tr`` has no
+loop: every vector is zero, so its lost blocks are the co-located
+reference blocks, written in one copy, and its audit records come straight
+from the order. The other modes flatten the status grid and the frame's MV
+field once per frame into lists by raster index ``row * cols + col``, and
+``bma``/``ebmc`` the previous frame's field as well; each concealed MB's
+state and vector are written there, where later neighbors read them as
+they read a transmitted one. ``avg`` and ``median`` read no pixel to choose
+a vector, so their loop keeps only the vector work, and the chosen blocks
+are written after it in one copy. ``bma`` and ``ebmc`` copy each block as
+they choose it, because later MBs score against it. A one-copy write
+gathers each block as 16 rows of 16 bytes, as the motion search does. The
+returned status grid is written once, from the order. Each concealed MB
+leaves one flat audit record, a named tuple: its vector, its priority and
+the total, classic total and absent sides of its score, copied once from
+the scorer's breakdown.
 """
 
 from __future__ import annotations
@@ -76,7 +85,7 @@ from .core import (
     MotionVector,
     ZERO_MV,
 )
-from .motion import MvField
+from .motion import MvField, block_rows
 
 MODES = ("tr", "avg", "median", "bma", "ebmc")
 
@@ -341,10 +350,11 @@ class PrioritySchedule:
     """Dynamic concealment order: damaged MBs keyed by how many of their
     4-neighbors are currently available (Correct or Concealed).
 
-    extract() pops the highest count, breaking ties in raster order; each
-    concealment bumps the count of every remaining damaged 4-neighbor by
-    exactly one. The live count of every MB still to be concealed is kept
-    by raster index ``row * cols + col``. Next to it sit five buckets, one
+    extract() pops the highest count, breaking ties in raster order, and
+    returns the MB's raster index ``row * cols + col`` (-1 once none is
+    left); on_concealed(index) bumps the count of every remaining damaged
+    4-neighbor of that MB by exactly one. The live count of every MB still
+    to be concealed is kept by raster index. Next to it sit five buckets, one
     per count 0-4, each a heap of raster indices. A bump pushes the MB into
     its new bucket and leaves the old entry behind; extract() drops such
     stale entries, whose count no longer matches their bucket, as it meets
@@ -361,7 +371,6 @@ class PrioritySchedule:
     def __init__(self, status: np.ndarray):
         rows, cols = status.shape
         self._cols = cols
-        self._addresses = _mb_addresses(cols, rows)
         damaged = status == MbState.DAMAGED
         avail = np.zeros((rows + 2, cols + 2), dtype=np.int8)
         avail[1:-1, 1:-1] = ~damaged
@@ -375,7 +384,7 @@ class PrioritySchedule:
         self._buckets = buckets
         self.last_count = -1
 
-    def extract(self) -> MbAddress | None:
+    def extract(self) -> int:
         live = self._live
         for count in range(4, -1, -1):
             bucket = self._buckets[count]
@@ -384,13 +393,12 @@ class PrioritySchedule:
                 if live.get(index) == count:
                     del live[index]
                     self.last_count = count
-                    return self._addresses[index]
-        return None
+                    return index
+        return -1
 
-    def on_concealed(self, mb: MbAddress) -> None:
-        col, row = mb
+    def on_concealed(self, index: int) -> None:
         cols = self._cols
-        index = row * cols + col
+        col = index % cols
         live = self._live
         # Indices above and below the grid name no live MB; a step left or
         # right would wrap to another row at the grid's edge, so -1 (no MB)
@@ -415,17 +423,15 @@ def conceal_order(status: np.ndarray) -> ConcealOrder:
     MB as it is popped. The order depends on the grid alone, so every mode
     that conceals the grid can share it."""
     sched = PrioritySchedule(status)
-    cols = status.shape[1]
     index, count = [], []
-    while (mb := sched.extract()) is not None:
-        index.append(mb.row * cols + mb.col)
+    while (k := sched.extract()) >= 0:
+        index.append(k)
         count.append(sched.last_count)
-        sched.on_concealed(mb)
+        sched.on_concealed(k)
     return ConcealOrder(np.array(index, dtype=np.int32), np.array(count, dtype=np.uint8))
 
 
-@dataclass
-class AuditRecord:
+class AuditRecord(NamedTuple):
     """One concealment event: which MB, with what vector, at what cost.
     Modes that do not score record a total and classic total of -1 and
     four absent sides."""
@@ -454,6 +460,31 @@ def _flat_field(mv_field: MvField, shape: tuple[int, int], name: str) -> tuple[l
     return mv_field.vx.ravel().tolist(), mv_field.vy.ravel().tolist()
 
 
+def _concealed_status(status: np.ndarray, order: ConcealOrder) -> np.ndarray:
+    """The status grid with every MB of ``order`` Concealed. The order must
+    name each of the grid's Damaged MBs once and no other MB."""
+    index = order.index
+    damaged = status.reshape(-1) == _DAMAGED
+    try:
+        hits = np.bincount(index, minlength=status.size)
+    except ValueError:  # a negative index
+        hits = None
+    if hits is None or hits.shape != damaged.shape or order.count.size != index.size or (hits != damaged).any():
+        raise ValueError("order does not name exactly the status grid's Damaged MBs")
+    concealed = status.copy()
+    concealed.flat[index] = _CONCEALED
+    return concealed
+
+
+@lru_cache(maxsize=8)
+def _mb_origins(cols: int, rows: int) -> np.ndarray:
+    """Raster offset of every MB's top-left pixel in a plane of the cols x
+    rows grid, by raster index (read-only: every caller shares it)."""
+    origins = (np.arange(rows)[:, None] * (MB * MB * cols) + np.arange(cols) * MB).ravel()
+    origins.flags.writeable = False
+    return origins
+
+
 def conceal_frame(
     cur_damaged: Frame,
     ref_frame: Frame,
@@ -475,7 +506,9 @@ def conceal_frame(
 
     ``order`` is ``conceal_order(status)``, which callers that conceal one
     grid in several modes build once and pass to each; without it, it is
-    built here.
+    built here. An order that misses a Damaged MB, names another MB or
+    names one twice raises ValueError: it would leave a block unconcealed
+    or overwrite a correct one.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -483,58 +516,75 @@ def conceal_frame(
         raise ValueError("current and reference frames must have equal dimensions")
     if mode != "tr" and mv_field is None:
         raise ValueError(f"mode {mode!r} needs the current frame's MV field")
+    if order is None:
+        order = conceal_order(status)
+    rows, cols = status.shape
+    h, w = ref_frame.luma.shape
+    if (h, w) != (MB * rows, MB * cols):
+        raise ValueError(f"{w}x{h} frames do not match the {cols}x{rows} status grid")
+    concealed = _concealed_status(status, order)
 
     work = cur_damaged.luma.copy()
     out_frame = Frame(work)
     ref_luma = ref_frame.luma
-    h, w = ref_luma.shape
-    if order is None:
-        order = conceal_order(status)
-    rows, cols = status.shape
     addresses = _mb_addresses(cols, rows)
-    audit: list[AuditRecord] = []
+    indices, counts = order.index.tolist(), order.count.tolist()
     scored = mode in ("bma", "ebmc")
-    if mode != "tr":
+    # Raster offset of each lost block, in the modes that write them all in
+    # one copy: they choose no vector from a pixel.
+    lost = None if scored else _mb_origins(cols, rows)[order.index]
+    if mode == "tr":
+        # Every vector is zero, so each lost block is its co-located
+        # reference block.
+        audit = [
+            _new(AuditRecord, (addresses[k], mode, ZERO_MV, c, -1, -1, 4)) for k, c in zip(indices, counts)
+        ]
+        starts = lost
+    else:
+        audit = []
         # The status grid and the working MV field as flat lists by raster
-        # index, which the caller's grid and field (shared by every trial of
-        # a sequence) never see.
+        # index, which the caller's grid and field (shared by every trial
+        # of a sequence) never see.
         state = status.ravel().tolist()
         vx, vy = _flat_field(mv_field, status.shape, "mv_field")
-    if scored:
-        if prev_mv_field is None:
-            prev_vx = prev_vy = [0] * len(state)
+        if scored:
+            if prev_mv_field is None:
+                prev_vx = prev_vy = [0] * len(state)
+            else:
+                prev_vx, prev_vy = _flat_field(prev_mv_field, status.shape, "prev_mv_field")
         else:
-            prev_vx, prev_vy = _flat_field(prev_mv_field, status.shape, "prev_mv_field")
+            # raster offset of each chosen reference block
+            starts = []
 
-    for index, count in zip(order.index.tolist(), order.count.tolist()):
-        mb = addresses[index]
-        i, j = MB * mb.col, MB * mb.row
-        total, classic_total, sides_absent = -1, -1, 4
-        if mode == "tr":
-            mv = ZERO_MV
-        else:
+        for index, count in zip(indices, counts):
+            mb = addresses[index]
+            i, j = MB * mb.col, MB * mb.row
             ctx = neighbor_context(state, vx, vy, index, cols)
             if scored:
                 candidates = build_candidates(MotionVector(prev_vx[index], prev_vy[index]), ctx)
                 mv, dist = select_mv(out_frame, ref_frame, ref_status, mb, candidates, ctx, mode)
-                total, classic_total, sides_absent = dist.total, dist.classic_total, dist.sides_absent
+                # written now: a later MB's boundaries read these pixels
+                dx, dy = mv
+                work[j : j + MB, i : i + MB] = ref_luma[j + dy : j + dy + MB, i + dx : i + dx + MB]
+                record = (mb, mode, mv, count, dist.total, dist.classic_total, dist.sides_absent)
             else:
                 mvs = [mv for mv in ctx if mv is not None]
                 if mvs:
                     x, y = mean_mv(mvs) if mode == "avg" else median_mv(mvs)
                     # clamped so that the copied block stays in the frame
-                    mv = MotionVector(min(max(x, -i), w - MB - i), min(max(y, -j), h - MB - j))
+                    dx, dy = min(max(x, -i), w - MB - i), min(max(y, -j), h - MB - j)
+                    mv = _new(MotionVector, (dx, dy))
                 else:
+                    dx = dy = 0
                     mv = ZERO_MV
+                starts.append((j + dy) * w + i + dx)
+                record = (mb, mode, mv, count, -1, -1, 4)
             state[index] = _CONCEALED
             vx[index], vy[index] = mv
-        dx, dy = mv
-        work[j : j + MB, i : i + MB] = ref_luma[j + dy : j + dy + MB, i + dx : i + dx + MB]
-        audit.append(AuditRecord(mb, mode, mv, count, total, classic_total, sides_absent))
+            audit.append(_new(AuditRecord, record))
 
-    # The order came from the schedule, so it names every Damaged MB.
-    concealed = status.copy()
-    concealed.flat[order.index] = _CONCEALED
+    if not scored:
+        block_rows(work)[lost] = block_rows(np.ascontiguousarray(ref_luma))[starts]
     return ConcealedFrame(out_frame, concealed, audit)
 
 
@@ -543,7 +593,5 @@ def audit_csv_header() -> str:
 
 
 def audit_csv_line(frame_index: int, rec: AuditRecord) -> str:
-    return (
-        f"{frame_index},{rec.mb.col},{rec.mb.row},{rec.mode},"
-        f"{rec.mv.vx},{rec.mv.vy},{rec.total},{rec.classic_total},{rec.sides_absent}"
-    )
+    (col, row), mode, (vx, vy), _, total, classic_total, sides_absent = rec
+    return "%d,%d,%d,%s,%d,%d,%d,%d,%d" % (frame_index, col, row, mode, vx, vy, total, classic_total, sides_absent)

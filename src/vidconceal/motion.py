@@ -105,6 +105,15 @@ def _run_sums(flat: np.ndarray) -> np.ndarray:
     return flat
 
 
+def block_rows(plane: np.ndarray) -> np.ndarray:
+    """Every 16x16 window of a C-contiguous uint8 plane, by the raster index
+    of its top-left pixel, as 16 rows of 16 bytes (``np.void`` items) read
+    ``w`` bytes apart: indexing it copies a window as 16 row runs, not 256
+    samples, and assigning through it writes the plane."""
+    h, w = plane.shape
+    return np.ndarray(((h - MB) * w + w - MB + 1, MB), np.dtype((np.void, MB)), plane, strides=(1, w))
+
+
 def _block_sads(ref_rows: np.ndarray, cur_blocks: np.ndarray) -> np.ndarray:
     """Exact uint16 SADs of reference blocks, gathered as 16 rows of 16
     bytes each (``np.void`` items), against uint8 current blocks of 256
@@ -218,12 +227,9 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
     _fill_bounds(vol, cur, ref, px, py, rank)
     vol = vol.reshape(rows * cols, n)
 
-    # the 16 rows of the 16x16 window of ref at each raster index of its
-    # top-left pixel, which is an MB's corner plus a displacement's shift:
-    # a block is gathered as 16 items of 16 bytes, not 256 samples. The
-    # items read the plane's rows w bytes apart, and a Frame may hold a view
-    ref8 = np.ascontiguousarray(ref.luma)
-    windows = np.ndarray(((h - MB) * w + w - MB + 1, MB), np.dtype((np.void, MB)), ref8, strides=(1, w))
+    # the window of ref at an MB's corner plus a displacement's shift; a
+    # Frame may hold a view, whose rows are not w bytes apart
+    windows = block_rows(np.ascontiguousarray(ref.luma))
     cur_blocks = cur.luma.reshape(rows, MB, cols, MB).transpose(0, 2, 1, 3).reshape(rows, cols, MB * MB)
     corners = MB * (w * np.arange(rows)[:, None] + np.arange(cols))
     shift = vy_of.astype(np.intp) * w + vx_of

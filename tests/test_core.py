@@ -19,10 +19,29 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(np.full((4, 4), -1, dtype=np.int32))
 
+    @pytest.mark.parametrize("bad", [1.5, 2.7, -0.5, 255.5, np.nan, np.inf, -np.inf])
+    def test_rejects_non_integer_samples(self, bad):
+        # a fraction used to be truncated and a NaN cast to 0 with only a warning
+        plane = np.full((2, 2), 7.0)
+        plane[1, 0] = bad
+        with pytest.raises(ValueError, match="integers"):
+            Frame(plane)
+
     def test_converts_int_arrays(self):
         f = Frame(np.arange(16).reshape(4, 4))
         assert f.luma.dtype == np.uint8
         assert f.luma[3, 3] == 15
+
+    def test_converts_integral_float_arrays(self):
+        f = Frame(np.array([[0.0, 1.0], [254.0, 255.0]]))
+        assert f.luma.dtype == np.uint8
+        assert f.luma.tolist() == [[0, 1], [254, 255]]
+
+    def test_keeps_uint8_plane(self):
+        # the hot paths pass uint8 planes, often views, which Frame keeps as given
+        base = np.zeros((4, 8), dtype=np.uint8)
+        view = base[:, 2:6]
+        assert Frame(view).luma is view
 
     def test_mb_grid_requires_multiple_of_16(self):
         with pytest.raises(ValueError):

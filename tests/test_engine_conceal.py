@@ -31,7 +31,9 @@ from vidconceal.core import (
 )
 from vidconceal.engine import (
     MODES,
+    AuditRecord,
     BoundaryDistortion,
+    ConcealOrder,
     PrioritySchedule,
     audit_csv_header,
     audit_csv_line,
@@ -97,6 +99,19 @@ def _loss_grid(draw):
     n = cols * rows
     lost = [True] * n if kind == "all" else draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return cols, rows, {(c, r) for r in range(rows) for c in range(cols) if lost[r * cols + c]}
+
+
+@st.composite
+def _audit_record(draw):
+    """An AuditRecord as any mode leaves it: negative vector components, and
+    -1 totals with four absent sides where the mode does not score."""
+    mode = draw(st.sampled_from(MODES))
+    scored = mode in ("bma", "ebmc") and draw(st.booleans())
+    return AuditRecord(
+        MbAddress(draw(st.integers(0, 119)), draw(st.integers(0, 67))), mode, draw(_MV), draw(st.integers(0, 4)),
+        draw(st.integers(0, 1 << 16)) if scored else -1, draw(st.integers(0, 1 << 16)) if scored else -1,
+        draw(st.integers(0, 4)) if scored else 4,
+    )
 
 
 def _benchmark_grids(test):
@@ -255,6 +270,62 @@ class TestSelectMv:
         _check_scoring(mode, *inst)
 
 
+def _view_plane(plane, view):
+    """``plane``'s samples held by a view that is not C-contiguous: a column
+    slice of a wider array, or a vertical flip with a negative row stride."""
+    if view == "column_slice":
+        h, w = plane.shape
+        base = np.full((h, w + 2 * MB), 77, dtype=np.uint8)
+        base[:, MB : MB + w] = plane
+        held = base[:, MB : MB + w]
+    else:
+        held = plane[::-1].copy()[::-1]
+    assert not held.flags.c_contiguous and np.array_equal(held, plane)
+    return held
+
+
+def _replay_against_oracle(mode, grid, seed, view=None):
+    """Conceal a random frame on ``grid`` in ``mode`` and replay its audit
+    MB by MB against the oracle: the vectors of the MBs concealed so far are
+    kept apart from the transmitted field, as the oracle takes them. Checks
+    each vector, the final frame and status grid, and that every pixel of
+    the MBs that were not Damaged is left as given. With ``view``, the
+    reference and the damaged frame are passed as views (see _view_plane)."""
+    cols, rows, lost = grid
+    width, height = MB * cols, MB * rows
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cur, ref = random_frame_pair(rng, width, height, levels=(2, 256)[seed % 2])
+    field, prev = random_field(rng, cols, rows), random_field(rng, cols, rows)
+    damaged_grid = damaged_map(cols, rows, [MbAddress(c, r) for c, r in lost])
+    ref_status = random_status(rng, cols, rows)
+    given_cur, given_ref = cur, ref
+    if view is not None:
+        given_cur, given_ref = Frame(_view_plane(cur.luma, view)), Frame(_view_plane(ref.luma, view))
+    out = conceal_frame(given_cur, given_ref, ref_status, damaged_grid, field, prev, mode)
+    assert len(out.audit) == len(lost)
+    status, concealed, work = plain_status(damaged_grid), [[None] * cols for _ in range(rows)], cur.luma.copy()
+    for rec in out.audit:
+        col, row = rec.mb
+        nmvs = oracle.neighbor_mvs(status, plain_field(field), concealed, col, row)
+        if mode in ("bma", "ebmc"):
+            cands = oracle.candidates(status, plain_field(field), concealed, plain_field(prev), col, row)
+            want, _ = oracle.select(mode, work, ref.luma, status, plain_status(ref_status), col, row, cands, nmvs)
+        elif mode == "tr":
+            want = (0, 0)
+        else:
+            mvs = [mv for mv in nmvs.values() if mv is not None]
+            vx, vy = (oracle.mean_mv(mvs) if mode == "avg" else oracle.median_mv(mvs)) if mvs else (0, 0)
+            want = (min(max(vx, -MB * col), width - MB - MB * col), min(max(vy, -MB * row), height - MB - MB * row))
+        assert tuple(rec.mv) == want
+        status[row][col], concealed[row][col] = MbState.CONCEALED, want
+        i, j = MB * col, MB * row
+        work[j : j + MB, i : i + MB] = ref.luma[j + want[1] : j + want[1] + MB, i + want[0] : i + want[0] + MB]
+    assert np.array_equal(out.frame.luma, work)
+    assert out.status.tolist() == status
+    kept = np.repeat(np.repeat(damaged_grid != MbState.DAMAGED, MB, axis=0), MB, axis=1)
+    assert np.array_equal(out.frame.luma[kept], cur.luma[kept])
+
+
 def _drain(status, conceal=True):
     """Every MB the schedule of ``status`` pops, with the count it popped it
     at: conceal_order's pops, or without ``conceal`` a drain in which no
@@ -262,11 +333,12 @@ def _drain(status, conceal=True):
     cols = status.shape[1]
     if conceal:
         order = conceal_order(status)
-        return [(MbAddress(k % cols, k // cols), c) for k, c in zip(order.index.tolist(), order.count.tolist())]
-    sched, popped = PrioritySchedule(status), []
-    while (mb := sched.extract()) is not None:
-        popped.append((mb, sched.last_count))
-    return popped
+        pops = zip(order.index.tolist(), order.count.tolist())
+    else:
+        sched, pops = PrioritySchedule(status), []
+        while (k := sched.extract()) >= 0:
+            pops.append((k, sched.last_count))
+    return [(MbAddress(k % cols, k // cols), c) for k, c in pops]
 
 
 class TestPrioritySchedule:
@@ -292,12 +364,14 @@ class TestPrioritySchedule:
     def test_counts_increment_by_one(self):
         st = damaged_map(4, 4, [MbAddress(1, 1), MbAddress(1, 2)])
         before = dict(_drain(st, conceal=False))[MbAddress(1, 2)]
+        # the schedule pops raster indices row * cols + col, -1 once empty
         sched = PrioritySchedule(st)
         extracted = sched.extract()
-        assert extracted == MbAddress(1, 1)
+        assert extracted == 1 * 4 + 1
         sched.on_concealed(extracted)
-        assert sched.extract() == MbAddress(1, 2)
+        assert sched.extract() == 2 * 4 + 1
         assert sched.last_count == before + 1
+        assert sched.extract() == -1
 
     def test_replay_matches_oracle_on_random_masks(self, rng):
         for _ in range(60):
@@ -378,36 +452,21 @@ class TestConcealFrame:
     @example(grid=(5, 4, {(c, r) for c in range(5) for r in range(4)}), seed=3)  # all lost
     @given(grid=_loss_grid(), seed=st.integers(0, 2**32 - 1))
     def test_audit_replays_against_oracle(self, mode, grid, seed):
-        # MB by MB in audit order, with the vectors of the MBs concealed so
-        # far kept apart from the transmitted field, as the oracle takes them;
         # a flat-list neighbor read that wraps at a grid edge or a wrong
         # candidate or rounding shows up as a different vector
-        cols, rows, lost = grid
-        width, height = MB * cols, MB * rows
-        rng = np.random.Generator(np.random.PCG64(seed))
-        cur, ref = random_frame_pair(rng, width, height, levels=(2, 256)[seed % 2])
-        field, prev = random_field(rng, cols, rows), random_field(rng, cols, rows)
-        damaged_grid = damaged_map(cols, rows, [MbAddress(c, r) for c, r in lost])
-        ref_status = random_status(rng, cols, rows)
-        out = conceal_frame(cur, ref, ref_status, damaged_grid, field, prev, mode)
-        assert len(out.audit) == len(lost)
-        status, concealed, work = plain_status(damaged_grid), [[None] * cols for _ in range(rows)], cur.luma.copy()
-        for rec in out.audit:
-            col, row = rec.mb
-            nmvs = oracle.neighbor_mvs(status, plain_field(field), concealed, col, row)
-            if mode in ("bma", "ebmc"):
-                cands = oracle.candidates(status, plain_field(field), concealed, plain_field(prev), col, row)
-                want, _ = oracle.select(mode, work, ref.luma, status, plain_status(ref_status), col, row, cands, nmvs)
-            else:
-                mvs = [mv for mv in nmvs.values() if mv is not None]
-                vx, vy = (oracle.mean_mv(mvs) if mode == "avg" else oracle.median_mv(mvs)) if mvs else (0, 0)
-                want = (min(max(vx, -MB * col), width - MB - MB * col), min(max(vy, -MB * row), height - MB - MB * row))
-            assert tuple(rec.mv) == want
-            status[row][col], concealed[row][col] = MbState.CONCEALED, want
-            i, j = MB * col, MB * row
-            work[j : j + MB, i : i + MB] = ref.luma[j + want[1] : j + want[1] + MB, i + want[0] : i + want[0] + MB]
-        assert np.array_equal(out.frame.luma, work)
-        assert out.status.tolist() == status
+        _replay_against_oracle(mode, grid, seed)
+
+    @pytest.mark.parametrize("view", ["column_slice", "vertical_flip"])
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=40, deadline=None)
+    @example(grid=(5, 4, set()), seed=4)  # 0 % lost
+    @example(grid=(5, 4, {(c, r) for c in range(5) for r in range(4)}), seed=5)  # 100 % lost
+    @given(grid=_loss_grid(), seed=st.integers(0, 2**32 - 1))
+    def test_view_planes_replay_against_oracle(self, mode, view, grid, seed):
+        # Frame keeps the array it is given, so the reference and the
+        # damaged frame may be views whose rows are not one run of samples;
+        # the one-copy block writes read the reference as a contiguous plane
+        _replay_against_oracle(mode, grid, seed, view)
 
     @pytest.mark.parametrize("name", ["mv_field", "prev_mv_field"])
     def test_field_on_another_grid_rejected(self, rng, name):
@@ -418,6 +477,32 @@ class TestConcealFrame:
         fields[name] = random_field(rng, 5, 4)
         with pytest.raises(ValueError, match=name):
             conceal_frame(cur, ref, all_correct(4, 4), damaged_grid, fields["mv_field"], fields["prev_mv_field"], "bma")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bad", ["truncated", "another_grid", "larger_grid", "repeated", "negative", "counts_short"])
+    def test_order_not_naming_the_damaged_mbs_rejected(self, rng, mode, bad):
+        # a missed MB used to stay Damaged with a zero block, and an order
+        # of another grid overwrote Correct MBs, without an error
+        cur, ref = random_frame_pair(rng, 64, 64)
+        lost = [MbAddress(1, 1), MbAddress(2, 1), MbAddress(3, 3)]
+        status = damaged_map(4, 4, lost)
+        index, count = conceal_order(status)
+        order = {
+            "truncated": ConcealOrder(index[:-1], count[:-1]),
+            "another_grid": conceal_order(damaged_map(4, 4, [MbAddress(0, 0), *lost[1:]])),
+            "larger_grid": conceal_order(damaged_map(5, 5, [MbAddress(4, 4), *lost])),
+            "repeated": ConcealOrder(np.array([*index[:-1], index[0]], dtype=np.int32), count),
+            "negative": ConcealOrder(np.array([*index[:-1], -1], dtype=np.int32), count),
+            "counts_short": ConcealOrder(index, count[:-1]),
+        }[bad]
+        with pytest.raises(ValueError, match="Damaged MBs"):
+            conceal_frame(cur, ref, all_correct(4, 4), status, random_field(rng, 4, 4), None, mode, order)
+
+    def test_frames_off_the_status_grid_rejected(self, rng):
+        # read by raster offset, a plane of another size would place blocks wrongly
+        cur, ref = random_frame_pair(rng, 64, 48)
+        with pytest.raises(ValueError, match="status grid"):
+            conceal_frame(cur, ref, all_correct(4, 4), damaged_map(4, 4, [MbAddress(1, 1)]), None, None, "tr")
 
     def test_correct_pixels_untouched_and_all_concealed(self, rng):
         cur, ref = random_frame_pair(rng, 96, 96)
@@ -503,6 +588,27 @@ class TestConcealFrame:
         parts = line.split(",")
         assert parts[0] == "7" and parts[1] == "1" and parts[2] == "2" and parts[3] == "ebmc"
         assert len(parts) == 9
+
+    def test_audit_record_fields(self):
+        # built by keyword or by position, read by name, equal by value
+        rec = AuditRecord(
+            mb=MbAddress(2, 3), mode="ebmc", mv=MotionVector(-1, 4), priority=3,
+            total=120, classic_total=150, sides_absent=1,
+        )
+        assert (rec.mb, rec.mode, rec.mv, rec.priority) == (MbAddress(2, 3), "ebmc", MotionVector(-1, 4), 3)
+        assert (rec.total, rec.classic_total, rec.sides_absent) == (120, 150, 1)
+        assert rec == AuditRecord(MbAddress(2, 3), "ebmc", MotionVector(-1, 4), 3, 120, 150, 1)
+        assert rec != rec._replace(total=121)
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame_index=st.integers(0, 9999), rec=_audit_record())
+    def test_audit_csv_line_matches_fstring(self, frame_index, rec):
+        # the line as it was first written, one f-string over the fields
+        want = (
+            f"{frame_index},{rec.mb.col},{rec.mb.row},{rec.mode},"
+            f"{rec.mv.vx},{rec.mv.vy},{rec.total},{rec.classic_total},{rec.sides_absent}"
+        )
+        assert audit_csv_line(frame_index, rec).encode() == want.encode()
 
     def test_dominance_recorded_in_audit(self, rng):
         cur, ref = random_frame_pair(rng, 96, 96)
