@@ -66,7 +66,7 @@ def cmd_conceal(args) -> int:
     with open(args.out_yuv, "wb") as sink, open(args.audit, "w", newline="") as audit:
         audit.write(audit_csv_header() + "\n")
         write_yuv_frame(first, sink)
-        for d in decode_frames(first.luma, inter(), cfg, args.mode):
+        for d in decode_frames(first.luma, inter(), cfg, args.mode, False):
             audit.writelines(line + "\n" for line in d.audit_lines)
             write_yuv_frame(YuvFrameRecord(d.concealed, record.chroma_u, record.chroma_v), sink)
             psnrs.append(d.psnr_db)
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     p.add_argument("--in", dest="infile", required=True, help="raw I420 input")
     _add_geometry(p)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--p", type=int, default=7, help="search radius (default 7)")
+    p.add_argument("--p", type=int, default=SearchParams.p, help="search radius (default %(default)s)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("conceal", help="inject losses and conceal a sequence")
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     p.add_argument("--out-yuv", required=True, help="concealed I420 output")
     p.add_argument("--audit", required=True, help="audit CSV output")
     p.add_argument("--trial", type=int, default=0, help="trial index for the loss PRNG")
-    p.add_argument("--p", type=int, default=7, help="search radius (default 7)")
+    p.add_argument("--p", type=int, default=SearchParams.p, help="search radius (default %(default)s)")
     p.set_defaults(func=cmd_conceal)
 
     p = sub.add_parser("experiment", help="run a configured experiment")

@@ -40,9 +40,6 @@ class MbAddress(NamedTuple):
 # Boundary sides of an MB, in the order every per-side row and tuple uses.
 SIDES = ("top", "bottom", "left", "right")
 
-# MB-grid step (dcol, drow) to the neighbor owning each side, in SIDES order.
-SIDE_STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0))
-
 
 class MbState:
     """Codes of an MB's decode state. A frame's status is a plain uint8

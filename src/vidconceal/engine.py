@@ -14,56 +14,29 @@ by an estimated motion vector. Candidates are scored by boundary matching:
 * adaptive combination (``ebmc``): per boundary side, the smaller of the two
   criteria that are available, summed over sides.
 
-Every per-side value is kept in SIDES order (top, bottom, left, right). A
-damaged MB's neighbor context is four optional vectors in that order: each
-4-neighbor's motion vector, or None where the neighbor is off-frame or still
-damaged. The candidate builder, the ``avg``/``median`` modes and the scorer
-all read that one tuple.
+Every per-side value is kept in SIDES order (top, bottom, left, right), and
+so is a damaged MB's neighbor context: each 4-neighbor's motion vector, or
+None where the neighbor is off-frame or still damaged. The candidate
+builder, the ``avg``/``median`` modes and the scorer all read that one
+tuple. An outer boundary needs no bounds check of its own: the neighbor
+that owns it lies in the frame exactly when its adjacent row or column
+does.
 
-Scoring is batched per damaged MB. Every boundary segment is the inner
-boundary of some 16x16 block, so a segment is read as a plane's flat samples
-at the block's raster offset plus one row of a precomputed 4 x 16 offset
-table. The outer and additional (target) boundaries depend only on the MB
-and its neighbors. An outer boundary needs no bounds check of its own: the
-neighbor that owns it lies in the frame exactly when its adjacent row or
-column does, so one compare of the MB's origin against the frame edge
-settles it, and its block starts one row or column off the MB's origin.
-The targets and the inner boundaries of all K in-frame candidates land in
-one (K + T) x 4 x 16 buffer, filled by one flat take from the reference,
-after which the outer row is read again from the current frame. The classic
-and additional SADs come out together as K x T x 4, the per-side minimum is
-taken over the targets that exist, and the first argmin of the
-per-candidate sums wins.
+Damaged MBs are concealed in priority order: most available 4-neighbors
+first, ties in raster order, and each concealment at once raises the count
+of its damaged neighbors, so blocks with weak context wait until their
+context has been rebuilt. The count an MB is popped at is its number of
+available sides, which its audit record keeps as its priority. The
+schedule reads the status grid alone, never a pixel or a vector, so
+``conceal_order`` drains it once and every mode that conceals the grid
+walks that one order; ``conceal_frame`` raises unless the order names
+exactly the grid's Damaged MBs.
 
-Damaged MBs are processed in priority order (most available 4-neighbors
-first), and each concealment immediately raises the priority of its damaged
-neighbors, so blocks with weak context are deferred until their context has
-been rebuilt. The schedule keeps one heap of raster indices per priority
-0-4, so each pop and each bump costs O(log n); the count an MB was popped at
-is its number of available sides, which the audit records as its priority.
-The schedule reads nothing but the status grid, never a pixel or a vector,
-so ``conceal_order`` drains it once into a ``ConcealOrder`` (the raster
-indices in pop order and the count each was popped at), and every mode
-that conceals the same grid can walk that one order. ``conceal_frame``
-walks a given order, or builds one when none is given, and raises unless
-the order names exactly the grid's Damaged MBs.
-
-Only the modes that choose a vector walk the order MB by MB. ``tr`` has no
-loop: every vector is zero, so its lost blocks are the co-located
-reference blocks, written in one copy, and its audit records come straight
-from the order. The other modes flatten the status grid and the frame's MV
-field once per frame into lists by raster index ``row * cols + col``, and
-``bma``/``ebmc`` the previous frame's field as well; each concealed MB's
-state and vector are written there, where later neighbors read them as
-they read a transmitted one. ``avg`` and ``median`` read no pixel to choose
-a vector, so their loop keeps only the vector work, and the chosen blocks
-are written after it in one copy. ``bma`` and ``ebmc`` copy each block as
-they choose it, because later MBs score against it. A one-copy write
-gathers each block as 16 rows of 16 bytes, as the motion search does. The
-returned status grid is written once, from the order. Each concealed MB
-leaves one flat audit record, a named tuple: its vector, its priority and
-the total, classic total and absent sides of its score, copied once from
-the scorer's breakdown.
+No mode reads a pixel of a current-frame MB that is still lost. ``bma``
+and ``ebmc`` copy each block as they choose it, because the MBs concealed
+after it score their boundaries against its pixels. ``tr``, ``avg`` and
+``median`` choose their vectors without reading a pixel, so their blocks
+are written in one copy after the choice.
 """
 
 from __future__ import annotations
@@ -493,7 +466,7 @@ def conceal_frame(
     mv_field: MvField | None,
     prev_mv_field: MvField | None,
     mode: str,
-    order: ConcealOrder | None = None,
+    order: ConcealOrder,
 ) -> ConcealedFrame:
     """Reconstruct every damaged MB of a frame, in priority order.
 
@@ -505,10 +478,9 @@ def conceal_frame(
     and how the additional boundaries get their reliability screening.
 
     ``order`` is ``conceal_order(status)``, which callers that conceal one
-    grid in several modes build once and pass to each; without it, it is
-    built here. An order that misses a Damaged MB, names another MB or
-    names one twice raises ValueError: it would leave a block unconcealed
-    or overwrite a correct one.
+    grid in several modes build once and pass to each. An order that misses
+    a Damaged MB, names another MB or names one twice raises ValueError: it
+    would leave a block unconcealed or overwrite a correct one.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -516,8 +488,6 @@ def conceal_frame(
         raise ValueError("current and reference frames must have equal dimensions")
     if mode != "tr" and mv_field is None:
         raise ValueError(f"mode {mode!r} needs the current frame's MV field")
-    if order is None:
-        order = conceal_order(status)
     rows, cols = status.shape
     h, w = ref_frame.luma.shape
     if (h, w) != (MB * rows, MB * cols):

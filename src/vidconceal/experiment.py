@@ -1,27 +1,20 @@
 """End-to-end loss/concealment experiments and report generation.
 
-The two frame loops live here, and the CLI runs the same ones:
+Both frame loops live here, and the CLI runs the same ones, so a CLI run
+and a trial with the same arguments produce the same output.
+``encode_frames`` is the encoder side: it reads each frame once and gives
+it an MV field against the previous original. ``decode_frames`` is the
+decoder side: it conceals each inter frame against the previous
+*reconstructed* frame, which is how concealment errors propagate, and
+scores it by PSNR against its original.
 
-* ``encode_frames`` is the encoder side. It reads each frame once and
-  yields it with its MV field against the previous original frame (None
-  for frame 0). ``build_context``, ``cli.cmd_estimate`` and
-  ``cli.cmd_conceal`` consume it.
-* ``decode_frames`` is the decoder side. Frame 0 passes through pristine;
-  every later frame loses a seeded random set of MBs, is concealed against
-  the previous *reconstructed* frame and is scored by PSNR against its
-  original. ``run_trial`` and ``cli.cmd_conceal`` consume it.
-
-A trial-frame's plan is its status grid and its concealment order
-(``engine.conceal_order``). Both follow from the loss draw alone, so within
-one ``run_experiment`` the first mode to reach a trial-frame builds its
-plan and the later modes reuse it from the run's ``loss.mask_memo()``
-scope; outside that scope every frame builds its own.
-
-Wall time covers the concealment call only, so the report's
-``mean_time_per_mb_ms`` leaves out the plan in every mode, the first
-included. Timing is inherently non-reproducible, so an ExperimentSpec can
-disable it (measure_timing=false); everything else in the emitted files is
-byte-deterministic for a fixed spec.
+A trial-frame's plan, its status grid and concealment order, follows from
+the loss draw alone, so within one ``run_experiment`` every mode shares the
+plan the first one built (``loss.mask_memo``). Wall time covers the
+concealment call only, so the report's ``mean_time_per_mb_ms`` leaves out
+the plan in every mode. Timing is inherently non-reproducible, so an
+ExperimentSpec can disable it (measure_timing=false); everything else in
+the emitted files is byte-deterministic for a fixed spec.
 """
 
 from __future__ import annotations
@@ -39,9 +32,22 @@ import numpy as np
 from .core import MB, Frame, MbState
 from .engine import MODES, ConcealOrder, audit_csv_header, audit_csv_line, conceal_frame, conceal_order
 from .loss import TrialConfig, apply_mask, make_mask, mask_memo, memoized
-from .metrics import PsnrSample, psnr
+from .metrics import psnr
 from .motion import MvField, SearchParams, estimate_field
 from .yuv_io import SequenceHeader, YuvFrameRecord, open_sequence, read_frame, write_pgm
+
+
+def _name_problem(name) -> str | None:
+    """Why ``name`` cannot name a sequence, or None. The name goes
+    unquoted into report.csv rows and into the trial, audit and still file
+    names, so a comma or a line break would add fields or rows, and a path
+    separator or a dot name would put the files elsewhere."""
+    if not isinstance(name, str) or not name:
+        return "must be a non-empty string"
+    if name in (".", ".."):
+        return "must not be . or .."
+    bad = [c for c in (",", "\n", "\r", "/", os.sep, os.altsep) if c and c in name]
+    return f"must not contain {bad[0]!r}" if bad else None
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,9 @@ class SequenceSpec:
         # os.path would raise a bare TypeError on anything else
         if not isinstance(self.path, str):
             raise ValueError(f"sequence {self.name}: path must be a string, got {self.path!r}")
+        problem = _name_problem(self.name)
+        if problem:
+            raise ValueError(f"sequence name {self.name!r} {problem}")
         for key in ("width", "height", "frames"):
             value = getattr(self, key)
             if type(value) is not int and not (key == "frames" and value is None):
@@ -79,7 +88,7 @@ class ExperimentSpec:
     modes: list[str]
     trials: int = 20
     seed: int = 1
-    search_p: int = 7
+    search_p: int = SearchParams.p
     measure_timing: bool = True
     dump_frames: list[int] = field(default_factory=list)
 
@@ -175,6 +184,9 @@ def _load_sequence(raw) -> SequenceSpec:
     _check_keys(raw, SequenceSpec, "sequence", derived=("name",))
     path = raw["path"]
     stem = os.path.splitext(os.path.basename(path))[0] if isinstance(path, str) else repr(path)
+    problem = "name" not in raw and isinstance(path, str) and _name_problem(stem)
+    if problem:
+        raise ValueError(f"sequence name {stem!r}, the stem of {path!r}, {problem}: set the sequence's name")
     return SequenceSpec(**{"name": stem, **raw})
 
 
@@ -203,7 +215,7 @@ def encode_frames(
         prev = record.luma
 
 
-def build_context(seq: SequenceSpec, search_p: int = 7) -> SequenceContext:
+def build_context(seq: SequenceSpec, search_p: int) -> SequenceContext:
     header = open_sequence(seq.path, seq.width, seq.height)
     budget = seq.frame_budget()
     if header.frame_count < budget:
@@ -259,14 +271,14 @@ def decode_frames(
     inter: Iterable[tuple[Frame, MvField]],
     cfg: TrialConfig,
     mode: str,
-    measure_timing: bool = False,
+    measure_timing: bool,
 ) -> Iterator[DecodedFrame]:
     """Decoder side: conceal each inter frame, given as (original, MV field),
     after the seeded loss of ``cfg``, against the previous reconstruction.
     Timed frames report the median of 3 concealment runs, each given the
     frame's plan."""
     cols, rows = first.mb_cols, first.mb_rows
-    ref_frame, ref_status, prev_field = first, np.zeros((rows, cols), dtype=np.uint8), None
+    ref_frame, ref_status, prev_field = first, np.full((rows, cols), MbState.CORRECT, dtype=np.uint8), None
     for t, (original, mv_field) in enumerate(inter, start=1):
         status, order = frame_plan(t, cols, rows, cfg)
         damaged = blank_damaged(original, status)
@@ -289,7 +301,7 @@ class TrialResult:
     mode: str
     rate: float
     trial_index: int
-    samples: list[PsnrSample]
+    psnr_db: list[float]  # frames 1, 2, ... in order
     frame_ms: list[float]  # per-frame concealment wall time (0.0 untimed)
     frame_mbs: list[int]
     audit_lines: list[str]
@@ -303,7 +315,7 @@ def run_trial(
     rate: float,
     trial_index: int,
     seed: int,
-    measure_timing: bool = True,
+    measure_timing: bool,
     keep_frames: tuple[int, ...] = (),
 ) -> TrialResult:
     """One seeded pass over the sequence with a single mode and loss rate."""
@@ -311,7 +323,7 @@ def run_trial(
     inter = zip(ctx.originals[1:], ctx.fields[1:])
     cfg = TrialConfig(rate, seed, trial_index)
     for d in decode_frames(ctx.originals[0], inter, cfg, mode, measure_timing):
-        tr.samples.append(PsnrSample(d.index, d.psnr_db))
+        tr.psnr_db.append(d.psnr_db)
         tr.frame_ms.append(d.conceal_ms)
         tr.frame_mbs.append(len(d.audit_lines))
         tr.audit_lines.extend(d.audit_lines)
@@ -337,7 +349,7 @@ def aggregate(trials: list[TrialResult]) -> ReportRow:
     if not trials:
         raise ValueError("aggregate needs at least one trial")
     first = trials[0]
-    values = np.array([[s.value for s in tr.samples] for tr in trials], dtype=np.float64)
+    values = np.array([tr.psnr_db for tr in trials], dtype=np.float64)
     per_frame_mean = values.mean(axis=0)
     total_ms = sum(sum(tr.frame_ms) for tr in trials)
     total_mbs = sum(sum(tr.frame_mbs) for tr in trials)
@@ -372,8 +384,8 @@ def _render_report_csv(rows: list[ReportRow]) -> str:
 def write_trial_csv(tr: TrialResult, path: str) -> None:
     with open(path, "w", newline="") as f:
         f.write("frame_index,psnr_db,conceal_ms,mbs_concealed\n")
-        for s, ms, n in zip(tr.samples, tr.frame_ms, tr.frame_mbs):
-            f.write(f"{s.frame_index},{s.value!r},{ms!r},{n}\n")
+        for t, (db, ms, n) in enumerate(zip(tr.psnr_db, tr.frame_ms, tr.frame_mbs), start=1):
+            f.write(f"{t},{db!r},{ms!r},{n}\n")
 
 
 # every mode of a (rate, trial) conceals the same draws: within one run the

@@ -57,7 +57,6 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class LossMask:
-    frame_index: int
     lost: np.ndarray  # sorted int raster indices row * cols + col
 
 
@@ -98,7 +97,7 @@ def make_mask(frame_index: int, mb_cols: int, mb_rows: int, cfg: TrialConfig) ->
     total = mb_cols * mb_rows
     count = round(cfg.rate * total)
     if frame_index == 0 or count == 0:
-        return LossMask(frame_index, _NONE_LOST)
+        return LossMask(_NONE_LOST)
     entropy = (cfg.seed & _U64, cfg.trial_index, frame_index)
 
     def draw() -> np.ndarray:
@@ -107,7 +106,7 @@ def make_mask(frame_index: int, mb_cols: int, mb_rows: int, cfg: TrialConfig) ->
         lost.flags.writeable = False
         return lost
 
-    return LossMask(frame_index, memoized(("mask", *entropy, total, count), draw))
+    return LossMask(memoized(("mask", *entropy, total, count), draw))
 
 
 def apply_mask(mask: LossMask, mb_cols: int, mb_rows: int) -> np.ndarray:

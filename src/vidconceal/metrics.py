@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Frame
 
 PSNR_CAP_DB = 100.0
-
-
-@dataclass(frozen=True)
-class PsnrSample:
-    frame_index: int
-    value: float
 
 
 def psnr(reconstructed: Frame, pristine: Frame) -> float:

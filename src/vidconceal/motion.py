@@ -28,21 +28,14 @@ would win the tie-break, and a pair ranked after it only when its bound is
 < best0. Every pair that could beat the guess is thus scored exactly, and
 the tie-break picks the same vector a full search would.
 
-How many pairs the bound rules out, and how many MBs settle, depends on the
-content: it prunes well when the residual at the true vector is small next
-to the row-sum differences the texture makes at every other displacement,
-that is, on textured content with little noise. The benchmark's synthetic
-clips are integer-shifted and noise-free, so the residual at the true vector
-is often zero: 74-87 % of their MBs settle, and 3-6 % of the in-frame pairs
-are scored. An MB settles only where the differences along each block row
-share one sign at its guess, so with added noise none does; with +-1-3
-levels of noise 5-7 % of the pairs are scored. A scored pair, its block
-gathered as 16 rows of 16 bytes, still costs more than a dense SAD pass
-spends on one, so past about half of the pairs the search is slower than
-scoring every pair densely: low-contrast noisy content (a quarter of the
-clips' contrast with +-5 noise: 74 %, 1.2 times as slow) and white noise
-(every pair, 1.7 times as slow).
-README.md lists the measurements, made by tools/me_sweep.py.
+The bound prunes well only when the residual at the true vector is small
+next to the row-sum differences the texture makes at every other
+displacement: on textured content with little noise, such as the
+benchmark's integer-shifted synthetic clips, most MBs settle and a few
+percent of the pairs are scored. A scored pair costs more than a dense SAD
+pass spends on one, so on low-contrast noisy content, where most pairs
+survive, the search is slower than scoring every pair densely. README.md
+lists the measurements, made by tools/me_sweep.py.
 """
 
 from __future__ import annotations
@@ -53,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import MB, Frame, MbAddress, MotionVector
+from .core import MB, Frame
 
 # The pairs the bound cannot rule out are scored this many at a time, so the
 # gather buffers stay bounded however few pairs it rules out; every chunk but
@@ -63,7 +56,9 @@ GATHER = 256
 
 @dataclass(frozen=True)
 class SearchParams:
-    p: int = 7  # search radius, pixels per component
+    # search radius, pixels per component; the CLI and ExperimentSpec
+    # take their default from this one
+    p: int = 7
 
     def __post_init__(self):
         # bool is an int subclass, and True would search radius 1
@@ -84,17 +79,6 @@ class MvField:
         self.vy = np.asarray(self.vy, dtype=np.int16)
         if self.vx.shape != self.vy.shape or self.vx.ndim != 2:
             raise ValueError("vx/vy must be 2-D grids of equal shape")
-
-    @property
-    def mb_cols(self) -> int:
-        return self.vx.shape[1]
-
-    @property
-    def mb_rows(self) -> int:
-        return self.vx.shape[0]
-
-    def mv_at(self, mb: MbAddress) -> MotionVector:
-        return MotionVector(self.vx.item(mb.row, mb.col), self.vy.item(mb.row, mb.col))
 
 
 def _run_sums(flat: np.ndarray) -> np.ndarray:

@@ -43,11 +43,16 @@ def context_at(status: np.ndarray, field: MvField, mb: MbAddress) -> NeighborCon
     return neighbor_context(*flat, mb.row * cols + mb.col, cols)
 
 
+def mv_at(field: MvField, mb: MbAddress) -> MotionVector:
+    """``mb``'s vector in ``field``."""
+    return MotionVector(field.vx.item(mb.row, mb.col), field.vy.item(mb.row, mb.col))
+
+
 def collocated(prev: MvField | None, mb: MbAddress) -> MotionVector:
     """The collocated candidate conceal_frame passes to
     engine.build_candidates: ``mb``'s vector in the previous frame's field,
     the zero vector without one."""
-    return ZERO_MV if prev is None else prev.mv_at(mb)
+    return ZERO_MV if prev is None else mv_at(prev, mb)
 
 
 def damaged_mbs(status: np.ndarray) -> list[MbAddress]:
@@ -60,7 +65,7 @@ def concealed_mv(status: np.ndarray, field: MvField, mb: MbAddress) -> MotionVec
     """Concealment vector of a concealed MB, None otherwise."""
     if status[mb.row, mb.col] != MbState.CONCEALED:
         return None
-    return field.mv_at(mb)
+    return mv_at(field, mb)
 
 
 def random_frame_pair(rng: np.random.Generator, width=64, height=64, levels=256):
@@ -154,7 +159,4 @@ def plain_concealed_mvs(status: np.ndarray, field: MvField):
 def plain_field(field: MvField | None):
     if field is None:
         return None
-    return [
-        [(int(field.vx[r, c]), int(field.vy[r, c])) for c in range(field.mb_cols)]
-        for r in range(field.mb_rows)
-    ]
+    return [list(zip(xs, ys)) for xs, ys in zip(field.vx.tolist(), field.vy.tolist())]

@@ -10,6 +10,7 @@ from vidconceal import experiment
 from vidconceal.cli import main
 from vidconceal.engine import MODES
 from vidconceal.metrics import psnr
+from vidconceal.motion import SearchParams
 from vidconceal.synth import make_sequence, write_i420
 from vidconceal.yuv_io import open_sequence, read_frame
 
@@ -29,7 +30,7 @@ def test_estimate_writes_fields(seq64, tmp_path, capsys):
     assert rc == 0
     fields = read_mv_csv(str(out))
     assert sorted(fields) == [1, 2, 3]
-    assert fields[1].mb_cols == 4 and fields[1].mb_rows == 4
+    assert fields[1].vx.shape == (4, 4)
     assert "3 MV fields" in capsys.readouterr().out
 
 
@@ -41,6 +42,18 @@ def test_estimate_equals_build_context_fields(seq64, tmp_path):
     assert ctx.fields[0] is None and sorted(fields) == [1, 2, 3]
     for t in fields:
         assert np.array_equal(fields[t].vx, ctx.fields[t].vx) and np.array_equal(fields[t].vy, ctx.fields[t].vy)
+
+
+@pytest.mark.parametrize("command", ["estimate", "conceal"])
+def test_search_radius_default_is_the_search_params_one(command, capsys, monkeypatch):
+    # the CLI and ExperimentSpec take the default radius from SearchParams;
+    # the parser is built per call, so it reads the patched value
+    monkeypatch.setattr(SearchParams, "p", 5)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "search radius (default 5)" in capsys.readouterr().out
+    monkeypatch.undo()
+    assert experiment.ExperimentSpec.search_p == SearchParams.p == 7
 
 
 def test_conceal_writes_yuv_and_audit(seq64, tmp_path, capsys):
@@ -152,10 +165,10 @@ def test_conceal_equals_run_trial(seq64, tmp_path, mode):
     tr = experiment.run_trial(ctx, mode, 0.25, 2, 5, measure_timing=False, keep_frames=(1, 2, 3))
     out, audit = _conceal(seq64, tmp_path, mode, trial=2)
     assert audit[1:] == tr.audit_lines
-    for s in tr.samples:
-        concealed = read_frame(out, s.frame_index).luma
-        assert np.array_equal(concealed.luma, tr.concealed_frames[s.frame_index].luma)
-        assert psnr(concealed, ctx.originals[s.frame_index]) == s.value
+    for t, db in enumerate(tr.psnr_db, start=1):
+        concealed = read_frame(out, t).luma
+        assert np.array_equal(concealed.luma, tr.concealed_frames[t].luma)
+        assert psnr(concealed, ctx.originals[t]) == db
 
 
 def test_traced_names_reach_the_decode_loop(seq64, tmp_path, monkeypatch):

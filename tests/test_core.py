@@ -3,7 +3,7 @@ import pytest
 
 from instances import all_correct, damage, damaged_mbs, random_field, random_frame_pair
 from vidconceal.core import MB, Frame, MbAddress, MbState
-from vidconceal.engine import conceal_frame
+from vidconceal.engine import conceal_frame, conceal_order
 
 
 class TestFrame:
@@ -65,7 +65,7 @@ class TestMbStatus:
         cur, ref = random_frame_pair(rng, 48, 32)
         st = damage(all_correct(3, 2), MbAddress(1, 1))
         assert st.tolist() == [[0, 0, 0], [0, 1, 0]]
-        out = conceal_frame(cur, ref, all_correct(3, 2), st, random_field(rng, 3, 2), None, "bma")
+        out = conceal_frame(cur, ref, all_correct(3, 2), st, random_field(rng, 3, 2), None, "bma", conceal_order(st))
         assert out.status.tolist() == [[0, 0, 0], [0, 2, 0]]
         assert [rec.mb for rec in out.audit] == [MbAddress(1, 1)]
 
@@ -73,7 +73,7 @@ class TestMbStatus:
         # only damaged MBs are concealed; correct ones keep state and pixels
         cur, ref = random_frame_pair(rng, 32, 32)
         st = all_correct(2, 2)
-        out = conceal_frame(cur, ref, st.copy(), st, random_field(rng, 2, 2), None, "ebmc")
+        out = conceal_frame(cur, ref, st.copy(), st, random_field(rng, 2, 2), None, "ebmc", conceal_order(st))
         assert (out.status == MbState.CORRECT).all() and out.audit == []
         assert np.array_equal(out.frame.luma, cur.luma)
 

@@ -9,6 +9,7 @@ from instances import (
     collocated,
     context_at,
     damage,
+    mv_at,
     pick_damaged,
     plain_concealed_mvs,
     plain_field,
@@ -22,7 +23,6 @@ from instances import (
 )
 from vidconceal.core import (
     MB,
-    SIDE_STEPS,
     SIDES,
     Frame,
     MbAddress,
@@ -46,6 +46,8 @@ from vidconceal.loss import TrialConfig, make_mask
 from vidconceal.motion import estimate_field
 
 TOP, BOTTOM, LEFT, RIGHT = SIDES
+# MB-grid step (dcol, drow) to the neighbor owning each side, in SIDES order.
+SIDE_STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0))
 
 
 def damaged_map(cols, rows, lost):
@@ -301,7 +303,8 @@ def _replay_against_oracle(mode, grid, seed, view=None):
     given_cur, given_ref = cur, ref
     if view is not None:
         given_cur, given_ref = Frame(_view_plane(cur.luma, view)), Frame(_view_plane(ref.luma, view))
-    out = conceal_frame(given_cur, given_ref, ref_status, damaged_grid, field, prev, mode)
+    order = conceal_order(damaged_grid)
+    out = conceal_frame(given_cur, given_ref, ref_status, damaged_grid, field, prev, mode, order)
     assert len(out.audit) == len(lost)
     status, concealed, work = plain_status(damaged_grid), [[None] * cols for _ in range(rows)], cur.luma.copy()
     for rec in out.audit:
@@ -400,7 +403,7 @@ class TestConcealFrame:
     def test_no_damage_is_identity(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
         st = all_correct(4, 4)
-        out = conceal_frame(cur, ref, st.copy(), st, zero_field(4, 4), None, "ebmc")
+        out = conceal_frame(cur, ref, st.copy(), st, zero_field(4, 4), None, "ebmc", conceal_order(st))
         assert np.array_equal(out.frame.luma, cur.luma)
         assert out.audit == []
 
@@ -414,7 +417,7 @@ class TestConcealFrame:
             i, j = mb.origin()
             damaged.luma[j : j + MB, i : i + MB] = 0
         out = conceal_frame(
-            damaged, f, all_correct(4, 4), st, zero_field(4, 4), zero_field(4, 4), mode
+            damaged, f, all_correct(4, 4), st, zero_field(4, 4), zero_field(4, 4), mode, conceal_order(st)
         )
         assert np.array_equal(out.frame.luma, f.luma)
 
@@ -422,12 +425,12 @@ class TestConcealFrame:
         cur, ref = shifted_scene(rng, 96, 96, 3, 2)
         field = estimate_field(cur, ref, frame_index=1)
         mb = MbAddress(2, 2)
-        assert field.mv_at(mb) == MotionVector(3, 2)
+        assert mv_at(field, mb) == MotionVector(3, 2)
         st = damaged_map(6, 6, [mb])
         damaged = Frame(cur.luma.copy())
         i, j = mb.origin()
         damaged.luma[j : j + MB, i : i + MB] = 0
-        out = conceal_frame(damaged, ref, all_correct(6, 6), st, field, None, "ebmc")
+        out = conceal_frame(damaged, ref, all_correct(6, 6), st, field, None, "ebmc", conceal_order(st))
         assert [(rec.mb, rec.mv) for rec in out.audit] == [(mb, MotionVector(3, 2))]
         assert np.array_equal(out.frame.luma, cur.luma)
 
@@ -441,7 +444,7 @@ class TestConcealFrame:
         ref_status = random_status(rng, 6, 6)
         inputs = (st, ref_status, field.vx, field.vy, prev.vx, prev.vy)
         before = [a.copy() for a in inputs]
-        out = conceal_frame(cur, ref, ref_status, st, field, prev, mode)
+        out = conceal_frame(cur, ref, ref_status, st, field, prev, mode, conceal_order(st))
         assert out.audit and (out.status == MbState.CONCEALED).any()
         assert all(np.array_equal(a, b) for a, b in zip(before, inputs))
 
@@ -468,6 +471,30 @@ class TestConcealFrame:
         # the one-copy block writes read the reference as a contiguous plane
         _replay_against_oracle(mode, grid, seed, view)
 
+    @settings(max_examples=100, deadline=None)
+    @example(cols=5, rows=4, rate=0.0, seed=6)
+    @example(cols=5, rows=4, rate=1.0, seed=7)
+    @given(cols=st.integers(1, 6), rows=st.integers(1, 6), rate=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_lost_pixels_never_read(self, cols, rows, rate, seed):
+        # blanking zeroes the lost MBs in every other test's input, so a
+        # read of one would go unseen there; here they hold random bytes
+        rng = np.random.Generator(np.random.PCG64(seed))
+        cur, ref = random_frame_pair(rng, MB * cols, MB * rows, levels=(2, 256)[seed % 2])
+        field, prev = random_field(rng, cols, rows), random_field(rng, cols, rows)
+        ref_status = random_status(rng, cols, rows)
+        status = all_correct(cols, rows)
+        status.flat[rng.permutation(cols * rows)[: round(rate * cols * rows)]] = MbState.DAMAGED
+        lost = np.repeat(np.repeat(status == MbState.DAMAGED, MB, axis=0), MB, axis=1)
+        zeros = Frame(np.where(lost, 0, cur.luma).astype(np.uint8))
+        noise = Frame(np.where(lost, rng.integers(0, 256, size=lost.shape), cur.luma).astype(np.uint8))
+        order = conceal_order(status)
+        for mode in MODES:
+            want = conceal_frame(zeros, ref, ref_status, status, field, prev, mode, order)
+            got = conceal_frame(noise, ref, ref_status, status, field, prev, mode, order)
+            assert got.frame.luma.tobytes() == want.frame.luma.tobytes()
+            assert np.array_equal(got.status, want.status)
+            assert got.audit == want.audit
+
     @pytest.mark.parametrize("name", ["mv_field", "prev_mv_field"])
     def test_field_on_another_grid_rejected(self, rng, name):
         # read by raster index, a field of another shape would name other MBs
@@ -476,7 +503,10 @@ class TestConcealFrame:
         fields = {"mv_field": random_field(rng, 4, 4), "prev_mv_field": random_field(rng, 4, 4)}
         fields[name] = random_field(rng, 5, 4)
         with pytest.raises(ValueError, match=name):
-            conceal_frame(cur, ref, all_correct(4, 4), damaged_grid, fields["mv_field"], fields["prev_mv_field"], "bma")
+            conceal_frame(
+                cur, ref, all_correct(4, 4), damaged_grid, fields["mv_field"], fields["prev_mv_field"], "bma",
+                conceal_order(damaged_grid),
+            )
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("bad", ["truncated", "another_grid", "larger_grid", "repeated", "negative", "counts_short"])
@@ -501,15 +531,16 @@ class TestConcealFrame:
     def test_frames_off_the_status_grid_rejected(self, rng):
         # read by raster offset, a plane of another size would place blocks wrongly
         cur, ref = random_frame_pair(rng, 64, 48)
+        status = damaged_map(4, 4, [MbAddress(1, 1)])
         with pytest.raises(ValueError, match="status grid"):
-            conceal_frame(cur, ref, all_correct(4, 4), damaged_map(4, 4, [MbAddress(1, 1)]), None, None, "tr")
+            conceal_frame(cur, ref, all_correct(4, 4), status, None, None, "tr", conceal_order(status))
 
     def test_correct_pixels_untouched_and_all_concealed(self, rng):
         cur, ref = random_frame_pair(rng, 96, 96)
         field = random_field(rng, 6, 6)
         lost = {MbAddress(int(rng.integers(0, 6)), int(rng.integers(0, 6))) for _ in range(10)}
         st = damaged_map(6, 6, lost)
-        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc")
+        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc", conceal_order(st))
         assert not (out.status == MbState.DAMAGED).any()
         assert len(out.audit) == len(lost)
         assert len({rec.mb for rec in out.audit}) == len(lost)
@@ -527,7 +558,7 @@ class TestConcealFrame:
         field = random_field(rng, 6, 6)
         lost = {MbAddress(1, 1), MbAddress(4, 2), MbAddress(2, 4)}
         st = damaged_map(6, 6, lost)
-        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "bma")
+        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "bma", conceal_order(st))
         for rec in out.audit:
             i, j = rec.mb.origin()
             vx, vy = rec.mv
@@ -540,15 +571,15 @@ class TestConcealFrame:
         cur, ref = random_frame_pair(rng, 96, 96)
         field = random_field(rng, 6, 6)
         st = damaged_map(6, 6, [MbAddress(1, 1), MbAddress(2, 1), MbAddress(5, 5)])
-        a = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc")
-        b = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc")
+        a = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc", conceal_order(st))
+        b = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc", conceal_order(st))
         assert np.array_equal(a.frame.luma, b.frame.luma)
         assert [(r.mb, r.mv) for r in a.audit] == [(r.mb, r.mv) for r in b.audit]
 
     def test_tr_mode_always_zero_mv(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
         st = damaged_map(4, 4, [MbAddress(2, 2), MbAddress(0, 3)])
-        out = conceal_frame(cur, ref, all_correct(4, 4), st, None, None, "tr")
+        out = conceal_frame(cur, ref, all_correct(4, 4), st, None, None, "tr", conceal_order(st))
         assert all(rec.mv == MotionVector(0, 0) for rec in out.audit)
 
     def test_avg_and_median_use_neighbor_mvs_directly(self, rng):
@@ -561,10 +592,10 @@ class TestConcealFrame:
         })
         mb = MbAddress(2, 2)
         st = damaged_map(6, 6, [mb])
-        out_avg = conceal_frame(cur, ref, all_correct(6, 6), st.copy(), field, None, "avg")
+        out_avg = conceal_frame(cur, ref, all_correct(6, 6), st.copy(), field, None, "avg", conceal_order(st))
         # mean: ((2+4+6+1)/4, (0+0+2+1)/4) = (3.25, 0.75) -> (3, 1)
         assert [(rec.mb, rec.mv) for rec in out_avg.audit] == [(mb, MotionVector(3, 1))]
-        out_med = conceal_frame(cur, ref, all_correct(6, 6), st.copy(), field, None, "median")
+        out_med = conceal_frame(cur, ref, all_correct(6, 6), st.copy(), field, None, "median", conceal_order(st))
         # medians: x (2+4)/2 = 3, y (0+1)/2 = 0.5 -> 1
         assert [(rec.mb, rec.mv) for rec in out_med.audit] == [(mb, MotionVector(3, 1))]
 
@@ -576,13 +607,13 @@ class TestConcealFrame:
         })
         mb = MbAddress(0, 0)
         st = damaged_map(4, 4, [mb])
-        out = conceal_frame(cur, ref, all_correct(4, 4), st, field, None, "avg")
+        out = conceal_frame(cur, ref, all_correct(4, 4), st, field, None, "avg", conceal_order(st))
         assert [(rec.mb, rec.mv) for rec in out.audit] == [(mb, MotionVector(0, 0))]  # clamped to frame
 
     def test_audit_csv_shape(self, rng):
         cur, ref = random_frame_pair(rng, 64, 64)
         st = damaged_map(4, 4, [MbAddress(1, 2)])
-        out = conceal_frame(cur, ref, all_correct(4, 4), st, zero_field(4, 4), None, "ebmc")
+        out = conceal_frame(cur, ref, all_correct(4, 4), st, zero_field(4, 4), None, "ebmc", conceal_order(st))
         assert audit_csv_header() == "frame,mb_col,mb_row,mode,vx,vy,total,bmc_total,sides_absent"
         line = audit_csv_line(7, out.audit[0])
         parts = line.split(",")
@@ -615,7 +646,7 @@ class TestConcealFrame:
         field = random_field(rng, 6, 6)
         lost = {MbAddress(c, r) for c in range(1, 5) for r in range(1, 5) if (c + r) % 2 == 0}
         st = damaged_map(6, 6, lost)
-        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc")
+        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, "ebmc", conceal_order(st))
         for rec in out.audit:
             assert rec.total <= rec.classic_total
 
@@ -625,7 +656,7 @@ class TestConcealFrame:
         field = random_field(rng, 6, 6)
         lost = {MbAddress(int(rng.integers(0, 6)), int(rng.integers(0, 6))) for _ in range(14)}
         st = damaged_map(6, 6, lost)
-        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, mode)
+        out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, mode, conceal_order(st))
         order = [(r.mb.col, r.mb.row) for r in out.audit]
         counts = oracle.replay_schedule({(m.col, m.row) for m in lost}, 6, 6, order)
         assert [r.priority for r in out.audit] == counts
@@ -635,7 +666,8 @@ class TestConcealFrame:
     @example(grid=(5, 4, {(c, r) for c in range(5) for r in range(4)}), seed=0)
     @given(grid=_loss_grid(), seed=st.integers(0, 2**32 - 1))
     def test_given_order_matches_built_order(self, grid, seed):
-        # one order walked by every mode in turn, as an experiment run shares it
+        # one order walked by every mode in turn, as an experiment run
+        # shares it, against an order built afresh for each mode
         cols, rows, lost = grid
         rng = np.random.Generator(np.random.PCG64(seed))
         cur, ref = random_frame_pair(rng, MB * cols, MB * rows, levels=(2, 256)[seed % 2])
@@ -646,7 +678,7 @@ class TestConcealFrame:
         assert (order.index.dtype, order.count.dtype) == (np.int32, np.uint8)
         index, count = order.index.copy(), order.count.copy()
         for mode in MODES:
-            want = conceal_frame(cur, ref, ref_status, status, field, prev, mode)
+            want = conceal_frame(cur, ref, ref_status, status, field, prev, mode, conceal_order(status))
             got = conceal_frame(cur, ref, ref_status, status, field, prev, mode, order)
             assert np.array_equal(got.frame.luma, want.frame.luma)
             assert np.array_equal(got.status, want.status)

@@ -20,7 +20,8 @@ from vidconceal.experiment import (
     run_trial,
     write_trial_csv,
 )
-from vidconceal.metrics import PSNR_CAP_DB, PsnrSample
+from vidconceal.metrics import PSNR_CAP_DB
+from vidconceal.motion import SearchParams
 from vidconceal.synth import make_sequence, write_i420
 
 
@@ -37,8 +38,8 @@ def regenerate_report_csv(out_dir, spec: ExperimentSpec) -> str:
                     path = os.path.join(out_dir, "trials", f"{seq.name}_{mode}_r{_rate_tag(rate)}_t{k:03d}.csv")
                     with open(path) as f:
                         values = [line.split(",") for line in f.read().splitlines()[1:]]
-                    samples = [PsnrSample(int(t), float(v)) for t, v, _, _ in values]
-                    cell.append(TrialResult(seq.name, mode, rate, k, samples,
+                    assert [int(t) for t, _, _, _ in values] == list(range(1, len(values) + 1))
+                    cell.append(TrialResult(seq.name, mode, rate, k, [float(v) for _, v, _, _ in values],
                                             [float(ms) for _, _, ms, _ in values],
                                             [int(n) for _, _, _, n in values], []))
                 rows.append(aggregate(cell))
@@ -54,7 +55,7 @@ def small_seq(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def small_ctx(small_seq):
-    return build_context(small_seq)
+    return build_context(small_seq, SearchParams.p)
 
 
 @pytest.fixture(scope="module")
@@ -63,24 +64,23 @@ def static_ctx(tmp_path_factory, ):
     frame = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
     path = tmp_path_factory.mktemp("seq") / "static.yuv"
     write_i420(str(path), [frame.copy() for _ in range(5)])
-    return build_context(SequenceSpec("static", str(path), 64, 64, 5))
+    return build_context(SequenceSpec("static", str(path), 64, 64, 5), SearchParams.p)
 
 
 class TestRunTrial:
     def test_rate_zero_all_capped(self, small_ctx):
         tr = run_trial(small_ctx, "ebmc", 0.0, 0, seed=1, measure_timing=False)
-        assert [s.frame_index for s in tr.samples] == [1, 2, 3, 4]
-        assert sum(s.value >= PSNR_CAP_DB for s in tr.samples) == 4
+        assert tr.psnr_db == [PSNR_CAP_DB] * 4
 
     @pytest.mark.parametrize("mode", ["tr", "bma", "ebmc"])
     def test_static_sequence_all_capped(self, static_ctx, mode):
         tr = run_trial(static_ctx, mode, 0.25, 0, seed=5, measure_timing=False)
-        assert all(s.value == PSNR_CAP_DB for s in tr.samples)
+        assert tr.psnr_db == [PSNR_CAP_DB] * 4
 
     def test_repeat_identical(self, small_ctx):
         a = run_trial(small_ctx, "ebmc", 0.2, 1, seed=9, measure_timing=False)
         b = run_trial(small_ctx, "ebmc", 0.2, 1, seed=9, measure_timing=False)
-        assert [s.value for s in a.samples] == [s.value for s in b.samples]
+        assert a.psnr_db == b.psnr_db
         assert a.audit_lines == b.audit_lines
 
     @pytest.mark.parametrize("mode", ["tr", "avg", "median", "bma", "ebmc"])
@@ -88,7 +88,7 @@ class TestRunTrial:
         # every trial of a sequence conceals against the same encoder-side
         # fields, so a concealed vector written into them would leak into
         # the trials after it
-        ctx = build_context(small_seq)
+        ctx = build_context(small_seq, SearchParams.p)
         before = [(f.vx.copy(), f.vy.copy()) for f in ctx.fields[1:]]
         a = run_trial(ctx, mode, 0.5, 0, seed=4, measure_timing=False)
         b = run_trial(ctx, mode, 0.5, 0, seed=4, measure_timing=False)
@@ -117,14 +117,13 @@ class TestAggregate:
         tr = run_trial(small_ctx, "tr", 0.25, 0, seed=2, measure_timing=False)
         row = aggregate([tr])
         assert row.trials == 1
-        assert row.mean_psnr_db == pytest.approx(np.mean([s.value for s in tr.samples]))
+        assert row.mean_psnr_db == pytest.approx(np.mean(tr.psnr_db))
 
     def test_two_trials_framewise_mean(self, small_ctx):
         a = run_trial(small_ctx, "tr", 0.25, 0, seed=2, measure_timing=False)
         b = run_trial(small_ctx, "tr", 0.25, 1, seed=2, measure_timing=False)
         row = aggregate([a, b])
-        va = np.array([s.value for s in a.samples])
-        vb = np.array([s.value for s in b.samples])
+        va, vb = np.array(a.psnr_db), np.array(b.psnr_db)
         assert row.mean_psnr_db == pytest.approx(((va + vb) / 2).mean())
 
     def test_time_per_mb_pools_all_trials(self, small_ctx):
@@ -310,6 +309,40 @@ class TestSpecFile:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="repeated sequence name 'clip'"):
             load_spec_file(str(path))
+
+    @pytest.mark.parametrize(
+        "name, problem",
+        [("../escape", "'/'"), ("a,b", "','"), ("a\nb", r"'\\n'"), ("a\rb", r"'\\r'"), (".", ". or .."),
+         ("..", ". or .."), ("", "non-empty string"), (5, "non-empty string"), (None, "non-empty string")],
+    )
+    def test_name_unfit_for_outputs_rejected_before_any_output(self, small_seq, tmp_path, name, problem):
+        # "../escape" wrote its trial and audit CSVs to one path outside
+        # trials/ and audits/, and a comma added a field to its report row
+        raw = {"sequences": [{"name": name, "path": small_seq.path, "width": 64, "height": 64, "frames": 5}],
+               "rates": [0.25], "modes": ["tr"], "measure_timing": False}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"sequence name .* must .*{problem}") as err:
+            run_experiment(load_spec_file(str(path)), str(tmp_path / "out"))
+        assert "set the sequence's name" not in str(err.value)
+        assert not (tmp_path / "out").exists()
+
+    def test_stem_unfit_for_outputs_asks_for_a_name(self, small_seq, tmp_path):
+        clip = tmp_path / "clip,v2.yuv"
+        clip.write_bytes(open(small_seq.path, "rb").read())
+        raw = {"sequences": [{"path": str(clip), "width": 64, "height": 64, "frames": 5}],
+               "rates": [0.25], "modes": ["tr"], "measure_timing": False}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="sequence name 'clip,v2'.*must not contain ','.*set the sequence's name"):
+            run_experiment(load_spec_file(str(path)), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+        # named in the spec, the same clip runs, and its report row keeps six fields
+        raw["sequences"][0]["name"] = "clip_v2"
+        path.write_text(json.dumps(raw))
+        run_experiment(load_spec_file(str(path)), str(tmp_path / "out"))
+        rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        assert [len(r.split(",")) for r in rows] == [6, 6] and rows[1].startswith("clip_v2,tr,")
 
     def test_defaults_come_from_the_specs(self, small_seq, tmp_path):
         raw = {"sequences": [{"path": small_seq.path, "width": 64, "height": 64}], "rates": [0.1], "modes": ["tr"]}

@@ -64,12 +64,12 @@ class TestMakeMask:
 
 class TestApplyMask:
     def test_empty_mask_all_correct(self):
-        st = apply_mask(LossMask(1, np.array([], dtype=int)), 4, 4)
+        st = apply_mask(LossMask(np.array([], dtype=int)), 4, 4)
         assert (st == MbState.CORRECT).sum() == 16
 
     def test_full_mask_all_damaged(self):
         full = np.arange(16)
-        st = apply_mask(LossMask(1, full), 4, 4)
+        st = apply_mask(LossMask(full), 4, 4)
         assert (st == MbState.DAMAGED).sum() == 16
 
     def test_damaged_count_matches_mask(self):
@@ -79,13 +79,13 @@ class TestApplyMask:
         assert set(damaged_mbs(st)) == lost_mbs(mask, 8)
 
     def test_prior_state_ignored(self):
-        out = apply_mask(LossMask(1, np.array([3])), 2, 2)  # MB (1, 1)
+        out = apply_mask(LossMask(np.array([3])), 2, 2)  # MB (1, 1)
         assert out[0, 0] == MbState.CORRECT
         assert out[1, 1] == MbState.DAMAGED
 
     def test_out_of_grid_rejected(self):
         with pytest.raises(ValueError):
-            apply_mask(LossMask(1, np.array([4])), 2, 2)
+            apply_mask(LossMask(np.array([4])), 2, 2)
 
 
 _MASK_ARGS = dict(
@@ -105,7 +105,6 @@ def test_make_mask_exact_count_of_distinct_in_grid_mbs(monkeypatch, cols, rows, 
     import checks  # the benchmark's own draw, written apart from vidconceal.loss
 
     mask = make_mask(frame_index, cols, rows, TrialConfig(rate, seed, trial))
-    assert mask.frame_index == frame_index
     assert mask.lost.dtype.kind == "i"
     assert len(mask.lost) == round(rate * cols * rows)
     # strictly increasing, so distinct, and inside the grid
@@ -133,7 +132,6 @@ def test_memo_returns_the_draw_made_outside_it(cols, rows, rate, seed, trial, fr
     # the repeated call reuses the first one's draw, which later modes share
     assert again.lost is first.lost
     for mask in (outside, first, again):
-        assert mask.frame_index == frame_index
         assert np.array_equal(mask.lost, outside.lost)
         _assert_read_only(mask.lost)
 
@@ -242,9 +240,9 @@ def test_apply_mask_and_blank_match_per_mb_loops(inst):
         want_state, want_luma = _apply_and_blank_per_mb(luma, cols, rows, lost)
     except ValueError:
         with pytest.raises(ValueError, match="outside"):
-            apply_mask(LossMask(1, lost), cols, rows)
+            apply_mask(LossMask(lost), cols, rows)
         return
-    status = apply_mask(LossMask(1, lost), cols, rows)
+    status = apply_mask(LossMask(lost), cols, rows)
     assert status.dtype == np.uint8 and np.array_equal(status, want_state)
     before = luma.copy()
     out = blank_damaged(Frame(luma), status).luma

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from instances import read_mv_csv, zero_field
+from instances import mv_at, read_mv_csv, zero_field
 from vidconceal.core import Frame, MbAddress, MotionVector
 from vidconceal import motion
 from vidconceal.motion import MvField, SearchParams, estimate_field, save_mv_fields
@@ -28,23 +28,23 @@ class TestFullSearch:
         field = estimate_field(f, f)
         for row in range(f.mb_rows):
             for col in range(f.mb_cols):
-                assert field.mv_at(MbAddress(col, row)) == MotionVector(0, 0)
+                assert mv_at(field, MbAddress(col, row)) == MotionVector(0, 0)
 
     def test_global_shift_recovered(self, rng):
         cur, ref = shifted_pair(rng, dx=3, dy=2)
         field = estimate_field(cur, ref)
         # MBs whose (3,2)-displaced block stays inside the reference
-        assert field.mv_at(MbAddress(0, 0)) == MotionVector(3, 2)
-        assert field.mv_at(MbAddress(2, 2)) == MotionVector(3, 2)
-        assert field.mv_at(MbAddress(4, 3)) == MotionVector(3, 2)
+        assert mv_at(field, MbAddress(0, 0)) == MotionVector(3, 2)
+        assert mv_at(field, MbAddress(2, 2)) == MotionVector(3, 2)
+        assert mv_at(field, MbAddress(4, 3)) == MotionVector(3, 2)
 
     def test_p_zero_always_zero(self, rng):
         cur, ref = shifted_pair(rng)
-        assert estimate_field(cur, ref, SearchParams(p=0)).mv_at(MbAddress(1, 1)) == MotionVector(0, 0)
+        assert mv_at(estimate_field(cur, ref, SearchParams(p=0)), MbAddress(1, 1)) == MotionVector(0, 0)
 
     def test_flat_region_tie_breaks_to_zero(self):
         f = Frame(np.full((64, 64), 77, dtype=np.uint8))
-        assert estimate_field(f, f).mv_at(MbAddress(1, 1)) == MotionVector(0, 0)
+        assert mv_at(estimate_field(f, f), MbAddress(1, 1)) == MotionVector(0, 0)
 
     def test_matches_oracle_on_random_frames(self, rng):
         for _ in range(20):
@@ -54,7 +54,7 @@ class TestFullSearch:
             cur_px, ref_px = cur.luma.tolist(), ref.luma.tolist()
             for row in range(3):
                 for col in range(3):
-                    got = field.mv_at(MbAddress(col, row))
+                    got = mv_at(field, MbAddress(col, row))
                     want = oracle.full_search(cur_px, ref_px, col, row, p=5)
                     assert (got.vx, got.vy) == want
 
@@ -63,7 +63,7 @@ class TestFullSearch:
         ref = Frame(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
         mb = MbAddress(1, 2)
         i, j = mb.origin()
-        best = estimate_field(cur, ref).mv_at(mb)
+        best = mv_at(estimate_field(cur, ref), mb)
         block = cur.luma[j : j + 16, i : i + 16].astype(int)
         best_sad = np.abs(
             block - ref.luma[j + best.vy : j + best.vy + 16, i + best.vx : i + best.vx + 16].astype(int)
@@ -82,7 +82,7 @@ class TestFullSearch:
         field = estimate_field(cur, ref)
         for row in range(3):
             for col in range(3):
-                mv = field.mv_at(MbAddress(col, row))
+                mv = mv_at(field, MbAddress(col, row))
                 i, j = MbAddress(col, row).origin()
                 assert 0 <= i + mv.vx and i + mv.vx + 16 <= 48
                 assert 0 <= j + mv.vy and j + mv.vy + 16 <= 48
@@ -121,10 +121,10 @@ def _assert_matches_oracle(cur, ref, p):
     field = estimate_field(Frame(cur), Frame(ref), SearchParams(p=p))
     rows, cols = cur.shape[0] // 16, cur.shape[1] // 16
     cur_px, ref_px = cur.tolist(), ref.tolist()  # nested lists index fast
-    assert (field.mb_rows, field.mb_cols) == (rows, cols)
+    assert field.vx.shape == field.vy.shape == (rows, cols)
     for row in range(rows):
         for col in range(cols):
-            got = field.mv_at(MbAddress(col, row))
+            got = mv_at(field, MbAddress(col, row))
             assert (got.vx, got.vy) == oracle.full_search(cur_px, ref_px, col, row, p)
 
 
@@ -217,7 +217,7 @@ class TestBoundThenVerify:
         cur = np.repeat(g[np.clip(np.arange(64) + shift, 0, 63), None], 64, axis=1)
         field = estimate_field(Frame(cur), Frame(ref))
         # every vx ties, so the tie-break takes vx = 0
-        assert field.mv_at(MbAddress(1, 1)) == MotionVector(0, shift)
+        assert mv_at(field, MbAddress(1, 1)) == MotionVector(0, shift)
         _assert_matches_oracle(cur, ref, 7)
 
     @settings(max_examples=30, deadline=None)
@@ -302,7 +302,7 @@ class TestTieAwarePrune:
         g = bounds.index(min(bounds))
         assert pairs[g][:2] == guess
         field = estimate_field(Frame(cur), Frame(ref), SearchParams(p=self.P))
-        assert field.mv_at(MbAddress(1, 1)) == MotionVector(*want)
+        assert mv_at(field, MbAddress(1, 1)) == MotionVector(*want)
         assert want == oracle.full_search(cur.tolist(), ref.tolist(), 1, 1, self.P)
         return pairs, g
 
@@ -353,14 +353,15 @@ class TestEstimateField:
     def test_field_dimensions(self, rng):
         f = Frame(rng.integers(0, 256, size=(48, 64), dtype=np.uint8))
         field = estimate_field(f, f)
-        assert (field.mb_cols, field.mb_rows) == (4, 3)
+        assert field.vx.shape == field.vy.shape == (3, 4)
 
     def test_global_translation_constant_on_interior(self, rng):
         cur, ref = shifted_pair(rng, width=96, height=96, dx=3, dy=2)
         field = estimate_field(cur, ref)
-        for row in range(field.mb_rows - 1):
-            for col in range(field.mb_cols - 1):
-                assert field.mv_at(MbAddress(col, row)) == MotionVector(3, 2)
+        rows, cols = field.vx.shape
+        for row in range(rows - 1):
+            for col in range(cols - 1):
+                assert mv_at(field, MbAddress(col, row)) == MotionVector(3, 2)
 
     @pytest.mark.parametrize(
         "ref_of, cur_of, want",
@@ -376,7 +377,7 @@ class TestEstimateField:
     def test_exact_ties_follow_search_order(self, ref_of, cur_of, want):
         y, x = np.mgrid[0:48, 0:48]
         ref, cur = Frame(ref_of(x, y) % 256), Frame(cur_of(x, y) % 256)
-        assert estimate_field(cur, ref).mv_at(MbAddress(1, 1)) == want
+        assert mv_at(estimate_field(cur, ref), MbAddress(1, 1)) == want
         _assert_matches_oracle(cur.luma, ref.luma, 7)
 
     def test_mismatched_shapes_rejected(self):
