@@ -25,12 +25,11 @@ does.
 Damaged MBs are concealed in priority order: most available 4-neighbors
 first, ties in raster order, and each concealment at once raises the count
 of its damaged neighbors, so blocks with weak context wait until their
-context has been rebuilt. The count an MB is popped at is its number of
-available sides, which its audit record keeps as its priority. The
-schedule reads the status grid alone, never a pixel or a vector, so
-``conceal_order`` drains it once and every mode that conceals the grid
-walks that one order; ``conceal_frame`` raises unless the order names
-exactly the grid's Damaged MBs.
+context has been rebuilt. The schedule reads the status grid alone, never
+a pixel or a vector, so ``conceal_order`` drains it once into the raster
+indices of its pops, and every mode that conceals the grid walks that one
+order; ``conceal_frame`` raises unless the order names exactly the grid's
+Damaged MBs.
 
 No mode reads a pixel of a current-frame MB that is still lost. ``bma``
 and ``ebmc`` copy each block as they choose it, because the MBs concealed
@@ -332,8 +331,6 @@ class PrioritySchedule:
     its new bucket and leaves the old entry behind; extract() drops such
     stale entries, whose count no longer matches their bucket, as it meets
     them. Counts only rise, so each MB leaves at most four stale entries.
-    ``last_count`` is the count the latest extract() popped its MB at,
-    which is that MB's number of available sides.
 
     The starting counts are one sum of four shifted views of the
     availability grid with a border of zeros, so an out-of-frame neighbor
@@ -355,7 +352,6 @@ class PrioritySchedule:
         for k, c in zip(index, count):
             buckets[c].append(k)
         self._buckets = buckets
-        self.last_count = -1
 
     def extract(self) -> int:
         live = self._live
@@ -365,7 +361,6 @@ class PrioritySchedule:
                 index = heapq.heappop(bucket)
                 if live.get(index) == count:
                     del live[index]
-                    self.last_count = count
                     return index
         return -1
 
@@ -383,25 +378,17 @@ class PrioritySchedule:
                 heapq.heappush(self._buckets[count + 1], n)
 
 
-class ConcealOrder(NamedTuple):
-    """The order a PrioritySchedule conceals a status grid's damaged MBs
-    in, with each MB's number of available sides when it is popped."""
-
-    index: np.ndarray  # int32 raster indices row * cols + col, in pop order
-    count: np.ndarray  # uint8 count each MB was popped at
-
-
-def conceal_order(status: np.ndarray) -> ConcealOrder:
-    """Drain one PrioritySchedule over the ``status`` grid, concealing each
-    MB as it is popped. The order depends on the grid alone, so every mode
-    that conceals the grid can share it."""
+def conceal_order(status: np.ndarray) -> np.ndarray:
+    """The raster indices ``row * cols + col`` (int32) of the ``status``
+    grid's damaged MBs in the order one PrioritySchedule pops them, each
+    concealed as it is popped. The order depends on the grid alone, so every
+    mode that conceals the grid can share it."""
     sched = PrioritySchedule(status)
-    index, count = [], []
+    index = []
     while (k := sched.extract()) >= 0:
         index.append(k)
-        count.append(sched.last_count)
         sched.on_concealed(k)
-    return ConcealOrder(np.array(index, dtype=np.int32), np.array(count, dtype=np.uint8))
+    return np.array(index, dtype=np.int32)
 
 
 class AuditRecord(NamedTuple):
@@ -412,7 +399,6 @@ class AuditRecord(NamedTuple):
     mb: MbAddress
     mode: str
     mv: MotionVector
-    priority: int
     total: int
     classic_total: int
     sides_absent: int
@@ -433,19 +419,18 @@ def _flat_field(mv_field: MvField, shape: tuple[int, int], name: str) -> tuple[l
     return mv_field.vx.ravel().tolist(), mv_field.vy.ravel().tolist()
 
 
-def _concealed_status(status: np.ndarray, order: ConcealOrder) -> np.ndarray:
+def _concealed_status(status: np.ndarray, order: np.ndarray) -> np.ndarray:
     """The status grid with every MB of ``order`` Concealed. The order must
     name each of the grid's Damaged MBs once and no other MB."""
-    index = order.index
     damaged = status.reshape(-1) == _DAMAGED
     try:
-        hits = np.bincount(index, minlength=status.size)
+        hits = np.bincount(order, minlength=status.size)
     except ValueError:  # a negative index
         hits = None
-    if hits is None or hits.shape != damaged.shape or order.count.size != index.size or (hits != damaged).any():
+    if hits is None or hits.shape != damaged.shape or (hits != damaged).any():
         raise ValueError("order does not name exactly the status grid's Damaged MBs")
     concealed = status.copy()
-    concealed.flat[index] = _CONCEALED
+    concealed.flat[order] = _CONCEALED
     return concealed
 
 
@@ -466,7 +451,7 @@ def conceal_frame(
     mv_field: MvField | None,
     prev_mv_field: MvField | None,
     mode: str,
-    order: ConcealOrder,
+    order: np.ndarray,
 ) -> ConcealedFrame:
     """Reconstruct every damaged MB of a frame, in priority order.
 
@@ -498,17 +483,14 @@ def conceal_frame(
     out_frame = Frame(work)
     ref_luma = ref_frame.luma
     addresses = _mb_addresses(cols, rows)
-    indices, counts = order.index.tolist(), order.count.tolist()
     scored = mode in ("bma", "ebmc")
     # Raster offset of each lost block, in the modes that write them all in
     # one copy: they choose no vector from a pixel.
-    lost = None if scored else _mb_origins(cols, rows)[order.index]
+    lost = None if scored else _mb_origins(cols, rows)[order]
     if mode == "tr":
         # Every vector is zero, so each lost block is its co-located
         # reference block.
-        audit = [
-            _new(AuditRecord, (addresses[k], mode, ZERO_MV, c, -1, -1, 4)) for k, c in zip(indices, counts)
-        ]
+        audit = [_new(AuditRecord, (addresses[k], mode, ZERO_MV, -1, -1, 4)) for k in order.tolist()]
         starts = lost
     else:
         audit = []
@@ -526,7 +508,7 @@ def conceal_frame(
             # raster offset of each chosen reference block
             starts = []
 
-        for index, count in zip(indices, counts):
+        for index in order.tolist():
             mb = addresses[index]
             i, j = MB * mb.col, MB * mb.row
             ctx = neighbor_context(state, vx, vy, index, cols)
@@ -536,7 +518,7 @@ def conceal_frame(
                 # written now: a later MB's boundaries read these pixels
                 dx, dy = mv
                 work[j : j + MB, i : i + MB] = ref_luma[j + dy : j + dy + MB, i + dx : i + dx + MB]
-                record = (mb, mode, mv, count, dist.total, dist.classic_total, dist.sides_absent)
+                record = (mb, mode, mv, dist.total, dist.classic_total, dist.sides_absent)
             else:
                 mvs = [mv for mv in ctx if mv is not None]
                 if mvs:
@@ -548,7 +530,7 @@ def conceal_frame(
                     dx = dy = 0
                     mv = ZERO_MV
                 starts.append((j + dy) * w + i + dx)
-                record = (mb, mode, mv, count, -1, -1, 4)
+                record = (mb, mode, mv, -1, -1, 4)
             state[index] = _CONCEALED
             vx[index], vy[index] = mv
             audit.append(_new(AuditRecord, record))
@@ -563,5 +545,5 @@ def audit_csv_header() -> str:
 
 
 def audit_csv_line(frame_index: int, rec: AuditRecord) -> str:
-    (col, row), mode, (vx, vy), _, total, classic_total, sides_absent = rec
+    (col, row), mode, (vx, vy), total, classic_total, sides_absent = rec
     return "%d,%d,%d,%s,%d,%d,%d,%d,%d" % (frame_index, col, row, mode, vx, vy, total, classic_total, sides_absent)

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .core import MB, Frame, MbState
-from .engine import MODES, ConcealOrder, audit_csv_header, audit_csv_line, conceal_frame, conceal_order
+from .engine import MODES, audit_csv_header, audit_csv_line, conceal_frame, conceal_order
 from .loss import TrialConfig, apply_mask, make_mask, mask_memo, memoized
 from .metrics import psnr
 from .motion import MvField, SearchParams, estimate_field
@@ -159,6 +159,17 @@ def _check_keys(raw: dict, spec_type, where: str, derived: tuple[str, ...] = ())
             raise ValueError(f"missing {where} key {f.name!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; json.load would keep a repeated key's last
+    value, so a repeat raises (a TOML parser rejects it itself)."""
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise ValueError(f"spec key {key!r} given twice")
+        table[key] = value
+    return table
+
+
 def load_spec_file(path: str) -> ExperimentSpec:
     """Parse an experiment config (JSON always; TOML on Python 3.11+)."""
     if path.endswith(".toml"):
@@ -170,7 +181,7 @@ def load_spec_file(path: str) -> ExperimentSpec:
             raw = tomllib.load(f)
     else:
         with open(path) as f:
-            raw = json.load(f)
+            raw = json.load(f, object_pairs_hook=_unique_keys)
     _check_keys(raw, ExperimentSpec, "spec")
     sequences = raw["sequences"]
     if isinstance(sequences, list):  # anything else is ExperimentSpec's to reject
@@ -210,7 +221,7 @@ def encode_frames(
     prev = None
     for t in range(header.frame_count if count is None else count):
         record = read_frame(header, t)
-        mv_field = None if prev is None else estimate_field(record.luma, prev, params, frame_index=t)
+        mv_field = None if prev is None else estimate_field(record.luma, prev, params)
         yield record, mv_field
         prev = record.luma
 
@@ -252,13 +263,13 @@ class DecodedFrame(NamedTuple):
     audit_lines: list[str]
 
 
-def frame_plan(t: int, cols: int, rows: int, cfg: TrialConfig) -> tuple[np.ndarray, ConcealOrder]:
+def frame_plan(t: int, cols: int, rows: int, cfg: TrialConfig) -> tuple[np.ndarray, np.ndarray]:
     """Frame ``t``'s read-only status grid after the loss of ``cfg``, and
     its concealment order. Inside a mask_memo() scope the later modes of a
     trial get the first mode's plan back; make_mask is called every time."""
     mask = make_mask(t, cols, rows, cfg)
 
-    def build() -> tuple[np.ndarray, ConcealOrder]:
+    def build() -> tuple[np.ndarray, np.ndarray]:
         status = apply_mask(mask, cols, rows)
         status.flags.writeable = False
         return status, conceal_order(status)
@@ -300,7 +311,6 @@ class TrialResult:
     sequence: str
     mode: str
     rate: float
-    trial_index: int
     psnr_db: list[float]  # frames 1, 2, ... in order
     frame_ms: list[float]  # per-frame concealment wall time (0.0 untimed)
     frame_mbs: list[int]
@@ -319,7 +329,7 @@ def run_trial(
     keep_frames: tuple[int, ...] = (),
 ) -> TrialResult:
     """One seeded pass over the sequence with a single mode and loss rate."""
-    tr = TrialResult(ctx.spec.name, mode, rate, trial_index, [], [], [], [])
+    tr = TrialResult(ctx.spec.name, mode, rate, [], [], [], [])
     inter = zip(ctx.originals[1:], ctx.fields[1:])
     cfg = TrialConfig(rate, seed, trial_index)
     for d in decode_frames(ctx.originals[0], inter, cfg, mode, measure_timing):

@@ -68,9 +68,8 @@ class SearchParams:
 
 @dataclass
 class MvField:
-    """Per-macroblock motion vectors of one inter frame (frame_index >= 1)."""
+    """Per-macroblock motion vectors of one inter frame."""
 
-    frame_index: int
     vx: np.ndarray  # int16, shape (mb_rows, mb_cols)
     vy: np.ndarray
 
@@ -177,7 +176,7 @@ def _fill_bounds(vol: np.ndarray, cur: Frame, ref: Frame, px: int, py: int, rank
         vol[r0:r1, :, rank[vy + py]] = bound.reshape(r1 - r0, cols, nx)
 
 
-def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams(), frame_index: int = 1) -> MvField:
+def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()) -> MvField:
     """Minimum-SAD motion vector of every macroblock, by bound-then-verify.
 
     The row-sum bounds go into one uint16 volume of shape (MBs,
@@ -248,15 +247,16 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
 
     first[unsettled] = key % n
     best = first.reshape(rows, cols)
-    return MvField(frame_index, vx_of[best], vy_of[best])
+    return MvField(vx_of[best], vy_of[best])
 
 
 def save_mv_fields(fields: Iterable[MvField], path: str) -> None:
-    """CSV serialization: one line per MB in raster order per frame. The
-    package writes this file but never reads it back."""
+    """CSV serialization: one line per MB in raster order per frame, the
+    fields numbered 1, 2, ... in the order given, as the inter frames of a
+    sequence are. The package writes this file but never reads it back."""
     with open(path, "w", newline="") as f:
         f.write("frame_index,mb_col,mb_row,vx,vy\n")
-        for fld in fields:
+        for t, fld in enumerate(fields, start=1):
             for row, (xs, ys) in enumerate(zip(fld.vx.tolist(), fld.vy.tolist())):
                 for col, (vx, vy) in enumerate(zip(xs, ys)):
-                    f.write(f"{fld.frame_index},{col},{row},{vx},{vy}\n")
+                    f.write(f"{t},{col},{row},{vx},{vy}\n")

@@ -90,18 +90,17 @@ def random_mv(rng, span=7) -> MotionVector:
     return MotionVector(int(rng.integers(-span, span + 1)), int(rng.integers(-span, span + 1)))
 
 
-def random_field(rng, mb_cols, mb_rows, span=7, frame_index=1) -> MvField:
+def random_field(rng, mb_cols, mb_rows, span=7) -> MvField:
     return MvField(
-        frame_index,
         rng.integers(-span, span + 1, size=(mb_rows, mb_cols)).astype(np.int16),
         rng.integers(-span, span + 1, size=(mb_rows, mb_cols)).astype(np.int16),
     )
 
 
-def zero_field(mb_cols, mb_rows, frame_index=1, mvs=None) -> MvField:
+def zero_field(mb_cols, mb_rows, mvs=None) -> MvField:
     """Field of zero vectors except the MbAddress -> MotionVector entries
     of ``mvs``."""
-    field = MvField(frame_index, np.zeros((mb_rows, mb_cols)), np.zeros((mb_rows, mb_cols)))
+    field = MvField(np.zeros((mb_rows, mb_cols)), np.zeros((mb_rows, mb_cols)))
     for mb, mv in (mvs or {}).items():
         field.vx[mb.row, mb.col], field.vy[mb.row, mb.col] = mv
     return field
@@ -115,7 +114,7 @@ def read_mv_csv(path) -> dict[int, MvField]:
     fields = {}
     for t in dict.fromkeys(lines[:, 0].tolist()):
         _, col, row, vx, vy = lines[lines[:, 0] == t].T
-        field = zero_field(col.max() + 1, row.max() + 1, t)
+        field = zero_field(col.max() + 1, row.max() + 1)
         assert len(col) == field.vx.size
         field.vx[row, col], field.vy[row, col] = vx, vy
         fields[t] = field

@@ -96,16 +96,16 @@ def test_more_change_failures_no_gain():
 
 class FakeRuns:
     """Stands in for `subprocess.run` in `bench_ab.main`: git and tar
-    succeed, and each `perfbench/run.py` prints a manifest line and a result
-    line in which the working tree is a little faster than the base."""
+    succeed, the working tree is clean, and each `perfbench/run.py` prints a
+    manifest line and a result line in which the change side is a little
+    faster than the base."""
 
-    def __init__(self, root):
-        self.root = str(root)
+    def __init__(self):
         self.bench = []
 
     def __call__(self, cmd, cwd=None, input=None, check=False, capture_output=False, text=False):
         if cmd[0] == "git":
-            out = {"rev-parse": "0" * 40, "status": ""}.get(cmd[1], b"")
+            out = {"rev-parse": "0" * 40, "archive": b""}.get(cmd[1], "")
             return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
         if cmd[0] == "tar":
             return subprocess.CompletedProcess(cmd, 0)
@@ -113,7 +113,7 @@ class FakeRuns:
         arg = lambda flag: cmd[cmd.index(flag) + 1]  # noqa: E731
         manifest = {"workload": arg("--workload"), "seed": int(arg("--seed"))}
         result = {"correct": True, "attempted": 3, "failed": 0,
-                  "metrics": {"wall_s": {"value": 0.9 if cwd == self.root else 1.0}}}
+                  "metrics": {"wall_s": {"value": 0.9 if os.path.basename(cwd) == "change" else 1.0}}}
         out = f"manifest {json.dumps(manifest)}\n{json.dumps(result)}\n"
         return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
 
@@ -122,7 +122,7 @@ class FakeRuns:
 def fake_runs(tmp_path, monkeypatch):
     bench = {"workloads": [{"name": n} for n in ("sparse", "burst", "cli-stream")], "end_to_end": [WALL]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
-    fake = FakeRuns(tmp_path)
+    fake = FakeRuns()
     monkeypatch.setattr(bench_ab, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench_ab, "bench_sha256", lambda root: "0" * 64)
     # bench_ab's own subprocess only; platform.platform() still runs uname
@@ -143,9 +143,12 @@ def test_seed_and_workloads_reach_both_sides_and_the_report(fake_runs, tmp_path,
     # two pairs of a base and a change run per workload, in the order asked
     assert [cmd[cmd.index("--workload") + 1] for cmd, _ in fake_runs.bench] == [w for w in workloads for _ in range(4)]
     assert all(cmd[cmd.index("--seed") + 1] == str(seed) for cmd, _ in fake_runs.bench)
+    # both sides run from the extracted trees, not from the working tree
     sides = {cwd for _, cwd in fake_runs.bench}
-    assert len(sides) == 2 and str(tmp_path) in sides
+    assert sorted(os.path.basename(cwd) for cwd in sides) == ["base", "change"]
+    assert not any(cwd.startswith(str(tmp_path)) for cwd in sides)
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["change"]["revision"] == "0" * 40 and not report["change"]["uncommitted_changes"]
     assert report["seed"] == seed and report["command"].endswith(f"--seed {seed}")
     assert list(report["workloads"]) == workloads
     for w in workloads:
@@ -158,3 +161,40 @@ def test_unknown_workload_rejected(fake_runs, tmp_path):
     with pytest.raises(SystemExit):
         bench_ab.main(["--label", "t", "--workload", "sprase"])
     assert fake_runs.bench == [] and not (tmp_path / "BENCH_t.json").exists()
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A git repository with one commit of src/a.py, as bench_ab's root."""
+    for var in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{var}_NAME", "bench")
+        monkeypatch.setenv(f"GIT_{var}_EMAIL", "bench@example.com")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one"]):
+        subprocess.run(["git", *cmd], cwd=tmp_path, check=True)
+    monkeypatch.setattr(bench_ab, "ROOT", str(tmp_path))
+    return tmp_path
+
+
+def test_snapshot_holds_uncommitted_edit_and_leaves_the_tree(repo, tmp_path_factory):
+    git = lambda *args: subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True, text=True).stdout  # noqa: E731
+    head = git("rev-parse", "HEAD").strip()
+    assert bench_ab.snapshot() == head  # a clean tree is HEAD
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    status = git("status", "--porcelain")
+    rev = bench_ab.snapshot()
+    assert rev != head
+    out = str(tmp_path_factory.mktemp("snap") / "change")
+    bench_ab.extract(rev, out)
+    assert open(os.path.join(out, "src", "a.py")).read() == "x = 2\n"
+    # the edit is still in the working tree, uncommitted, and nothing was stashed
+    assert (repo / "src" / "a.py").read_text() == "x = 2\n"
+    assert git("status", "--porcelain") == status and git("rev-parse", "HEAD").strip() == head
+    assert git("stash", "list") == ""
+
+
+def test_untracked_source_stops_the_snapshot(repo):
+    (repo / "src" / "b.py").write_text("y = 1\n")
+    with pytest.raises(SystemExit, match="src/b.py"):
+        bench_ab.snapshot()

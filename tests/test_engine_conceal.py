@@ -33,7 +33,6 @@ from vidconceal.engine import (
     MODES,
     AuditRecord,
     BoundaryDistortion,
-    ConcealOrder,
     PrioritySchedule,
     audit_csv_header,
     audit_csv_line,
@@ -110,7 +109,7 @@ def _audit_record(draw):
     mode = draw(st.sampled_from(MODES))
     scored = mode in ("bma", "ebmc") and draw(st.booleans())
     return AuditRecord(
-        MbAddress(draw(st.integers(0, 119)), draw(st.integers(0, 67))), mode, draw(_MV), draw(st.integers(0, 4)),
+        MbAddress(draw(st.integers(0, 119)), draw(st.integers(0, 67))), mode, draw(_MV),
         draw(st.integers(0, 1 << 16)) if scored else -1, draw(st.integers(0, 1 << 16)) if scored else -1,
         draw(st.integers(0, 4)) if scored else 4,
     )
@@ -330,27 +329,29 @@ def _replay_against_oracle(mode, grid, seed, view=None):
 
 
 def _drain(status, conceal=True):
-    """Every MB the schedule of ``status`` pops, with the count it popped it
-    at: conceal_order's pops, or without ``conceal`` a drain in which no
-    concealment bumps a count, so each is its starting one."""
-    cols = status.shape[1]
-    if conceal:
-        order = conceal_order(status)
-        pops = zip(order.index.tolist(), order.count.tolist())
-    else:
+    """Every MB the schedule of ``status`` pops, in order. With ``conceal``
+    these are conceal_order's pops, each paired with the count the oracle
+    replays it at (the replay raises unless each MB had the highest live
+    count, ties in raster order). Without it no concealment bumps a count,
+    so the MBs come out by starting count, ties in raster order."""
+    rows, cols = status.shape
+    if not conceal:
         sched, pops = PrioritySchedule(status), []
         while (k := sched.extract()) >= 0:
-            pops.append((k, sched.last_count))
-    return [(MbAddress(k % cols, k // cols), c) for k, c in pops]
+            pops.append(MbAddress(k % cols, k // cols))
+        return pops
+    order = [MbAddress(k % cols, k // cols) for k in conceal_order(status).tolist()]
+    damaged = {(col, row) for row, col in np.argwhere(status == MbState.DAMAGED).tolist()}
+    return list(zip(order, oracle.replay_schedule(damaged, cols, rows, order)))
 
 
 class TestPrioritySchedule:
     def test_initial_counts(self):
         st = damaged_map(4, 4, [MbAddress(1, 1), MbAddress(2, 1), MbAddress(0, 0)])
         assert _drain(st, conceal=False) == [
-            (MbAddress(1, 1), 3),  # right neighbor damaged
-            (MbAddress(2, 1), 3),
-            (MbAddress(0, 0), 2),  # corner: two in-frame neighbors
+            MbAddress(1, 1),  # 3: right neighbor damaged
+            MbAddress(2, 1),  # 3
+            MbAddress(0, 0),  # 2: corner, two in-frame neighbors
         ]
 
     def test_three_in_a_row_order_and_counts(self):
@@ -359,21 +360,26 @@ class TestPrioritySchedule:
         # now 3 and it precedes C in raster order), then C at 4.
         a, b, c = MbAddress(1, 1), MbAddress(2, 1), MbAddress(3, 1)
         st = damaged_map(6, 3, [a, b, c])
-        assert _drain(st, conceal=False) == [(a, 3), (c, 3), (b, 2)]
+        assert _drain(st, conceal=False) == [a, c, b]  # at 3, 3 and 2
         # after concealing A the middle is at 3; after concealing B its
         # right neighbor has every side available
         assert _drain(st) == [(a, 3), (b, 3), (c, 4)]
 
     def test_counts_increment_by_one(self):
-        st = damaged_map(4, 4, [MbAddress(1, 1), MbAddress(1, 2)])
-        before = dict(_drain(st, conceal=False))[MbAddress(1, 2)]
+        # a, b and far start at 2, the corner between a and b at 0. Each of
+        # their concealments raises the corner by one: at 1 it still waits
+        # behind b, at 2 it ties far and goes first in raster order. With no
+        # bump it would come last, with bumps of two second.
+        a, b, corner, far = MbAddress(1, 0), MbAddress(0, 1), MbAddress(0, 0), MbAddress(4, 3)
+        st = damaged_map(5, 4, [a, b, corner, far])
+        assert _drain(st, conceal=False) == [a, b, far, corner]
+        assert _drain(st) == [(a, 2), (b, 2), (corner, 2), (far, 2)]
         # the schedule pops raster indices row * cols + col, -1 once empty
         sched = PrioritySchedule(st)
-        extracted = sched.extract()
-        assert extracted == 1 * 4 + 1
-        sched.on_concealed(extracted)
-        assert sched.extract() == 2 * 4 + 1
-        assert sched.last_count == before + 1
+        for mb in (a, b, corner, far):
+            extracted = sched.extract()
+            assert extracted == mb.row * 5 + mb.col
+            sched.on_concealed(extracted)
         assert sched.extract() == -1
 
     def test_replay_matches_oracle_on_random_masks(self, rng):
@@ -423,7 +429,7 @@ class TestConcealFrame:
 
     def test_translation_recovery_ebmc_exact(self, rng):
         cur, ref = shifted_scene(rng, 96, 96, 3, 2)
-        field = estimate_field(cur, ref, frame_index=1)
+        field = estimate_field(cur, ref)
         mb = MbAddress(2, 2)
         assert mv_at(field, mb) == MotionVector(3, 2)
         st = damaged_map(6, 6, [mb])
@@ -509,21 +515,20 @@ class TestConcealFrame:
             )
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("bad", ["truncated", "another_grid", "larger_grid", "repeated", "negative", "counts_short"])
+    @pytest.mark.parametrize("bad", ["truncated", "another_grid", "larger_grid", "repeated", "negative"])
     def test_order_not_naming_the_damaged_mbs_rejected(self, rng, mode, bad):
         # a missed MB used to stay Damaged with a zero block, and an order
         # of another grid overwrote Correct MBs, without an error
         cur, ref = random_frame_pair(rng, 64, 64)
         lost = [MbAddress(1, 1), MbAddress(2, 1), MbAddress(3, 3)]
         status = damaged_map(4, 4, lost)
-        index, count = conceal_order(status)
+        index = conceal_order(status)
         order = {
-            "truncated": ConcealOrder(index[:-1], count[:-1]),
+            "truncated": index[:-1],
             "another_grid": conceal_order(damaged_map(4, 4, [MbAddress(0, 0), *lost[1:]])),
             "larger_grid": conceal_order(damaged_map(5, 5, [MbAddress(4, 4), *lost])),
-            "repeated": ConcealOrder(np.array([*index[:-1], index[0]], dtype=np.int32), count),
-            "negative": ConcealOrder(np.array([*index[:-1], -1], dtype=np.int32), count),
-            "counts_short": ConcealOrder(index, count[:-1]),
+            "repeated": np.array([*index[:-1], index[0]], dtype=np.int32),
+            "negative": np.array([*index[:-1], -1], dtype=np.int32),
         }[bad]
         with pytest.raises(ValueError, match="Damaged MBs"):
             conceal_frame(cur, ref, all_correct(4, 4), status, random_field(rng, 4, 4), None, mode, order)
@@ -623,12 +628,11 @@ class TestConcealFrame:
     def test_audit_record_fields(self):
         # built by keyword or by position, read by name, equal by value
         rec = AuditRecord(
-            mb=MbAddress(2, 3), mode="ebmc", mv=MotionVector(-1, 4), priority=3,
-            total=120, classic_total=150, sides_absent=1,
+            mb=MbAddress(2, 3), mode="ebmc", mv=MotionVector(-1, 4), total=120, classic_total=150, sides_absent=1,
         )
-        assert (rec.mb, rec.mode, rec.mv, rec.priority) == (MbAddress(2, 3), "ebmc", MotionVector(-1, 4), 3)
+        assert (rec.mb, rec.mode, rec.mv) == (MbAddress(2, 3), "ebmc", MotionVector(-1, 4))
         assert (rec.total, rec.classic_total, rec.sides_absent) == (120, 150, 1)
-        assert rec == AuditRecord(MbAddress(2, 3), "ebmc", MotionVector(-1, 4), 3, 120, 150, 1)
+        assert rec == AuditRecord(MbAddress(2, 3), "ebmc", MotionVector(-1, 4), 120, 150, 1)
         assert rec != rec._replace(total=121)
 
     @settings(max_examples=300, deadline=None)
@@ -657,9 +661,8 @@ class TestConcealFrame:
         lost = {MbAddress(int(rng.integers(0, 6)), int(rng.integers(0, 6))) for _ in range(14)}
         st = damaged_map(6, 6, lost)
         out = conceal_frame(cur, ref, all_correct(6, 6), st, field, None, mode, conceal_order(st))
-        order = [(r.mb.col, r.mb.row) for r in out.audit]
-        counts = oracle.replay_schedule({(m.col, m.row) for m in lost}, 6, 6, order)
-        assert [r.priority for r in out.audit] == counts
+        # the audit keeps the schedule's order, which the oracle replays
+        assert [r.mb for r in out.audit] == [mb for mb, _ in _drain(st)]
 
     @settings(max_examples=60, deadline=None)
     @example(grid=(5, 4, set()), seed=0)
@@ -675,12 +678,12 @@ class TestConcealFrame:
         ref_status = random_status(rng, cols, rows)
         status = damaged_map(cols, rows, [MbAddress(c, r) for c, r in lost])
         order = conceal_order(status)
-        assert (order.index.dtype, order.count.dtype) == (np.int32, np.uint8)
-        index, count = order.index.copy(), order.count.copy()
+        assert order.dtype == np.int32
+        index = order.copy()
         for mode in MODES:
             want = conceal_frame(cur, ref, ref_status, status, field, prev, mode, conceal_order(status))
             got = conceal_frame(cur, ref, ref_status, status, field, prev, mode, order)
             assert np.array_equal(got.frame.luma, want.frame.luma)
             assert np.array_equal(got.status, want.status)
             assert got.audit == want.audit
-        assert np.array_equal(order.index, index) and np.array_equal(order.count, count)
+        assert np.array_equal(order, index)

@@ -39,7 +39,7 @@ def regenerate_report_csv(out_dir, spec: ExperimentSpec) -> str:
                     with open(path) as f:
                         values = [line.split(",") for line in f.read().splitlines()[1:]]
                     assert [int(t) for t, _, _, _ in values] == list(range(1, len(values) + 1))
-                    cell.append(TrialResult(seq.name, mode, rate, k, [float(v) for _, v, _, _ in values],
+                    cell.append(TrialResult(seq.name, mode, rate, [float(v) for _, v, _, _ in values],
                                             [float(ms) for _, _, ms, _ in values],
                                             [int(n) for _, _, _, n in values], []))
                 rows.append(aggregate(cell))
@@ -443,6 +443,31 @@ class TestSpecFile:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="must be a table of keys"):
             load_spec_file(str(path))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"sequences": [{"path": PATH, "width": 64, "height": 64}], "rates": [0.1], "modes": ["tr"], "rates": [0.5]}',
+          "rates"),
+         ('{"sequences": [{"path": PATH, "width": 64, "width": 32, "height": 64}], "rates": [0.1], "modes": ["tr"]}',
+          "width")],
+        ids=["spec", "sequence"],
+    )
+    def test_repeated_json_key_rejected_before_any_output(self, small_seq, tmp_path, text, key):
+        # json.load kept the last value, and ran rate 0.5 alone or width 32
+        path = tmp_path / "spec.json"
+        path.write_text(text.replace("PATH", json.dumps(small_seq.path)))
+        with pytest.raises(ValueError, match=f"spec key '{key}' given twice"):
+            run_experiment(load_spec_file(str(path)), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_key_of_each_table_may_recur_in_another(self, small_seq, tmp_path):
+        # the check is per table: two sequences both give path and sizes
+        seq = {"path": small_seq.path, "width": 64, "height": 64, "frames": 5}
+        raw = {"sequences": [{"name": "a", **seq}, {"name": "b", **seq}], "rates": [0.1], "modes": ["tr"]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        spec = load_spec_file(str(path))
+        assert [s.name for s in spec.sequences] == ["a", "b"]
 
     @pytest.mark.parametrize("rates", [[0.1234561, 0.1234564], [0.25, 0.25]])
     def test_rates_with_colliding_file_tags_rejected(self, small_seq, rates):

@@ -399,45 +399,46 @@ class TestEstimateField:
 
 class TestMvFieldCsv:
     def test_round_trip(self, tmp_path, rng):
-        fields = [MvField(t, rng.integers(-7, 8, size=(2, 3)), rng.integers(-7, 8, size=(2, 3))) for t in (1, 2)]
+        fields = [MvField(rng.integers(-7, 8, size=(2, 3)), rng.integers(-7, 8, size=(2, 3))) for _ in range(2)]
         path = tmp_path / "mv.csv"
         save_mv_fields(fields, str(path))
         loaded = read_mv_csv(str(path))
         assert sorted(loaded) == [1, 2]
-        for f in fields:
-            g = loaded[f.frame_index]
+        for t, f in enumerate(fields, start=1):
+            g = loaded[t]
             assert np.array_equal(f.vx, g.vx) and np.array_equal(f.vy, g.vy)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         cols=st.integers(1, 5), rows=st.integers(1, 5),
-        frame_indices=st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True),
+        n=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_round_trip_property(self, tmp_path, cols, rows, frame_indices, seed):
+    def test_round_trip_property(self, tmp_path, cols, rows, n, seed):
         # every example rewrites the same file, so sharing tmp_path is safe
         rng = np.random.Generator(np.random.PCG64(seed))
         fields = [
-            MvField(t, rng.integers(-(2**15), 2**15, size=(rows, cols)), rng.integers(-(2**15), 2**15, size=(rows, cols)))
-            for t in frame_indices
+            MvField(rng.integers(-(2**15), 2**15, size=(rows, cols)), rng.integers(-(2**15), 2**15, size=(rows, cols)))
+            for _ in range(n)
         ]
         path = tmp_path / "mv.csv"
         save_mv_fields(fields, str(path))
         loaded = read_mv_csv(str(path))
-        assert sorted(loaded) == sorted(frame_indices)
-        for f in fields:
-            g = loaded[f.frame_index]
-            assert g.frame_index == f.frame_index
+        # the fields are numbered by their position, from 1
+        assert sorted(loaded) == list(range(1, n + 1))
+        for t, f in enumerate(fields, start=1):
+            g = loaded[t]
             assert np.array_equal(f.vx, g.vx) and np.array_equal(f.vy, g.vy)
 
     def test_csv_format(self, tmp_path):
-        f = zero_field(2, 1, 5, mvs={MbAddress(1, 0): MotionVector(-3, 7)})
+        f = zero_field(2, 1, mvs={MbAddress(1, 0): MotionVector(-3, 7)})
         path = tmp_path / "mv.csv"
-        save_mv_fields([f], str(path))
+        save_mv_fields([zero_field(1, 1), f], str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "frame_index,mb_col,mb_row,vx,vy"
-        assert lines[1] == "5,0,0,0,0"
-        assert lines[2] == "5,1,0,-3,7"
+        assert lines[1] == "1,0,0,0,0"
+        assert lines[2] == "2,0,0,0,0"
+        assert lines[3] == "2,1,0,-3,7"
 
 
 def test_search_params_validation():

@@ -32,9 +32,6 @@ ALLOWED = {
     "engine.BoundaryDistortion.proposed",
     "engine.BoundaryDistortion.chosen",
     "engine.BoundaryDistortion.collocated_fallback",
-    # tests/test_engine_conceal.py replays it against oracle.replay_schedule;
-    # audit_csv_line skips it, and it repeats ConcealOrder.count
-    "engine.AuditRecord.priority",
 }
 
 

@@ -4,10 +4,15 @@
     python3 tools/bench_ab.py --label heldout --seed 4099 --workload sparse
 
 Extracts the base commit (default HEAD, so the uncommitted change is what is
-measured) with `git archive` into a temporary directory, and runs each side's
-own `perfbench/run.py --trace 0 --seed S` from that side's root, at the
-benchmark's run length: N pairs per workload, the base first in even pairs
-and the working tree first in odd ones. The seed defaults to the
+measured) and a snapshot of the working tree with `git archive` into a
+temporary directory, so the two sides differ only in their files, and runs
+each side's own `perfbench/run.py --trace 0 --seed S` from that side's root,
+at the benchmark's run length: N pairs per workload, the base first in even
+pairs and the snapshot first in odd ones. The snapshot is a
+`git stash create` commit of the uncommitted changes to tracked files,
+which leaves the working tree and the stash list as they are, or HEAD when
+there are none; untracked files under src/ or perfbench/ would be missing
+from it, so they stop the run before it starts. The seed defaults to the
 benchmark's default 7, and the workloads to every one in BENCHMARK.json;
 `--workload` may be given more than once. The temporary directory is
 removed afterwards, also when a run fails.
@@ -24,8 +29,9 @@ workload:
 - each side's total `failed` count, and the pairs that errored or lack a
   side;
 - each run's manifest, `attempted` and `failed` counts, and metrics;
-and the machine it ran on. The base side is not a git checkout, so its
-manifests carry `git_revision: null`; its revision is `base.revision`.
+and the machine it ran on. Neither side is a git checkout, so their
+manifests carry `git_revision: null`; their revisions are `base.revision`
+and `change.revision`, the snapshot's.
 
 Exits 1 when any run errored, after writing the file.
 """
@@ -78,6 +84,22 @@ def machine() -> dict:
         "memory_gb": round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 1),
         "python": platform.python_version(),
     }
+
+
+def snapshot() -> str:
+    """Revision of the working tree as it stands: a commit of its
+    uncommitted changes to tracked files, or HEAD when there are none."""
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "perfbench")
+    if untracked:
+        raise SystemExit("untracked files would be left out of the change side: " + untracked.replace("\n", ", "))
+    return git("stash", "create") or git("rev-parse", "HEAD")
+
+
+def extract(rev: str, root: str) -> None:
+    """The files of ``rev``, written to the new directory ``root``."""
+    os.mkdir(root)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", root], input=archive, check=True)
 
 
 DEFAULT_SEED = 7  # perfbench's own default
@@ -171,24 +193,22 @@ def main(argv=None) -> int:
     unknown = [w for w in workloads if w not in declared]
     if unknown:
         ap.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json declares {', '.join(declared)}")
-    base_rev = git("rev-parse", args.base)
+    base_rev, change_rev = git("rev-parse", args.base), snapshot()
     tmp = tempfile.mkdtemp(prefix="bench_ab_")
-    base_root = os.path.join(tmp, "base")
-    os.mkdir(base_root)
+    sides = {side: os.path.join(tmp, side) for side in ("base", "change")}
     errors = 0
     try:
-        archive = subprocess.run(["git", "archive", base_rev], cwd=ROOT, check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", base_root], input=archive, check=True)
-        sides = {"base": base_root, "change": ROOT}
+        extract(base_rev, sides["base"])
+        extract(change_rev, sides["change"])
         report = {
             "label": args.label,
             "command": f"perfbench/run.py --trace 0 --seed {args.seed}",
             "seed": args.seed,
-            "base": {"revision": base_rev, "bench_sha256": bench_sha256(base_root)},
+            "base": {"revision": base_rev, "bench_sha256": bench_sha256(sides["base"])},
             "change": {
-                "revision": git("rev-parse", "HEAD"),
-                "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no")),
-                "bench_sha256": bench_sha256(ROOT),
+                "revision": change_rev,
+                "uncommitted_changes": change_rev != git("rev-parse", "HEAD"),
+                "bench_sha256": bench_sha256(sides["change"]),
             },
             "pairs": args.pairs,
             "machine": machine(),
