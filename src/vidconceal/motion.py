@@ -40,6 +40,7 @@ lists the measurements, made by tools/me_sweep.py.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -48,9 +49,9 @@ import numpy as np
 
 from .core import MB, Frame
 
-# The pairs the bound cannot rule out are scored this many at a time, so the
-# gather buffers stay bounded however few pairs it rules out; every chunk but
-# a frame's last is full, so they also keep one size.
+# The pairs the bound cannot rule out are scored this many at a time, in one
+# stream per frame, so the gather buffers stay bounded however few pairs it
+# rules out; every chunk but a frame's last is full, so they also keep one size.
 GATHER = 256
 
 
@@ -190,13 +191,13 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
     it with bound < best0) are scored exactly, and the MB takes the pair of
     smallest SAD * n + rank among them and the guess.
 
-    The unsettled MBs are pruned in groups of about ``16 * GATHER`` pairs,
-    and the survivors of all groups scored in one stream of ``GATHER``
-    blocks per chunk, so only the frame's last chunk is shorter. A scored
-    block of ``ref`` is gathered as 16 rows of 16 bytes, ``np.void`` items
-    of a view of every 16x16 window of the C-contiguous uint8 plane, not as
-    256 separate samples, and scored in uint8 against one contiguous copy of
-    the current blocks.
+    The unsettled MBs are pruned in one pass into a mask of one byte per
+    pair, and the survivors scored in one stream of ``GATHER`` blocks per
+    chunk, each read from the mask where the last one ended, so only the
+    frame's last chunk is shorter. A scored block of ``ref`` is gathered as
+    16 rows of 16 bytes, ``np.void`` items of a view of every 16x16 window
+    of the C-contiguous uint8 plane, and scored in uint8 against one
+    contiguous copy of the current blocks.
     """
     if cur.luma.shape != ref.luma.shape:
         raise ValueError("current and reference frames must have equal dimensions")
@@ -225,25 +226,25 @@ def estimate_field(cur: Frame, ref: Frame, params: SearchParams = SearchParams()
     key = best0[unsettled].astype(np.int64) * n + first[unsettled]
     corner = corners.reshape(-1)[unsettled]
     blocks = cur_blocks.reshape(rows * cols, MB * MB)[unsettled]  # contiguous, so cheap to gather from
-    # MBs pruned at a time: on noise nearly every pair survives, and the
-    # queue grows with the group's pairs
-    group = max(1, 16 * GATHER // n)
-    ranks = np.arange(n)
-    # the pairs still to score, as p * n + i: p the MB's position in
-    # unsettled, i the pair's rank
-    queue = np.empty(0, dtype=np.intp)
-    for s in range(0, unsettled.size, group):
-        g = unsettled[s : s + group]
-        limit = np.add(best0[g, None], ranks < first[g, None], dtype=np.uint16)
-        limit[np.arange(g.size), first[g]] = 0  # the guess is scored already
-        keep = np.flatnonzero(vol[g] < limit)
-        queue = np.concatenate((queue, keep + s * n))
-        done = queue.size if s + group >= unsettled.size else queue.size - queue.size % GATHER
-        for t in range(0, done, GATHER):
-            p, i = np.divmod(queue[t : t + GATHER], n)
-            sads = _block_sads(windows[corner[p] + shift[i]], blocks[p])
-            np.minimum.at(key, p, np.multiply(sads, n, dtype=np.int64) + i)
-        queue = queue[done:]
+    # the tie-aware prune, in place (rebinding vol frees the full volume):
+    # the bounds ranked before the guess exceed its own, and 1 off them turns
+    # their rule, bound <= best0, into the later pairs' bound < best0
+    vol = vol[unsettled]
+    vol -= np.arange(n, dtype=np.int32) < first[unsettled, None].astype(np.int32)  # int32 is faster than intp
+    vol[np.arange(unsettled.size), first[unsettled]] = 0xFFFF  # the guess is scored already
+    survive = vol < best0[unsettled, None]
+    # survivors t to t + GATHER - 1, in row-major (MB, rank) order, are the
+    # first GATHER set from a, where the last chunk ended, to the end of the
+    # MB that holds the last of them; ends[m] counts those of MBs 0 to m
+    ends = np.cumsum(np.count_nonzero(survive, axis=1)).tolist()
+    survive = survive.ravel()
+    a = 0
+    for t in range(0, np.count_nonzero(survive), GATHER):
+        k = survive[a : n * (bisect_right(ends, t + GATHER - 1) + 1)].nonzero()[0][:GATHER] + a
+        a = int(k[-1]) + 1
+        p, i = np.divmod(k, n)
+        sads = _block_sads(windows[corner[p] + shift[i]], blocks[p])
+        np.minimum.at(key, p, np.multiply(sads, n, dtype=np.int64) + i)
 
     first[unsettled] = key % n
     best = first.reshape(rows, cols)

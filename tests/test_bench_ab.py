@@ -60,6 +60,41 @@ def test_higher_is_better(change, gain_met, regressed):
     assert (m["gain_met"], m["regressed"]) == (gain_met, regressed)
 
 
+@pytest.mark.parametrize(
+    "change, slower",
+    [
+        # a steady 5 % slowdown loses every pair, by more than the base's
+        # quartile spread of 0.0325, and is inside the 0.25 bound
+        ([1.05 * b for b in BASE], True),
+        ([1.05] * 9 + [0.90], True),
+        # identical values lose no pair
+        (BASE, False),
+        # a 5/5 split, however far apart the medians
+        ([1.30] * 5 + [0.70] * 5, False),
+        # loses every pair, but by less than the quartile spread
+        ([b + 0.01 for b in BASE], False),
+    ],
+)
+def test_slower(change, slower):
+    m = bench_ab.compare(runs_of("wall_s", BASE, change), [WALL])["metrics"]["wall_s"]
+    assert (m["slower"], m["regressed"], m["gain_met"]) == (slower, False, False)
+
+
+def test_slower_higher_is_better():
+    base = [36.0, 36.5, 35.5, 36.0, 36.2, 35.8, 36.1, 35.9, 36.0, 36.0]
+    m = bench_ab.compare(runs_of("psnr_db.bma", base, [b - 2.0 for b in base]), [PSNR])["metrics"]["psnr_db.bma"]
+    assert (m["slower"], m["regressed"]) == (True, False)
+
+
+def test_errored_pair_counts_as_lost_for_slower():
+    # 8 pairs lost and one errored: 9 of the 10 pairs run are lost
+    runs = runs_of("wall_s", BASE, [1.10] * 8 + [0.90] * 2)
+    m = bench_ab.compare(errored(runs, 9), [WALL])["metrics"]["wall_s"]
+    assert (m["pairs"], m["pairs_run"], m["slower"]) == (9, 10, True)
+    # 8 lost of 10 run is not slower
+    assert not bench_ab.compare(runs, [WALL])["metrics"]["wall_s"]["slower"]
+
+
 def errored(runs, *pairs):
     """The runs with the change's run of each given pair errored."""
     return [{"pair": r["pair"], "side": "change", "error": "boom"} if r["side"] == "change" and r["pair"] in pairs

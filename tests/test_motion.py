@@ -227,8 +227,8 @@ class TestBoundThenVerify:
     )
     def test_survivors_span_many_chunks(self, rows, cols, p, gather, seed):
         # on noise most pairs survive the bound: an MB holds up to 21**2 of
-        # them, many chunks of at most 64 that run on from one group of MBs
-        # to the next, so that only the last chunk is shorter
+        # them, and the survivors of all MBs form one stream of chunks of at
+        # most 64 that run on across MBs, so that only the last is shorter
         rng = np.random.Generator(np.random.PCG64(seed))
         cur, ref = rng.integers(0, 256, size=(2, 16 * rows, 16 * cols), dtype=np.uint8)
         scored = []
@@ -247,6 +247,66 @@ class TestBoundThenVerify:
         assert scored[0] == (rows, cols)
         chunks = [n for n, in scored[1:]]
         assert all(n == gather for n in chunks[:-1]) and chunks[-1:] <= [gather]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=_SHAPES, p=st.integers(1, 12), gather=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+        content=st.sampled_from(["noise", "3-level noise", "planted", "planted"]),
+    )
+    def test_scores_exactly_the_guesses_and_the_survivors(self, shape, p, gather, seed, content):
+        h, w = shape
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if content == "planted":
+            # ref is constant along each row, at levels 8-10 that step by 1
+            # now and then down the frame, and each MB of cur is a block of
+            # ref at a drawn vertical shift with 8 added to one sample of a
+            # row and taken from another: the row sums stay, so a shift's
+            # bound is 16 per level step it crosses, and the SAD is 16
+            # higher where the edited row matches. So many MBs are unsettled
+            # with other bounds equal to best0, before and after the guess
+            steps = np.clip(np.cumsum(rng.choice([-1, 0, 0, 0, 0, 0, 0, 1], size=h)), -1, 1)
+            g = (9 + steps).astype(np.uint8)
+            ref = np.repeat(g[:, None], w, axis=1)
+            cur = np.empty_like(ref)
+            for y in range(0, h, 16):
+                for x in range(0, w, 16):
+                    src = np.clip(y + np.arange(16) + rng.integers(-p, p + 1), 0, h - 1)
+                    block = np.repeat(g[src, None], 16, axis=1)
+                    k = rng.integers(16)
+                    block[k, 3] += 8
+                    block[k, 11] -= 8
+                    cur[y : y + 16, x : x + 16] = block
+        else:
+            cur, ref = rng.integers(0, 3 if content == "3-level noise" else 256, size=(2, h, w), dtype=np.uint8)
+        # each MB's guess, then the tie-aware survivors of the MBs that are
+        # not settled, from the definitions
+        want, vectors = h * w // 256, []
+        for row in range(h // 16):
+            for col in range(w // 16):
+                pairs = _pairs_in_search_order(cur, ref, col, row, p)
+                bounds = [lb for _, _, lb, _ in pairs]
+                g = bounds.index(min(bounds))
+                best0 = pairs[g][3]
+                if best0 != bounds[g]:
+                    want += sum(lb <= best0 for lb in bounds[:g]) + sum(lb < best0 for lb in bounds[g + 1 :])
+                # the first pair of smallest SAD in search order
+                vectors.append(min(pairs, key=lambda q: q[3])[:2])
+        scored = []
+        block_sads = motion._block_sads
+
+        def spy(ref_blocks, cur_blocks):
+            sads = block_sads(ref_blocks, cur_blocks)
+            scored.append(sads.size)
+            return sads
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(motion, "GATHER", gather)
+            mp.setattr(motion, "_block_sads", spy)
+            field = estimate_field(Frame(cur), Frame(ref), SearchParams(p=p))
+        assert sum(scored) == want
+        assert scored[0] == h * w // 256
+        assert all(n == gather for n in scored[1:-1]) and all(n <= gather for n in scored[1:])
+        assert list(zip(field.vx.ravel().tolist(), field.vy.ravel().tolist())) == vectors
 
 
 def _planted(seed, plants):

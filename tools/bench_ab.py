@@ -24,8 +24,11 @@ workload:
   verdicts: `gain_met` when the change wins at least 9 in 10 of all pairs
   run, a pair where a run errored counting as lost, its median beats the
   base median by more than the base quartile spread, and it failed no more
-  operations than the base; and `regressed` when its median is worse than
-  the base median by more than the metric's relative `bound`;
+  operations than the base; its mirror `slower` when the change loses at
+  least 9 in 10 of all pairs run, a pair where a run errored again counting
+  as lost, and its median is worse than the base median by more than the
+  base quartile spread; and `regressed` when its median is worse than the
+  base median by more than the metric's relative `bound`;
 - each side's total `failed` count, and the pairs that errored or lack a
   side;
 - each run's manifest, `attempted` and `failed` counts, and metrics;
@@ -130,10 +133,11 @@ def summarize(values: list[float]) -> dict:
 
 def compare(runs: list[dict], declared: list[dict]) -> dict:
     """Per end-to-end metric: both sides' spread and the change's wins over
-    the pairs where both sides completed, and the two verdicts; each side's
-    failed operations; and the pairs left out because a run errored. A gain
-    is judged against every pair run, so a pair left out counts as a loss,
-    and it does not count when the change failed more operations."""
+    the pairs where both sides completed, and the three verdicts; each
+    side's failed operations; and the pairs left out because a run errored.
+    A gain or a slowdown is judged against every pair run, so a pair left
+    out counts as lost, and a gain does not count when the change failed
+    more operations."""
     pairs: dict[int, dict] = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run
@@ -149,6 +153,7 @@ def compare(runs: list[dict], declared: list[dict]) -> dict:
         sign = 1 if metric["better"] == "lower" else -1
         base, change = summarize([b for b, _ in both]), summarize([c for _, c in both])
         wins = sum(1 for b, c in both if sign * (c - b) < 0)
+        losses = sum(1 for b, c in both if sign * (c - b) > 0) + len(pairs) - len(both)
         # how far the change's median is better than the base's, in the unit
         gain = sign * (base["median"] - change["median"])
         metrics[name] = {
@@ -164,6 +169,7 @@ def compare(runs: list[dict], declared: list[dict]) -> dict:
             "gain_met": 10 * wins >= 9 * len(pairs)
             and gain > base["q3"] - base["q1"]
             and failed["change"] <= failed["base"],
+            "slower": 10 * losses >= 9 * len(pairs) and -gain > base["q3"] - base["q1"],
             "regressed": -gain > metric["bound"] * abs(base["median"]),
         }
     return {
