@@ -9,12 +9,13 @@ decoder side: it conceals each inter frame against the previous
 scores it by PSNR against its original.
 
 A trial-frame's plan, its status grid and concealment order, follows from
-the loss draw alone, so within one ``run_experiment`` every mode shares the
-plan the first one built (``loss.mask_memo``). Wall time covers the
-concealment call only, so the report's ``mean_time_per_mb_ms`` leaves out
-the plan in every mode. Timing is inherently non-reproducible, so an
-ExperimentSpec can disable it (measure_timing=false); everything else in
-the emitted files is byte-deterministic for a fixed spec.
+the loss draw alone. ``run_experiment`` hands every mode of a (rate, trial)
+one TrialConfig with a memo, so the later modes share the draws and plans
+the first one made. Wall time covers the concealment call only, so the
+report's ``mean_time_per_mb_ms`` leaves out the plan in every mode. Timing
+is inherently non-reproducible, so an ExperimentSpec can disable it
+(measure_timing=false); everything else in the emitted files is
+byte-deterministic for a fixed spec.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .core import MB, Frame, MbState
 from .engine import MODES, audit_csv_header, audit_csv_line, conceal_frame, conceal_order
-from .loss import TrialConfig, apply_mask, make_mask, mask_memo, memoized
+from .loss import TrialConfig, apply_mask, make_mask
 from .metrics import psnr
 from .motion import MvField, SearchParams, estimate_field
 from .yuv_io import SequenceHeader, YuvFrameRecord, open_sequence, read_frame, write_pgm
@@ -69,7 +70,7 @@ class SequenceSpec:
             value = getattr(self, key)
             if type(value) is not int and not (key == "frames" and value is None):
                 raise ValueError(f"sequence {self.name}: {key} must be an integer, got {value!r}")
-        # open_sequence rejects these too, but only once the output tree exists
+        # open_sequence rejects these too, but only when a run opens the file
         for key in ("width", "height"):
             value = getattr(self, key)
             if value <= 0 or value % MB:
@@ -79,6 +80,13 @@ class SequenceSpec:
         if self.frames is not None:
             return self.frames
         return 30 if self.height >= 288 else 60
+
+    def open(self) -> SequenceHeader:
+        """The file's header, once it is known to hold the frame budget."""
+        header = open_sequence(self.path, self.width, self.height)
+        if header.frame_count < self.frame_budget():
+            raise ValueError(f"{self.path} has {header.frame_count} frames, needs {self.frame_budget()}")
+        return header
 
 
 @dataclass
@@ -227,14 +235,8 @@ def encode_frames(
 
 
 def build_context(seq: SequenceSpec, search_p: int) -> SequenceContext:
-    header = open_sequence(seq.path, seq.width, seq.height)
-    budget = seq.frame_budget()
-    if header.frame_count < budget:
-        raise ValueError(
-            f"{seq.path} has {header.frame_count} frames, needs {budget}"
-        )
     originals, fields = [], []
-    for record, mv_field in encode_frames(header, SearchParams(p=search_p), budget):
+    for record, mv_field in encode_frames(seq.open(), SearchParams(p=search_p), seq.frame_budget()):
         originals.append(record.luma)
         fields.append(mv_field)
     return SequenceContext(seq, originals, fields)
@@ -265,16 +267,16 @@ class DecodedFrame(NamedTuple):
 
 def frame_plan(t: int, cols: int, rows: int, cfg: TrialConfig) -> tuple[np.ndarray, np.ndarray]:
     """Frame ``t``'s read-only status grid after the loss of ``cfg``, and
-    its concealment order. Inside a mask_memo() scope the later modes of a
+    its concealment order. With a memo on ``cfg``, the later modes of a
     trial get the first mode's plan back; make_mask is called every time."""
     mask = make_mask(t, cols, rows, cfg)
-
-    def build() -> tuple[np.ndarray, np.ndarray]:
+    memo = {} if cfg.memo is None else cfg.memo
+    key = ("plan", cfg.seed, cfg.trial_index, t, cols, rows, mask.lost.size)
+    if key not in memo:
         status = apply_mask(mask, cols, rows)
         status.flags.writeable = False
-        return status, conceal_order(status)
-
-    return memoized(("plan", cfg.seed, cfg.trial_index, t, cols, rows, mask.lost.size), build)
+        memo[key] = status, conceal_order(status)
+    return memo[key]
 
 
 def decode_frames(
@@ -322,16 +324,14 @@ class TrialResult:
 def run_trial(
     ctx: SequenceContext,
     mode: str,
-    rate: float,
-    trial_index: int,
-    seed: int,
+    cfg: TrialConfig,
     measure_timing: bool,
     keep_frames: tuple[int, ...] = (),
 ) -> TrialResult:
-    """One seeded pass over the sequence with a single mode and loss rate."""
-    tr = TrialResult(ctx.spec.name, mode, rate, [], [], [], [])
+    """One seeded pass over the sequence with a single mode and the loss of
+    ``cfg``."""
+    tr = TrialResult(ctx.spec.name, mode, cfg.rate, [], [], [], [])
     inter = zip(ctx.originals[1:], ctx.fields[1:])
-    cfg = TrialConfig(rate, seed, trial_index)
     for d in decode_frames(ctx.originals[0], inter, cfg, mode, measure_timing):
         tr.psnr_db.append(d.psnr_db)
         tr.frame_ms.append(d.conceal_ms)
@@ -398,10 +398,6 @@ def write_trial_csv(tr: TrialResult, path: str) -> None:
             f.write(f"{t},{db!r},{ms!r},{n}\n")
 
 
-# every mode of a (rate, trial) conceals the same draws: within one run the
-# first mode draws them and builds each frame's plan, and the later modes
-# reuse both
-@mask_memo()
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> list[ReportRow]:
     """Run every (sequence, mode, rate, trial) cell, persist the results and
     return the report's rows.
@@ -410,6 +406,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> list[ReportRow]:
     per-trial concealment audits under audits/; optional PGM stills under
     frames/ for the frame indices listed in dump_frames (trial 0 only).
     """
+    for seq in spec.sequences:  # a bad file stops the run before any output
+        seq.open()
     os.makedirs(out_dir, exist_ok=True)
     trials_dir = os.path.join(out_dir, "trials")
     audits_dir = os.path.join(out_dir, "audits")
@@ -422,16 +420,18 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for seq in spec.sequences:
         ctx = build_context(seq, spec.search_p)
+        # every mode of a (rate, trial) conceals the same draws: the first
+        # mode draws them and builds each frame's plan, the later ones reuse both
+        configs = {(rate, k): TrialConfig(rate, spec.seed, k, memo={})
+                   for rate in spec.rates for k in range(spec.trials)}
         for t in dump:
             write_pgm(ctx.originals[t], os.path.join(out_dir, "frames", f"{seq.name}_f{t:03d}_original.pgm"))
         for mode in spec.modes:
             for rate in spec.rates:
                 cell: list[TrialResult] = []
                 for k in range(spec.trials):
-                    tr = run_trial(
-                        ctx, mode, rate, k, spec.seed, spec.measure_timing,
-                        keep_frames=dump if k == 0 else (),
-                    )
+                    tr = run_trial(ctx, mode, configs[rate, k], spec.measure_timing,
+                                   keep_frames=dump if k == 0 else ())
                     tag = _cell_tag(seq.name, mode, rate, k)
                     write_trial_csv(tr, os.path.join(trials_dir, f"{tag}.csv"))
                     with open(os.path.join(audits_dir, f"{tag}.csv"), "w", newline="") as f:

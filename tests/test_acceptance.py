@@ -133,7 +133,7 @@ def test_criterion_3_static_scene_exactness(tmp_path):
     ctx = build_context(SequenceSpec("static", str(path), 176, 144, 30), SearchParams.p)
     bad = []
     for mode in ("tr", "bma", "ebmc"):
-        tr = run_trial(ctx, mode, 0.20, 0, seed=6, measure_timing=False)
+        tr = run_trial(ctx, mode, TrialConfig(0.20, 6, 0), measure_timing=False)
         if not all(v == PSNR_CAP_DB for v in tr.psnr_db):
             bad.append(mode)
     _report(

@@ -129,26 +129,33 @@ def test_more_change_failures_no_gain():
     assert bench_ab.compare(runs, [WALL])["metrics"]["wall_s"]["gain_met"]
 
 
+BASE_REV, CHANGE_REV = "0" * 40, "c" * 40
+
+
 class FakeRuns:
     """Stands in for `subprocess.run` in `bench_ab.main`: git and tar
-    succeed, the working tree is clean, and each `perfbench/run.py` prints a
-    manifest line and a result line in which the change side is a little
-    faster than the base."""
+    succeed, every revision resolves to BASE_REV, the working tree's
+    snapshot is ``stash`` (CHANGE_REV by default; "" for a clean tree), and
+    each `perfbench/run.py` prints a manifest line and a result line in
+    which a run from CHANGE_REV's root is a little faster than one from
+    BASE_REV's."""
 
-    def __init__(self):
-        self.bench = []
+    def __init__(self, stash=CHANGE_REV):
+        self.stash = stash
+        self.bench, self.extracted = [], []
 
     def __call__(self, cmd, cwd=None, input=None, check=False, capture_output=False, text=False):
         if cmd[0] == "git":
-            out = {"rev-parse": "0" * 40, "archive": b""}.get(cmd[1], "")
+            out = {"rev-parse": BASE_REV, "stash": self.stash, "archive": b""}.get(cmd[1], "")
             return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
         if cmd[0] == "tar":
+            self.extracted.append(cmd[cmd.index("-C") + 1])
             return subprocess.CompletedProcess(cmd, 0)
         self.bench.append((cmd, cwd))
         arg = lambda flag: cmd[cmd.index(flag) + 1]  # noqa: E731
         manifest = {"workload": arg("--workload"), "seed": int(arg("--seed"))}
         result = {"correct": True, "attempted": 3, "failed": 0,
-                  "metrics": {"wall_s": {"value": 0.9 if os.path.basename(cwd) == "change" else 1.0}}}
+                  "metrics": {"wall_s": {"value": 0.9 if os.path.basename(cwd) == CHANGE_REV else 1.0}}}
         out = f"manifest {json.dumps(manifest)}\n{json.dumps(result)}\n"
         return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
 
@@ -178,18 +185,36 @@ def test_seed_and_workloads_reach_both_sides_and_the_report(fake_runs, tmp_path,
     # two pairs of a base and a change run per workload, in the order asked
     assert [cmd[cmd.index("--workload") + 1] for cmd, _ in fake_runs.bench] == [w for w in workloads for _ in range(4)]
     assert all(cmd[cmd.index("--seed") + 1] == str(seed) for cmd, _ in fake_runs.bench)
-    # both sides run from the extracted trees, not from the working tree
+    # both sides run from the extracted trees, named by revision, not from
+    # the working tree
     sides = {cwd for _, cwd in fake_runs.bench}
-    assert sorted(os.path.basename(cwd) for cwd in sides) == ["base", "change"]
+    assert sorted(os.path.basename(cwd) for cwd in sides) == [BASE_REV, CHANGE_REV]
+    assert sorted(fake_runs.extracted) == sorted(sides)
     assert not any(cwd.startswith(str(tmp_path)) for cwd in sides)
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert report["change"]["revision"] == "0" * 40 and not report["change"]["uncommitted_changes"]
+    assert report["base"]["revision"] == BASE_REV
+    assert report["change"]["revision"] == CHANGE_REV and report["change"]["uncommitted_changes"]
     assert report["seed"] == seed and report["command"].endswith(f"--seed {seed}")
     assert list(report["workloads"]) == workloads
     for w in workloads:
         runs = report["workloads"][w]["runs"]
         assert [r["manifest"] for r in runs] == [{"workload": w, "seed": seed}] * 4
         assert report["workloads"][w]["metrics"]["wall_s"]["change_wins"] == 2
+
+
+def test_equal_revisions_share_one_extracted_root(fake_runs, tmp_path):
+    # a clean tree against --base HEAD: one tree, extracted once, runs both
+    # sides, so the A/B is a null one
+    fake_runs.stash = ""
+    assert bench_ab.main(["--label", "t", "--pairs", "2", "--workload", "sparse"]) == 0
+    assert len(fake_runs.extracted) == 1
+    assert {cwd for _, cwd in fake_runs.bench} == set(fake_runs.extracted)
+    assert os.path.basename(fake_runs.extracted[0]) == BASE_REV
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["change"]["revision"] == report["base"]["revision"] == BASE_REV
+    assert not report["change"]["uncommitted_changes"]
+    assert [r["side"] for r in report["workloads"]["sparse"]["runs"]] == ["base", "change", "change", "base"]
+    assert report["workloads"]["sparse"]["metrics"]["wall_s"]["change_wins"] == 0
 
 
 def test_unknown_workload_rejected(fake_runs, tmp_path):

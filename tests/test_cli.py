@@ -9,6 +9,7 @@ from instances import read_mv_csv
 from vidconceal import experiment
 from vidconceal.cli import main
 from vidconceal.engine import MODES
+from vidconceal.loss import TrialConfig
 from vidconceal.metrics import psnr
 from vidconceal.motion import SearchParams
 from vidconceal.synth import make_sequence, write_i420
@@ -162,7 +163,7 @@ def _conceal(seq, tmp_path, mode, trial):
 @pytest.mark.parametrize("mode", MODES)
 def test_conceal_equals_run_trial(seq64, tmp_path, mode):
     ctx = experiment.build_context(experiment.SequenceSpec("s", seq64, 64, 64, 4), search_p=3)
-    tr = experiment.run_trial(ctx, mode, 0.25, 2, 5, measure_timing=False, keep_frames=(1, 2, 3))
+    tr = experiment.run_trial(ctx, mode, TrialConfig(0.25, 5, 2), measure_timing=False, keep_frames=(1, 2, 3))
     out, audit = _conceal(seq64, tmp_path, mode, trial=2)
     assert audit[1:] == tr.audit_lines
     for t, db in enumerate(tr.psnr_db, start=1):
@@ -182,7 +183,7 @@ def test_traced_names_reach_the_decode_loop(seq64, tmp_path, monkeypatch):
     tracer.install()
     try:
         ctx = experiment.build_context(experiment.SequenceSpec("s", seq64, 64, 64, 4), search_p=3)
-        audited = len(experiment.run_trial(ctx, "ebmc", 0.25, 0, 5, measure_timing=False).audit_lines)
+        audited = len(experiment.run_trial(ctx, "ebmc", TrialConfig(0.25, 5, 0), measure_timing=False).audit_lines)
         trial_stats, trial_counts, _ = tracer.take()
         _, audit = _conceal(seq64, tmp_path, "ebmc", trial=0)
         cli_stats, cli_counts, _ = tracer.take()

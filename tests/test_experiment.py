@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vidconceal.experiment import (
     run_trial,
     write_trial_csv,
 )
+from vidconceal.loss import TrialConfig
 from vidconceal.metrics import PSNR_CAP_DB
 from vidconceal.motion import SearchParams
 from vidconceal.synth import make_sequence, write_i420
@@ -69,17 +71,17 @@ def static_ctx(tmp_path_factory, ):
 
 class TestRunTrial:
     def test_rate_zero_all_capped(self, small_ctx):
-        tr = run_trial(small_ctx, "ebmc", 0.0, 0, seed=1, measure_timing=False)
+        tr = run_trial(small_ctx, "ebmc", TrialConfig(0.0, 1, 0), measure_timing=False)
         assert tr.psnr_db == [PSNR_CAP_DB] * 4
 
     @pytest.mark.parametrize("mode", ["tr", "bma", "ebmc"])
     def test_static_sequence_all_capped(self, static_ctx, mode):
-        tr = run_trial(static_ctx, mode, 0.25, 0, seed=5, measure_timing=False)
+        tr = run_trial(static_ctx, mode, TrialConfig(0.25, 5, 0), measure_timing=False)
         assert tr.psnr_db == [PSNR_CAP_DB] * 4
 
     def test_repeat_identical(self, small_ctx):
-        a = run_trial(small_ctx, "ebmc", 0.2, 1, seed=9, measure_timing=False)
-        b = run_trial(small_ctx, "ebmc", 0.2, 1, seed=9, measure_timing=False)
+        a = run_trial(small_ctx, "ebmc", TrialConfig(0.2, 9, 1), measure_timing=False)
+        b = run_trial(small_ctx, "ebmc", TrialConfig(0.2, 9, 1), measure_timing=False)
         assert a.psnr_db == b.psnr_db
         assert a.audit_lines == b.audit_lines
 
@@ -90,45 +92,45 @@ class TestRunTrial:
         # the trials after it
         ctx = build_context(small_seq, SearchParams.p)
         before = [(f.vx.copy(), f.vy.copy()) for f in ctx.fields[1:]]
-        a = run_trial(ctx, mode, 0.5, 0, seed=4, measure_timing=False)
-        b = run_trial(ctx, mode, 0.5, 0, seed=4, measure_timing=False)
+        a = run_trial(ctx, mode, TrialConfig(0.5, 4, 0), measure_timing=False)
+        b = run_trial(ctx, mode, TrialConfig(0.5, 4, 0), measure_timing=False)
         assert a.audit_lines == b.audit_lines
         for f, (vx, vy) in zip(ctx.fields[1:], before):
             assert np.array_equal(f.vx, vx) and np.array_equal(f.vy, vy)
 
     def test_distinct_trials_differ(self, small_ctx):
-        a = run_trial(small_ctx, "ebmc", 0.2, 0, seed=9, measure_timing=False)
-        b = run_trial(small_ctx, "ebmc", 0.2, 1, seed=9, measure_timing=False)
+        a = run_trial(small_ctx, "ebmc", TrialConfig(0.2, 9, 0), measure_timing=False)
+        b = run_trial(small_ctx, "ebmc", TrialConfig(0.2, 9, 1), measure_timing=False)
         assert a.audit_lines != b.audit_lines
 
     def test_frame_mbs_match_rate(self, small_ctx):
-        tr = run_trial(small_ctx, "tr", 0.25, 0, seed=2, measure_timing=False)
+        tr = run_trial(small_ctx, "tr", TrialConfig(0.25, 2, 0), measure_timing=False)
         assert tr.frame_mbs == [4, 4, 4, 4]  # round(0.25 * 16)
 
     def test_timing_recorded_when_enabled(self, small_ctx):
-        tr = run_trial(small_ctx, "bma", 0.25, 0, seed=2, measure_timing=True)
+        tr = run_trial(small_ctx, "bma", TrialConfig(0.25, 2, 0), measure_timing=True)
         assert all(ms > 0 for ms in tr.frame_ms)
-        off = run_trial(small_ctx, "bma", 0.25, 0, seed=2, measure_timing=False)
+        off = run_trial(small_ctx, "bma", TrialConfig(0.25, 2, 0), measure_timing=False)
         assert all(ms == 0.0 for ms in off.frame_ms)
 
 
 class TestAggregate:
     def test_single_trial_is_identity(self, small_ctx):
-        tr = run_trial(small_ctx, "tr", 0.25, 0, seed=2, measure_timing=False)
+        tr = run_trial(small_ctx, "tr", TrialConfig(0.25, 2, 0), measure_timing=False)
         row = aggregate([tr])
         assert row.trials == 1
         assert row.mean_psnr_db == pytest.approx(np.mean(tr.psnr_db))
 
     def test_two_trials_framewise_mean(self, small_ctx):
-        a = run_trial(small_ctx, "tr", 0.25, 0, seed=2, measure_timing=False)
-        b = run_trial(small_ctx, "tr", 0.25, 1, seed=2, measure_timing=False)
+        a = run_trial(small_ctx, "tr", TrialConfig(0.25, 2, 0), measure_timing=False)
+        b = run_trial(small_ctx, "tr", TrialConfig(0.25, 2, 1), measure_timing=False)
         row = aggregate([a, b])
         va, vb = np.array(a.psnr_db), np.array(b.psnr_db)
         assert row.mean_psnr_db == pytest.approx(((va + vb) / 2).mean())
 
     def test_time_per_mb_pools_all_trials(self, small_ctx):
-        a = run_trial(small_ctx, "bma", 0.25, 0, seed=2, measure_timing=True)
-        b = run_trial(small_ctx, "bma", 0.25, 1, seed=2, measure_timing=True)
+        a = run_trial(small_ctx, "bma", TrialConfig(0.25, 2, 0), measure_timing=True)
+        b = run_trial(small_ctx, "bma", TrialConfig(0.25, 2, 1), measure_timing=True)
         row = aggregate([a, b])
         want = (sum(a.frame_ms) + sum(b.frame_ms)) / (sum(a.frame_mbs) + sum(b.frame_mbs))
         assert row.mean_time_per_mb_ms == pytest.approx(want)
@@ -228,14 +230,16 @@ class TestRunExperiment:
         spec = self._spec(small_seq, modes=["tr", "median", "ebmc"])
         out, want = tmp_path / "out", tmp_path / "want"
         run_experiment(spec, str(out))
-        # the same files, built from run_trial calls that each draw their own masks
+        # the same files, built from run_trial calls whose memo-less configs
+        # each draw their own masks
         ctx = build_context(small_seq, spec.search_p)
         os.makedirs(want / "trials")
         os.makedirs(want / "audits")
         rows = []
         for mode in spec.modes:
             for rate in spec.rates:
-                cell = [run_trial(ctx, mode, rate, k, spec.seed, measure_timing=False) for k in range(spec.trials)]
+                cfgs = [TrialConfig(rate, spec.seed, k) for k in range(spec.trials)]
+                cell = [run_trial(ctx, mode, cfg, measure_timing=False) for cfg in cfgs]
                 for k, tr in enumerate(cell):
                     tag = _cell_tag("small", mode, rate, k)
                     write_trial_csv(tr, str(want / "trials" / f"{tag}.csv"))
@@ -247,6 +251,25 @@ class TestRunExperiment:
         assert got == sorted(str(p.relative_to(want)) for p in want.rglob("*") if p.is_file())
         for name in got:
             assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "case, error, match",
+        [("missing", FileNotFoundError, "missing.yuv"), ("short", ValueError, "has 2 frames, needs 4"),
+         ("height", ValueError, "not a positive multiple")],
+    )
+    def test_bad_second_sequence_rejected_before_any_output(self, small_seq, tmp_path, case, error, match):
+        # the first sequence's trial and audit files were written before the
+        # second one was opened, and the run left no report.csv
+        path = tmp_path / f"{case}.yuv"
+        if case == "short":
+            write_i420(str(path), make_sequence(64, 64, 2, seed=4))
+        elif case == "height":
+            path = small_seq.path
+        bad = SequenceSpec("bad", str(path), 64, 48 if case == "height" else 64, 4)
+        spec = self._spec(small_seq, sequences=[small_seq, bad], rates=[0.25], modes=["tr"], trials=1)
+        with pytest.raises(error, match=match):
+            run_experiment(spec, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_pgm_dumps(self, small_seq, tmp_path):
         out = tmp_path / "out"
@@ -278,6 +301,29 @@ class TestSpecFile:
         assert spec.sequences[0].name == "small"  # from file stem
         assert spec.trials == 3 and spec.seed == 17
         assert spec.rates == [0.1] and spec.modes == ["bma"]
+
+    def test_toml_spec_loads_like_json_or_asks_for_json(self, small_seq, tmp_path):
+        # no skip marker: each Python checks its own branch of load_spec_file
+        table = {"rates": [0.1], "modes": ["bma"], "trials": 3, "seed": 17, "measure_timing": False}
+        seq = {"path": small_seq.path, "width": 64, "height": 64, "frames": 5}
+        (tmp_path / "spec.json").write_text(json.dumps({**table, "sequences": [seq]}))
+        # these JSON strings, numbers, lists and booleans are TOML values too
+        body = "".join(f"{k} = {json.dumps(v)}\n" for k, v in table.items())
+        body += "[[sequences]]\n" + "".join(f"{k} = {json.dumps(v)}\n" for k, v in seq.items())
+        (tmp_path / "spec.toml").write_text(body)
+        (tmp_path / "twice.toml").write_text("seed = 1\n" + body)
+        out = tmp_path / "out"
+        if sys.version_info < (3, 11):
+            with pytest.raises(RuntimeError, match="use JSON"):
+                run_experiment(load_spec_file(str(tmp_path / "spec.toml")), str(out))
+        else:
+            import tomllib
+
+            assert load_spec_file(str(tmp_path / "spec.toml")) == load_spec_file(str(tmp_path / "spec.json"))
+            # tomllib rejects the repeated seed itself
+            with pytest.raises(tomllib.TOMLDecodeError):
+                run_experiment(load_spec_file(str(tmp_path / "twice.toml")), str(out))
+        assert not out.exists()
 
     def test_frame_budget_defaults(self):
         assert SequenceSpec("c", "x.yuv", 352, 288).frame_budget() == 30

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -9,7 +10,7 @@ from instances import all_correct, damage, damaged_mbs
 from vidconceal.core import MB, Frame, MbAddress, MbState
 from vidconceal import experiment
 from vidconceal.experiment import ExperimentSpec, SequenceSpec, blank_damaged, frame_plan, run_experiment
-from vidconceal.loss import LossMask, TrialConfig, apply_mask, make_mask, mask_memo
+from vidconceal.loss import LossMask, TrialConfig, apply_mask, make_mask
 from vidconceal.synth import make_sequence, write_i420
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -121,51 +122,64 @@ def _assert_read_only(lost):
             lost[0] = lost[-1]
 
 
+def _assert_same_plan(plan, want):
+    (status, order), (want_status, want_order) = plan, want
+    assert np.array_equal(status, want_status) and np.array_equal(order, want_order)
+    assert not status.flags.writeable
+
+
 @settings(max_examples=100, deadline=None)
 @given(**_MASK_ARGS)
-def test_memo_returns_the_draw_made_outside_it(cols, rows, rate, seed, trial, frame_index):
-    cfg = TrialConfig(rate, seed, trial)
-    outside = make_mask(frame_index, cols, rows, cfg)
-    with mask_memo():
-        first = make_mask(frame_index, cols, rows, cfg)
-        again = make_mask(frame_index, cols, rows, cfg)
-    # the repeated call reuses the first one's draw, which later modes share
-    assert again.lost is first.lost
-    for mask in (outside, first, again):
-        assert np.array_equal(mask.lost, outside.lost)
-        _assert_read_only(mask.lost)
+def test_config_memo_hands_back_its_first_draw_and_plan(cols, rows, rate, seed, trial, frame_index):
+    cfg = TrialConfig(rate, seed, trial, memo={})
+    first, plan = make_mask(frame_index, cols, rows, cfg), frame_plan(frame_index, cols, rows, cfg)
+    # the later calls, as the later modes of a trial make them, reuse both
+    assert make_mask(frame_index, cols, rows, cfg).lost is first.lost
+    assert frame_plan(frame_index, cols, rows, cfg) is plan
+    # and they are what a config without a memo draws and plans
+    plain = TrialConfig(rate, seed, trial)
+    assert plain == cfg
+    assert np.array_equal(first.lost, make_mask(frame_index, cols, rows, plain).lost)
+    _assert_read_only(first.lost)
+    _assert_same_plan(plan, frame_plan(frame_index, cols, rows, plain))
 
 
 @settings(max_examples=50, deadline=None)
-@given(**_MASK_ARGS, fail=st.booleans())
-def test_memo_dropped_on_exit(cols, rows, rate, seed, trial, frame_index, fail):
+@given(**_MASK_ARGS)
+def test_memo_less_config_draws_and_plans_afresh(cols, rows, rate, seed, trial, frame_index):
     cfg = TrialConfig(max(rate, 1 / (cols * rows)), seed, trial)  # at least one lost MB
+    assert cfg.memo is None
+    a, b = make_mask(frame_index, cols, rows, cfg).lost, make_mask(frame_index, cols, rows, cfg).lost
+    assert b is not a and np.array_equal(a, b)
+    _assert_read_only(b)
+    plan, again = frame_plan(frame_index, cols, rows, cfg), frame_plan(frame_index, cols, rows, cfg)
+    assert all(y is not x for x, y in zip(plan, again))
+    _assert_same_plan(again, plan)
 
-    def draw_and_plan():
-        plan = frame_plan(frame_index, cols, rows, cfg)
-        return make_mask(frame_index, cols, rows, cfg).lost, plan
 
-    if fail:
-        with pytest.raises(RuntimeError, match="inside"):
-            with mask_memo():
-                inside, plan = draw_and_plan()
-                assert frame_plan(frame_index, cols, rows, cfg) is plan
-                raise RuntimeError("inside the scope")
-    else:
-        with mask_memo():
-            inside, plan = draw_and_plan()
-            assert frame_plan(frame_index, cols, rows, cfg) is plan
-    # outside the scope and in a new one, the same key draws and plans afresh
-    after, after_plan = draw_and_plan()
-    with mask_memo():
-        again, again_plan = draw_and_plan()
-    assert after is not inside and again is not inside
-    assert np.array_equal(after, inside) and np.array_equal(again, inside)
-    status, order = plan
-    for new_status, new_order in (after_plan, again_plan):
-        assert new_status is not status and new_order is not order
-        assert np.array_equal(new_status, status)
-        assert all(np.array_equal(a, b) for a, b in zip(new_order, order))
+@settings(max_examples=100, deadline=None)
+@given(
+    cols=st.integers(2, 12), rows=st.integers(1, 12), seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 1000), frame_index=st.integers(1, 1000), data=st.data(),
+)
+def test_configs_sharing_one_memo_keep_their_own_draws(cols, rows, seed, trial, frame_index, data):
+    # one dict under configs that differ in seed, trial, lost count or frame:
+    # each gets what it would draw and plan on its own
+    total = cols * rows
+    count, other = data.draw(st.lists(st.integers(1, total), min_size=2, max_size=2, unique=True))
+    shared = {}
+    cases = [
+        (TrialConfig(count / total, seed, trial, shared), frame_index),
+        (TrialConfig(count / total, seed ^ 1, trial, shared), frame_index),
+        (TrialConfig(count / total, seed, trial + 1, shared), frame_index),
+        (TrialConfig(other / total, seed, trial, shared), frame_index),
+        (TrialConfig(count / total, seed, trial, shared), frame_index + 1),
+    ]
+    for cfg, t in cases:
+        lost, plan = make_mask(t, cols, rows, cfg).lost, frame_plan(t, cols, rows, cfg)
+        alone = dataclasses.replace(cfg, memo=None)
+        assert np.array_equal(lost, make_mask(t, cols, rows, alone).lost)
+        _assert_same_plan(plan, frame_plan(t, cols, rows, alone))
 
 
 def test_second_experiment_run_draws_again(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vidconceal.synth import value_noise
+from vidconceal.synth import main, make_sequence, value_noise
 
 OCTAVES = ((64, 1.0), (32, 0.6), (16, 0.5), (8, 0.45), (4, 0.4))
 
@@ -54,3 +54,16 @@ def test_value_noise_matches_with_custom_octaves():
         got = value_noise(side, side, np.random.default_rng(side), octaves=octaves)
         want = four_gather_noise(side, side, np.random.default_rng(side), octaves=octaves)
         assert got.tobytes() == want.tobytes()
+
+
+def test_main_writes_make_sequence_as_i420(tmp_path):
+    # README's `python -m vidconceal.synth` runs this entry point
+    out = tmp_path / "clip.yuv"
+    w, h, frames = 48, 32, 3
+    assert main(["--out", str(out), "--width", str(w), "--height", str(h), "--frames", str(frames),
+                 "--seed", "5", "--sprites", "2"]) == 0
+    data = out.read_bytes()
+    frame_bytes = w * h * 3 // 2
+    assert len(data) == frames * frame_bytes
+    for t, luma in enumerate(make_sequence(w, h, frames, 5, 2)):
+        assert data[t * frame_bytes : t * frame_bytes + w * h] == luma.tobytes()

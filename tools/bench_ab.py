@@ -5,17 +5,20 @@
 
 Extracts the base commit (default HEAD, so the uncommitted change is what is
 measured) and a snapshot of the working tree with `git archive` into a
-temporary directory, so the two sides differ only in their files, and runs
-each side's own `perfbench/run.py --trace 0 --seed S` from that side's root,
-at the benchmark's run length: N pairs per workload, the base first in even
-pairs and the snapshot first in odd ones. The snapshot is a
-`git stash create` commit of the uncommitted changes to tracked files,
-which leaves the working tree and the stash list as they are, or HEAD when
-there are none; untracked files under src/ or perfbench/ would be missing
-from it, so they stop the run before it starts. The seed defaults to the
-benchmark's default 7, and the workloads to every one in BENCHMARK.json;
-`--workload` may be given more than once. The temporary directory is
-removed afterwards, also when a run fails.
+temporary directory, each into a directory named by its revision, so the
+two sides differ only in their files, and runs each side's own
+`perfbench/run.py --trace 0 --seed S` from that side's root, at the
+benchmark's run length: N pairs per workload, the base first in even pairs
+and the snapshot first in odd ones. The snapshot is a `git stash create`
+commit of the uncommitted changes to tracked files, which leaves the
+working tree and the stash list as they are, or HEAD when there are none;
+untracked files under src/ or perfbench/ would be missing from it, so they
+stop the run before it starts. Equal revisions are extracted once and run
+from one root, so `--base HEAD` on a clean tree is a null A/B: both sides
+run the same files from the same path, and only the run order differs.
+The seed defaults to the benchmark's default 7, and the workloads to every
+one in BENCHMARK.json; `--workload` may be given more than once. The
+temporary directory is removed afterwards, also when a run fails.
 
 Writes BENCH_<label>.json at the repository root with the seed and, per
 workload:
@@ -201,11 +204,11 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json declares {', '.join(declared)}")
     base_rev, change_rev = git("rev-parse", args.base), snapshot()
     tmp = tempfile.mkdtemp(prefix="bench_ab_")
-    sides = {side: os.path.join(tmp, side) for side in ("base", "change")}
+    sides = {"base": os.path.join(tmp, base_rev), "change": os.path.join(tmp, change_rev)}
     errors = 0
     try:
-        extract(base_rev, sides["base"])
-        extract(change_rev, sides["change"])
+        for rev in dict.fromkeys((base_rev, change_rev)):
+            extract(rev, os.path.join(tmp, rev))
         report = {
             "label": args.label,
             "command": f"perfbench/run.py --trace 0 --seed {args.seed}",
