@@ -6,16 +6,4 @@ schedules concealment by neighbor availability, and ships the motion
 estimation, loss simulation and PSNR harness needed to evaluate it.
 """
 
-from .engine import MODES
-from .experiment import (
-    ExperimentSpec,
-    SequenceSpec,
-    TrialResult,
-    aggregate,
-    build_context,
-    load_spec_file,
-    run_experiment,
-    run_trial,
-)
-
 __version__ = "0.1.0"

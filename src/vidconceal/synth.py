@@ -14,6 +14,7 @@ import argparse
 
 import numpy as np
 
+from .core import MB
 from .yuv_io import gray_chroma
 
 
@@ -34,8 +35,17 @@ def value_noise(height: int, width: int, rng: np.random.Generator,
         # Every image row of a noise cell reads the same two grid rows, so
         # each grid row is blended horizontally once; each sample still goes
         # through the same floating-point operations as a per-pixel blend.
+        # The vertical blend runs in place on the two gathered copies, in
+        # the order (1 - fy) * lo + fy * hi, then * amp, so it makes no
+        # further full-frame temporaries.
         hrow = (1 - fx) * grid[:, x0] + fx * grid[:, x0 + 1]
-        acc += amp * ((1 - fy) * hrow[y0] + fy * hrow[y0 + 1])
+        lo = hrow[y0]
+        lo *= 1 - fy
+        hi = hrow[y0 + 1]
+        hi *= fy
+        lo += hi
+        lo *= amp
+        acc += lo
     acc -= acc.min()
     peak = acc.max()
     if peak > 0:
@@ -127,6 +137,15 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--sprites", type=int, default=3)
     args = ap.parse_args(argv)
+    # checked before anything is written, so a bad value leaves no file;
+    # open_sequence would reject a clip of any other dimensions
+    for flag, value in (("--width", args.width), ("--height", args.height)):
+        if value <= 0 or value % MB:
+            ap.error(f"{flag} must be a positive multiple of {MB}, got {value}")
+    if args.frames < 1:
+        ap.error(f"--frames must be at least 1, got {args.frames}")
+    if args.sprites < 0:
+        ap.error(f"--sprites must be at least 0, got {args.sprites}")
     write_i420(args.out, make_sequence(args.width, args.height, args.frames, args.seed, args.sprites))
     print(f"wrote {args.frames} frames of {args.width}x{args.height} to {args.out}")
     return 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidconceal.core import Frame
-from vidconceal.metrics import PSNR_CAP_DB, psnr
+from vidconceal.metrics import PSNR_CAP_DB, ROW_LIMIT, psnr
 
 
 def test_identical_frames_hit_cap(rng):
@@ -93,3 +93,19 @@ def test_full_scale_cif_error_is_zero_db():
     a = Frame(np.zeros((288, 352), dtype=np.uint8))
     b = Frame(np.full((288, 352), 255, dtype=np.uint8))
     assert psnr(a, b) == psnr_float64(a, b) == 0.0
+
+
+def test_full_scale_error_on_the_widest_exact_row_is_zero_db():
+    # 66,051 * 255^2 is the largest row sum below 2^32
+    assert ROW_LIMIT == 66_051
+    a = Frame(np.zeros((1, ROW_LIMIT), dtype=np.uint8))
+    b = Frame(np.full((1, ROW_LIMIT), 255, dtype=np.uint8))
+    assert psnr(a, b) == psnr_float64(a, b) == 0.0
+
+
+def test_row_wider_than_a_uint32_sum_holds_raises():
+    # one more full-scale sample would wrap the row's uint32 sum
+    a = Frame(np.zeros((1, ROW_LIMIT + 1), dtype=np.uint8))
+    b = Frame(np.full((1, ROW_LIMIT + 1), 255, dtype=np.uint8))
+    with pytest.raises(ValueError, match="66051"):
+        psnr(a, b)

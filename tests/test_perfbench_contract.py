@@ -5,10 +5,14 @@ perfbench/worker.py's layer_metrics divides span times by the calls those
 wrappers record. A change that stops calling a wrapped name through its
 module, or calls it less often than the traced counts of
 perfbench/reference.json pin, fails the benchmark's traced check; this test
-catches it in tier-1 without running the benchmark. It edits nothing under
-perfbench/.
+catches it in tier-1 without running the benchmark. The inputs that
+perfbench/gen.py generates are checked against the digests reference.json
+records, so a change to synthesis names the clip that drifted. It edits
+nothing under perfbench/.
 """
 
+import hashlib
+import json
 import math
 import os
 import sys
@@ -21,6 +25,8 @@ from vidconceal.experiment import ExperimentSpec, SequenceSpec
 from vidconceal.synth import make_sequence, write_i420
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+with open(os.path.join(PERFBENCH, "reference.json")) as f:
+    REFERENCE = json.load(f)
 
 
 @pytest.fixture
@@ -69,6 +75,16 @@ def test_layer_metrics_compute_on_an_all_modes_run(perfbench, tmp_path):
     for name, modes in calls_by_mode.items():
         calls = {mode: stats.get((name, mode), [0])[0] for mode in engine.MODES}
         assert calls == {mode: draws if mode in modes else 0 for mode in engine.MODES}, name
+
+
+@pytest.mark.parametrize("workload,seed", [(w, seed) for w in sorted(REFERENCE) for seed in (7, 4099)])
+def test_generated_inputs_match_reference_digests(perfbench, tmp_path, workload, seed):
+    import gen
+
+    gen.generate(workload, seed, str(tmp_path))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(tmp_path))}
+    assert digests == REFERENCE[workload][str(seed)]["inputs"]
 
 
 @pytest.fixture

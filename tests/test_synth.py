@@ -67,3 +67,18 @@ def test_main_writes_make_sequence_as_i420(tmp_path):
     assert len(data) == frames * frame_bytes
     for t, luma in enumerate(make_sequence(w, h, frames, 5, 2)):
         assert data[t * frame_bytes : t * frame_bytes + w * h] == luma.tobytes()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--width", "350"), ("--width", "0"), ("--width", "-16"),
+    ("--height", "280"), ("--height", "0"),
+    ("--frames", "0"), ("--frames", "-1"),
+    ("--sprites", "-1"),
+])
+def test_main_rejects_bad_arguments_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "clip.yuv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), "--width", "48", "--height", "32", "--frames", "2", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
