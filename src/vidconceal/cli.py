@@ -66,7 +66,7 @@ def cmd_conceal(args) -> int:
     with open(args.out_yuv, "wb") as sink, open(args.audit, "w", newline="") as audit:
         audit.write(audit_csv_header() + "\n")
         write_yuv_frame(first, sink)
-        for d in decode_frames(first.luma, inter(), cfg, args.mode, False):
+        for d in decode_frames(first.luma, inter(), cfg, args.mode):
             audit.writelines(line + "\n" for line in d.audit_lines)
             write_yuv_frame(YuvFrameRecord(d.concealed, record.chroma_u, record.chroma_v), sink)
             psnrs.append(d.psnr_db)

@@ -11,11 +11,12 @@ scores it by PSNR against its original.
 A trial-frame's plan, its status grid and concealment order, follows from
 the loss draw alone. ``run_experiment`` hands every mode of a (rate, trial)
 one TrialConfig with a memo, so the later modes share the draws and plans
-the first one made. Wall time covers the concealment call only, so the
-report's ``mean_time_per_mb_ms`` leaves out the plan in every mode. Timing
-is inherently non-reproducible, so an ExperimentSpec can disable it
-(measure_timing=false); everything else in the emitted files is
-byte-deterministic for a fixed spec.
+the first one made. Each inter frame is concealed once, and the wall time of
+that one call is its ``conceal_ms``, so the report's
+``mean_time_per_mb_ms`` leaves out the plan in every mode. Timing is
+inherently non-reproducible, so an ExperimentSpec can disable it
+(measure_timing=false, which records 0.0); everything else in the emitted
+files is byte-deterministic for a fixed spec.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
@@ -261,7 +261,7 @@ class DecodedFrame(NamedTuple):
     damaged: Frame
     concealed: Frame
     psnr_db: float
-    conceal_ms: float  # 0.0 untimed
+    conceal_ms: float  # wall time of the one conceal_frame call
     audit_lines: list[str]
 
 
@@ -284,23 +284,18 @@ def decode_frames(
     inter: Iterable[tuple[Frame, MvField]],
     cfg: TrialConfig,
     mode: str,
-    measure_timing: bool,
 ) -> Iterator[DecodedFrame]:
     """Decoder side: conceal each inter frame, given as (original, MV field),
     after the seeded loss of ``cfg``, against the previous reconstruction.
-    Timed frames report the median of 3 concealment runs, each given the
-    frame's plan."""
+    Each frame is concealed once, given its plan, and that call is timed."""
     cols, rows = first.mb_cols, first.mb_rows
     ref_frame, ref_status, prev_field = first, np.full((rows, cols), MbState.CORRECT, dtype=np.uint8), None
     for t, (original, mv_field) in enumerate(inter, start=1):
         status, order = frame_plan(t, cols, rows, cfg)
         damaged = blank_damaged(original, status)
-        times = []
-        for _ in range(3 if measure_timing else 1):
-            t0 = time.perf_counter()
-            out = conceal_frame(damaged, ref_frame, ref_status, status, mv_field, prev_field, mode, order)
-            times.append(time.perf_counter() - t0)
-        ms = statistics.median(times) * 1000.0 if measure_timing else 0.0
+        t0 = time.perf_counter()
+        out = conceal_frame(damaged, ref_frame, ref_status, status, mv_field, prev_field, mode, order)
+        ms = (time.perf_counter() - t0) * 1000.0
         yield DecodedFrame(
             t, damaged, out.frame, psnr(out.frame, original), ms,
             [audit_csv_line(t, rec) for rec in out.audit],
@@ -332,9 +327,9 @@ def run_trial(
     ``cfg``."""
     tr = TrialResult(ctx.spec.name, mode, cfg.rate, [], [], [], [])
     inter = zip(ctx.originals[1:], ctx.fields[1:])
-    for d in decode_frames(ctx.originals[0], inter, cfg, mode, measure_timing):
+    for d in decode_frames(ctx.originals[0], inter, cfg, mode):
         tr.psnr_db.append(d.psnr_db)
-        tr.frame_ms.append(d.conceal_ms)
+        tr.frame_ms.append(d.conceal_ms if measure_timing else 0.0)
         tr.frame_mbs.append(len(d.audit_lines))
         tr.audit_lines.extend(d.audit_lines)
         if d.index in keep_frames:

@@ -107,11 +107,24 @@ class TestRunTrial:
         tr = run_trial(small_ctx, "tr", TrialConfig(0.25, 2, 0), measure_timing=False)
         assert tr.frame_mbs == [4, 4, 4, 4]  # round(0.25 * 16)
 
-    def test_timing_recorded_when_enabled(self, small_ctx):
+    def test_timing_recorded_when_enabled(self, small_ctx, monkeypatch):
+        # a timed run conceals each inter frame once, as an untimed one does,
+        # and only the timings tell the two apart
+        calls, conceal_frame = [], experiment.conceal_frame
+
+        def spy(*args):
+            calls.append(args[-2])
+            return conceal_frame(*args)
+
+        monkeypatch.setattr(experiment, "conceal_frame", spy)
         tr = run_trial(small_ctx, "bma", TrialConfig(0.25, 2, 0), measure_timing=True)
+        assert len(calls) == len(small_ctx.originals) - 1
         assert all(ms > 0 for ms in tr.frame_ms)
         off = run_trial(small_ctx, "bma", TrialConfig(0.25, 2, 0), measure_timing=False)
+        assert len(calls) == 2 * (len(small_ctx.originals) - 1)
         assert all(ms == 0.0 for ms in off.frame_ms)
+        assert tr.psnr_db == off.psnr_db
+        assert tr.audit_lines == off.audit_lines
 
 
 class TestAggregate:
@@ -192,6 +205,31 @@ class TestRunExperiment:
                 tmp_path / "b" / "audits" / name
             ).read_bytes()
 
+    def test_timed_run_writes_the_untimed_files_but_its_timings(self, small_seq, tmp_path):
+        # dropping conceal_ms from trials/*.csv and mean_time_per_mb_ms from
+        # report.csv leaves a timed run's files byte-identical to an untimed one's
+        def without_timing(path, column):
+            lines = [line.split(",") for line in path.read_text().splitlines()]
+            at = lines[0].index(column)
+            return [row[:at] + row[at + 1:] for row in lines], [row[at] for row in lines[1:]]
+
+        modes = list(engine.MODES)
+        timed, untimed = tmp_path / "timed", tmp_path / "untimed"
+        run_experiment(self._spec(small_seq, modes=modes, measure_timing=True), str(timed))
+        run_experiment(self._spec(small_seq, modes=modes), str(untimed))
+        names = sorted(str(p.relative_to(timed)) for p in timed.rglob("*") if p.is_file())
+        assert names == sorted(str(p.relative_to(untimed)) for p in untimed.rglob("*") if p.is_file())
+        for name in names:
+            if name == "report.csv" or name.startswith("trials"):
+                column = "mean_time_per_mb_ms" if name == "report.csv" else "conceal_ms"
+                rows_on, ms_on = without_timing(timed / name, column)
+                rows_off, ms_off = without_timing(untimed / name, column)
+                assert rows_on == rows_off, name
+                assert ms_on and all(float(ms) > 0 for ms in ms_on), name
+                assert all(float(ms) == 0.0 for ms in ms_off), name
+            else:
+                assert (timed / name).read_bytes() == (untimed / name).read_bytes(), name
+
     def test_make_mask_called_per_frame_mode_rate_and_trial(self, small_seq, tmp_path, monkeypatch):
         # perfbench's tracer counts loss.mbs_lost by wrapping
         # experiment.make_mask, and reference.json pins that count: every
@@ -213,8 +251,7 @@ class TestRunExperiment:
 
     def test_one_schedule_per_trial_frame_shared_by_every_mode(self, small_seq, tmp_path, monkeypatch):
         # the concealment order depends on the loss draw alone: the first
-        # mode builds each trial-frame's order, the later modes and the
-        # timing repeats walk it
+        # mode builds each trial-frame's order, the later modes walk it
         built, init = [], engine.PrioritySchedule.__init__
 
         def spy(sched, status):
